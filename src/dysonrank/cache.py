@@ -5,14 +5,20 @@ u32, then the rows in order n = 0 .. n_max.  Row n holds max(2n-1, 1)
 counts for m = -(n-1) .. n-1; each count is a LEB128 byte length
 followed by that many little-endian magnitude bytes (zero encodes as
 length 0).  Counts are nonnegative, so no sign byte is needed.
+
+Saves go through a temporary file next to the target that is renamed
+into place, so a reader never sees a half-written table.  Loads
+check that every row sums to p(n) and is symmetric in m.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from pathlib import Path
 
-from .core import RankTable
+from .core import RankTable, partition_numbers
 
 MAGIC = b"RNKT"
 VERSION = 1
@@ -32,16 +38,23 @@ def _write_varint(buf: bytearray, value: int) -> None:
 
 
 def save_table(table: RankTable, path: str | Path) -> None:
-    """Serialize a table; overwrites path."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, table.n_max))
-        for n in range(table.n_max + 1):
-            buf = bytearray()
-            for value in table.row(n):
-                nbytes = (value.bit_length() + 7) // 8
-                _write_varint(buf, nbytes)
-                buf += value.to_bytes(nbytes, "little")
-            fh.write(buf)
+    """Serialize a table; atomically replaces path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, VERSION, table.n_max))
+            for n in range(table.n_max + 1):
+                buf = bytearray()
+                for value in table.row(n):
+                    nbytes = (value.bit_length() + 7) // 8
+                    _write_varint(buf, nbytes)
+                    buf += value.to_bytes(nbytes, "little")
+                fh.write(buf)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_table(path: str | Path) -> RankTable:
@@ -79,4 +92,9 @@ def load_table(path: str | Path) -> RankTable:
         rows.append(row)
     if pos != end:
         raise CacheFormatError(f"{end - pos} trailing bytes")
+    # n_max is bounded by the file size here, so p(n_max) is cheap.
+    p = partition_numbers(n_max)
+    for n, row in enumerate(rows):
+        if sum(row) != p[n] or row != row[::-1]:
+            raise CacheFormatError(f"row {n} fails the p(n) sum or symmetry check")
     return RankTable(n_max, rows)

@@ -3,10 +3,11 @@
 Every subcommand assembles an OutputRecord (command, parameters,
 results, status) and renders it as text, CSV, or JSON.  Structured
 output is deterministic: stable key order, big integers as decimal
-strings, identical content for any --threads value.
+strings.
 
 Exit codes: 0 success (including conjecture mismatches, which are
-reported but never gate), 1 a verified claim failed, 2 usage error.
+reported but never gate), 1 a verified claim failed, 2 usage error,
+including a table cache that cannot be read, written or trusted.
 """
 
 from __future__ import annotations
@@ -201,18 +202,22 @@ def render(record: OutputRecord, fmt: str) -> str:
 def _table_for(args: argparse.Namespace, need: int) -> RankTable:
     """A table holding counts up to at least `need`: from the cache
     when present and big enough, otherwise built at --n-max (and saved
-    back to the cache when one was named)."""
+    back to the cache when one was named).  A cache path that cannot be
+    read or written is a usage error."""
     if need > args.n_max:
         raise UsageError(
             f"this command requires --n-max >= {need} (got {args.n_max})")
     path = args.table_cache
-    if path and os.path.exists(path):
-        cached = load_table(path)
-        if cached.n_max >= need:
-            return cached
-    table = build_rank_table(args.n_max)
-    if path:
-        save_table(table, path)
+    try:
+        if path and os.path.exists(path):
+            cached = load_table(path)
+            if cached.n_max >= need:
+                return cached
+        table = build_rank_table(args.n_max)
+        if path:
+            save_table(table, path)
+    except OSError as exc:
+        raise UsageError(f"unusable table cache: {exc}") from exc
     return table
 
 
@@ -311,8 +316,7 @@ def _cmd_convexity(args: argparse.Namespace) -> OutputRecord:
     if a_min is None:
         a_min = _SCAN_MIN.get((args.t, args.r), 1)
     table = _table_for(args, 2 * b_max)
-    report = scan_region(table, args.r, args.t, a_min, b_max,
-                         workers=args.threads)
+    report = scan_region(table, args.r, args.t, a_min, b_max)
     params = {"r": args.r, "t": args.t, "min": a_min, "max": b_max,
               "n_max": args.n_max}
     results = {"pairs_checked": report.pairs_checked,
@@ -398,8 +402,7 @@ def _suite_convexity(args: argparse.Namespace) -> OutputRecord:
         a_min = args.min
         if a_min is None:
             a_min = _SCAN_MIN.get((args.t, r), 1)
-        report = scan_region(table, r, args.t, a_min, b_max,
-                             workers=args.threads)
+        report = scan_region(table, r, args.t, a_min, b_max)
         rows.append({"r": r, "min": a_min, "max": b_max,
                      "pairs_checked": report.pairs_checked,
                      "violations_found": len(report.violations),
@@ -498,8 +501,7 @@ def _suite_conjectures(args: argparse.Namespace) -> OutputRecord:
     rows = []
     mismatched = 0
     for r, a_min in ((0, 11), (1, 12)):
-        report = scan_region(table, r, 2, a_min, scan_max,
-                             workers=args.threads)
+        report = scan_region(table, r, 2, a_min, scan_max)
         rows.append({"kind": "product-scan", "r": r, "t": 2, "min": a_min,
                      "max": scan_max, "pairs_checked": report.pairs_checked,
                      "violations_found": len(report.violations),
@@ -543,8 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="size of the rank table to build (default 1024)")
     common.add_argument("--table-cache", dest="table_cache", metavar="PATH",
                         help="load/save the rank table from this file")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scans (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="dysonrank",

@@ -2,13 +2,12 @@
 
 The claim under test: N(r, t; a) N(r, t; b) > N(r, t; a + b) once both
 a and b are large enough.  Everything is exact integer arithmetic on a
-prebuilt table; the scan exploits symmetry in (a, b) and can split its
-range across worker threads, with output independent of the split.
+prebuilt table; the scan exploits symmetry in (a, b) and reads each
+count once.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .core import RankTable, residue_count
@@ -42,30 +41,12 @@ def check_pair(table: RankTable, r: int, t: int, a: int,
     return lhs > rhs, lhs, rhs
 
 
-def _scan_strip(counts: list[int], a_lo: int, a_hi: int, b_lo: int,
-                b_hi: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    checked = 0
-    bad = []
-    for a in range(a_lo, a_hi + 1):
-        ca = counts[a]
-        for b in range(max(a, b_lo), b_hi + 1):
-            checked += 1
-            lhs = ca * counts[b]
-            rhs = counts[a + b]
-            if lhs <= rhs:
-                bad.append((a, b, lhs, rhs))
-    return checked, bad
-
-
 def scan_region(table: RankTable, r: int, t: int, a_min: int, b_max: int,
-                a_max: int | None = None, b_min: int | None = None,
-                workers: int = 1) -> ConvexityReport:
+                a_max: int | None = None,
+                b_min: int | None = None) -> ConvexityReport:
     """Exhaustively check all pairs a_min <= a <= b <= b_max (with
     optional tighter a_max / looser b_min), reading each count once.
-
-    workers > 1 splits the a-range into strips run on a thread pool;
-    results are merged in sorted order, so the report is identical for
-    any worker count."""
+    Violations come out sorted, since a and b both ascend."""
     a_hi = b_max if a_max is None else a_max
     b_lo = a_min if b_min is None else b_min
     if a_min < 1 or a_min > a_hi or b_lo > b_max:
@@ -77,26 +58,19 @@ def scan_region(table: RankTable, r: int, t: int, a_min: int, b_max: int,
     for n in range(1, a_hi + b_max + 1):
         counts[n] = residue_count(table, r, t, n)
 
-    report = ConvexityReport(r=r, t=t, a_range=(a_min, a_hi),
-                             b_range=(b_lo, b_max))
-    if workers <= 1:
-        checked, bad = _scan_strip(counts, a_min, a_hi, b_lo, b_max)
-        report.pairs_checked = checked
-        report.violations = bad
-        return report
-
-    span = a_hi - a_min + 1
-    stripes = min(workers * 4, span)
-    bounds = [(a_min + (span * i) // stripes,
-               a_min + (span * (i + 1)) // stripes - 1) for i in range(stripes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(
-            lambda ab: _scan_strip(counts, ab[0], ab[1], b_lo, b_max), bounds))
-    for checked, bad in results:
-        report.pairs_checked += checked
-        report.violations.extend(bad)
-    report.violations.sort()
-    return report
+    checked = 0
+    bad = []
+    for a in range(a_min, a_hi + 1):
+        ca = counts[a]
+        for b in range(max(a, b_lo), b_max + 1):
+            checked += 1
+            lhs = ca * counts[b]
+            rhs = counts[a + b]
+            if lhs <= rhs:
+                bad.append((a, b, lhs, rhs))
+    return ConvexityReport(r=r, t=t, a_range=(a_min, a_hi),
+                           b_range=(b_lo, b_max), pairs_checked=checked,
+                           violations=bad)
 
 
 def sharpness_frontier(table: RankTable, r: int, t: int,

@@ -2,14 +2,11 @@
 
 The rank of a partition is its largest part minus its number of parts.
 The central object here is the table of counts N(m, n), the number of
-partitions of n with rank m, produced by expanding the classical rank
-generating function
-
-    1 + sum_{k>=1} q^(k^2) / ((w q; q)_k (w^(-1) q; q)_k)
-
-as a power series in q truncated at a chosen degree, with Laurent
-polynomial coefficients in w.  All counts are exact integers; nothing
-here ever passes through a float.
+partitions of n with rank m.  Each count is a short alternating sum of
+partition numbers p(n - a), by the Atkin-Swinnerton-Dyer formula for
+fixed rank (see build_rank_table); p(n) comes from Euler's pentagonal
+recurrence.  All counts are exact integers; nothing here ever passes
+through a float.
 """
 
 from __future__ import annotations
@@ -113,8 +110,8 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def brute_rank_counts(n: int) -> dict[int, int]:
-    """Rank counts of n by exhaustive enumeration.  Independent of the
-    series expansion; used as the oracle for it."""
+    """Rank counts of n by exhaustive enumeration.  Independent of
+    build_rank_table; used as the oracle for it."""
     counts = Counter()
     for parts in enumerate_partitions(n):
         counts[rank(parts)] += 1
@@ -126,7 +123,8 @@ class RankTable:
 
     Row n covers m in [-(n-1), n-1]; row 0 is the single count 1 for the
     empty partition.  Instances are built once and then treated as
-    immutable, which makes them safe to share across threads.
+    immutable; row() hands out the stored list, so callers must not
+    mutate it.
     """
 
     __slots__ = ("n_max", "_rows")
@@ -166,71 +164,34 @@ class RankTable:
 
 
 def build_rank_table(n_max: int) -> RankTable:
-    """Expand the rank generating function to degree n_max.
+    """Counts N(m, n) for every n <= n_max, by the Atkin-Swinnerton-Dyer
+    formula for fixed rank m >= 0,
 
-    Summand k contributes only when k^2 <= n_max.  Each factor
-    1/(1 - w^(+-1) q^j) is applied as the in-place geometric recurrence
-    C[d] += w^(+-1) * C[d-j] for ascending d, truncated at q^n_max.
+        sum_n N(m, n) q^n
+            = (1/(q)_inf) sum_{k>=1} (-1)^(k-1) q^(k(3k-1)/2 + mk) (1 - q^k),
 
-    Representation: the Laurent coefficient at q-degree d is packed into
-    a single integer, with the count of w^m stored in a fixed-width bit
-    slot at position (m + d).  Every slot value is a nonnegative partial
-    count bounded by p(n_max) (multiplying in further factors, each with
-    constant term 1 and nonnegative coefficients, only grows it), so
-    with slot width >= p(n_max).bit_length() additions can never carry
-    across slots.  Multiplication by w^(+-1) is then a plain shift and
-    the whole inner loop runs on machine-speed big-int adds.
+    so N(m, n) = sum_k (-1)^(k-1) (p(n - a_k) - p(n - a_k - k)) with
+    a_k = k(3k-1)/2 + mk, over the k with a_k <= n, and p zero at
+    negative arguments.  Rows are symmetric, N(-m, n) = N(m, n), so each
+    row is the half m = 0 .. n-1 mirrored.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     p = partition_numbers(n_max)
-    slot_bytes = p[n_max].bit_length() // 8 + 2  # one spare byte of headroom
-    bits = slot_bytes * 8
-
-    # G[d] packs the accumulated coefficient of q^d, slot m at bit bits*(m+d).
-    G = [0] * (n_max + 1)
-    G[0] = 1
-    k = 1
-    while k * k <= n_max:
-        span = n_max - k * k
-        R = [0] * (span + 1)
-        R[0] = 1
-        for j in range(1, k + 1):
-            # factor 1/(1 - w q^j): rebasing d-j -> d costs j slots, the
-            # w shift one more, hence bits*(j+1)
-            s = bits * (j + 1)
-            for d in range(j, span + 1):
-                v = R[d - j]
-                if v:
-                    R[d] += v << s
-            # factor 1/(1 - w^(-1) q^j): bits*(j-1), never negative
-            s = bits * (j - 1)
-            for d in range(j, span + 1):
-                v = R[d - j]
-                if v:
-                    R[d] += v << s
-        base = bits * k * k
-        off = k * k
-        for d in range(span + 1):
-            v = R[d]
-            if v:
-                G[off + d] += v << base
-        del R
-        k += 1
-
     rows: list[list[int]] = [[1]]
-    for d in range(1, n_max + 1):
-        width = 2 * d + 1
-        raw = G[d].to_bytes(slot_bytes * width, "little")
-        row = [
-            int.from_bytes(raw[slot_bytes * i: slot_bytes * (i + 1)], "little")
-            for i in range(width)
-        ]
-        # ranks of partitions of d live strictly inside (-d, d)
-        if row[0] or row[-1]:
-            raise AssertionError(f"rank overflow in row {d}")
-        rows.append(row[1:-1])
-        G[d] = 0
+    for n in range(1, n_max + 1):
+        half = []
+        for m in range(n):
+            total = 0
+            k = 1
+            a = m + 1
+            while a <= n:
+                term = p[n - a] - p[n - a - k] if a + k <= n else p[n - a]
+                total += term if k & 1 else -term
+                a += 3 * k + 1 + m  # a_(k+1) - a_k
+                k += 1
+            half.append(total)
+        rows.append(half[:0:-1] + half)
     return RankTable(n_max, rows)
 
 

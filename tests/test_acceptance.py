@@ -69,7 +69,7 @@ def test_criterion_02_oracle_equivalence(criterion):
         ok = ok and sum(counts.values()) == sum(row)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 120.0
-    criterion(2, "series table equals brute-force enumeration, n <= 40",
+    criterion(2, "rank table equals brute-force enumeration, n <= 40",
               ok, f"{elapsed:.1f}s")
 
 

@@ -34,6 +34,23 @@ class TestRoundTrip:
         save_table(table, path)
         assert load_table(path) == table
 
+    def test_failed_save_keeps_old_file(self, saved, tmp_path):
+        table, path = saved
+        bigger = build_rank_table(80)
+
+        class FailsMidWrite:
+            n_max = bigger.n_max
+
+            def row(self, n):
+                if n == 40:
+                    raise RuntimeError("simulated write failure")
+                return bigger.row(n)
+
+        with pytest.raises(RuntimeError):
+            save_table(FailsMidWrite(), path)
+        assert load_table(path) == table
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_header_fields(self, saved):
         _, path = saved
         raw = path.read_bytes()
@@ -84,5 +101,17 @@ class TestMalformedInput:
         _, path = saved
         bad = tmp_path / "extra.rnkt"
         bad.write_bytes(path.read_bytes() + b"\x00\x01")
+        with pytest.raises(CacheFormatError):
+            load_table(bad)
+
+    @pytest.mark.parametrize("where", ["middle", "last"])
+    def test_flipped_byte(self, saved, tmp_path, where):
+        # The last byte is the magnitude of N(59, 60) = 1, so flipping
+        # it leaves the file well formed and only the counts wrong.
+        _, path = saved
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2 if where == "middle" else -1] ^= 0x01
+        bad = tmp_path / "flipped.rnkt"
+        bad.write_bytes(bytes(raw))
         with pytest.raises(CacheFormatError):
             load_table(bad)

@@ -165,13 +165,6 @@ class TestConvexity:
         assert code == 0
         assert "param.min = 12" in out
 
-    def test_threads_do_not_change_output(self):
-        base = run("convexity", "--r", "1", "--min", "5", "--max", "40",
-                   "--n-max", "96")
-        threaded = run("convexity", "--r", "1", "--min", "5", "--max", "40",
-                       "--n-max", "96", "--threads", "3")
-        assert base == threaded
-
 
 class TestBounds:
     def test_diagnostics_at_500(self):
@@ -267,6 +260,13 @@ class TestTableCache:
                            "--n-max", "30", "--table-cache", str(path))
         assert code == 2
         assert "cache" in err
+
+    def test_unreadable_cache_path_is_usage_error(self, tmp_path):
+        code, out, err = run("count", "--r", "0", "--t", "3", "--n", "5",
+                             "--n-max", "10", "--table-cache", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unusable table cache:")
 
 
 class TestRankTableCommand:

@@ -66,11 +66,6 @@ class TestScanRegion:
         assert (11, 11, 256, 340) in report.violations
         assert report.violations == sorted(report.violations)
 
-    def test_worker_count_does_not_change_output(self, table):
-        single = scan_region(table, 0, 3, 1, 60, workers=1)
-        threaded = scan_region(table, 0, 3, 1, 60, workers=4)
-        assert single == threaded
-
     def test_asymmetric_box(self, table):
         report = scan_region(table, 0, 3, 12, 100, a_max=20)
         assert report.a_range == (12, 20)

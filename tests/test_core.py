@@ -1,9 +1,11 @@
 """Exactness of the partition/rank counting core.
 
-The brute-force enumerator is the oracle: it literally builds every
-partition and measures its rank, so the series-expansion table must
-match it coefficient for coefficient.  Small rows are also checked
-against hand-derived values.
+Two independent oracles check the production table, which is built by
+the Atkin-Swinnerton-Dyer fixed-rank formula.  The brute-force
+enumerator literally builds every partition and measures its rank.
+The series oracle below expands the two-variable rank generating
+function, a different algorithm that reaches much larger n.  Small
+rows are also checked against hand-derived values.
 """
 
 from __future__ import annotations
@@ -25,6 +27,70 @@ from dysonrank import (
     rank_count,
     residue_count,
 )
+
+
+def series_rank_rows(n_max: int) -> list[list[int]]:
+    """Rows N(m, n), m = -(n-1) .. n-1, for n <= n_max, by expanding
+
+        1 + sum_{k>=1} q^(k^2) / ((w q; q)_k (w^(-1) q; q)_k)
+
+    to degree n_max.  Summand k contributes only when k^2 <= n_max.
+    Each factor 1/(1 - w^(+-1) q^j) is applied as the in-place geometric
+    recurrence C[d] += w^(+-1) * C[d-j] for ascending d.
+
+    The Laurent coefficient at q-degree d is packed into one integer,
+    with the count of w^m in a fixed-width bit slot at position (m + d).
+    Every slot is a nonnegative partial count bounded by p(n_max), so
+    with slot width >= p(n_max).bit_length() additions never carry
+    across slots, and multiplication by w^(+-1) is a plain shift.
+    """
+    p = partition_numbers(n_max)
+    slot_bytes = p[n_max].bit_length() // 8 + 2  # one spare byte of headroom
+    bits = slot_bytes * 8
+
+    # G[d] packs the accumulated coefficient of q^d, slot m at bit bits*(m+d).
+    G = [0] * (n_max + 1)
+    G[0] = 1
+    k = 1
+    while k * k <= n_max:
+        span = n_max - k * k
+        R = [0] * (span + 1)
+        R[0] = 1
+        for j in range(1, k + 1):
+            # factor 1/(1 - w q^j): rebasing d-j -> d costs j slots, the
+            # w shift one more, hence bits*(j+1)
+            s = bits * (j + 1)
+            for d in range(j, span + 1):
+                v = R[d - j]
+                if v:
+                    R[d] += v << s
+            # factor 1/(1 - w^(-1) q^j): bits*(j-1), never negative
+            s = bits * (j - 1)
+            for d in range(j, span + 1):
+                v = R[d - j]
+                if v:
+                    R[d] += v << s
+        base = bits * k * k
+        off = k * k
+        for d in range(span + 1):
+            v = R[d]
+            if v:
+                G[off + d] += v << base
+        k += 1
+
+    rows: list[list[int]] = [[1]]
+    for d in range(1, n_max + 1):
+        width = 2 * d + 1
+        raw = G[d].to_bytes(slot_bytes * width, "little")
+        row = [
+            int.from_bytes(raw[slot_bytes * i: slot_bytes * (i + 1)], "little")
+            for i in range(width)
+        ]
+        # ranks of partitions of d live strictly inside (-d, d)
+        assert row[0] == 0 and row[-1] == 0, f"rank overflow in row {d}"
+        rows.append(row[1:-1])
+    return rows
+
 
 # First values of the partition function, long established.
 _P_SMALL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
@@ -89,6 +155,12 @@ class TestTableAgainstOracle:
             for i, c in enumerate(row):
                 assert c == counts.get(lo + i, 0), (n, lo + i)
             assert sum(row) == sum(counts.values())
+
+    def test_rows_equal_series_expansion(self):
+        table = build_rank_table(300)
+        series = series_rank_rows(300)
+        for n in range(301):
+            assert table.row(n) == series[n], n
 
     def test_hand_derived_rows(self, table):
         assert table.row(0) == [1]
