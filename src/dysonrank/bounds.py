@@ -1,21 +1,34 @@
 """Analytic growth estimates and rigorous error envelopes.
 
 Everything here is closed-form double-precision arithmetic.  Exact
-integers enter only through comparisons, which Python performs exactly
-between int and float, so no verification ever rounds the integer side.
+integers meet floats in two ways only: in comparisons, which Python
+performs exactly between int and float, and in the gap |A(n) - M(n)|
+between an exact rank difference and the float main term, which
+exact_gap forms as a Fraction, so no verification rounds the integer
+side.
 
 The six explicit error bounds, their ratio functions against the lower
 envelope, and the tabulated caps form one coherent budget: the sum of
 the six bounds stays below 0.58 of the lower envelope for n >= 500.
+The k-sums inside bounds 2, 3, 4 and 6 do not depend on n, so each is
+kept as a list of running sums, extended on demand and added left to
+right in the order a literal loop would use.  The first error_budget(n)
+in a process therefore costs O(n) once (the sixth bound's double sum);
+later calls cost O(sqrt n), the first bound's n-dependent sum.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import isqrt
+from typing import TYPE_CHECKING
 
 from .core import RankTable, residue_count
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BoundPair",
@@ -27,6 +40,7 @@ __all__ = [
     "envelope",
     "error_budget",
     "error_term_bound",
+    "exact_gap",
     "hardy_ramanujan",
     "lehmer_bounds",
     "lehmer_estimate",
@@ -166,13 +180,48 @@ def envelope(n: int) -> tuple[float, float]:
     return upper * SIN_PI_18, upper
 
 
-def error_term_bound(i: int, n: int) -> float:
-    """The i-th explicit error bound, i in 1..6, evaluated literally.
+# Running sums over k, n-independent: entry k is the sum of terms 1..k.
+_sum_inv_sqrt = [0.0]          # 1/sqrt(k), bound 2
+_sum_inv_sqrt_not3 = [0.0]     # 1/sqrt(k) for 3 not dividing k, bound 3
+_sum_sqrt = [0.0]              # sqrt(k), bound 4
+_sum_sixth = [0.0]             # the sixth bound's inner sum over v
 
-    Sum limits take floors; an empty sum is 0.  The innermost quantity
-    of the sixth bound is a fractional-part distance that is provably
-    nonzero (odd numerator over even modulus); a zero would mean the
-    contract was violated and raises.
+
+def _prefix_sum(cache: list[float], hi: int,
+                term: Callable[[int], float]) -> float:
+    """term(1) + ... + term(hi), extending cache left to right as needed."""
+    for k in range(len(cache), hi + 1):
+        cache.append(cache[-1] + term(k))
+    return cache[hi]
+
+
+def _sixth_term(k: int) -> float:
+    """The sixth bound's k-th term (1/k) sum_{v=1..k} 1/d_v, with d_v the
+    smaller of the fractional parts {v/k - 1/(6k) + 1/3} and
+    {v/k - 1/(6k) - 1/3}.  d_v is provably nonzero (odd numerator over
+    even modulus); a zero would mean the contract was violated and
+    raises."""
+    mod = 6 * k
+    inner = 0.0
+    for v in range(1, k + 1):
+        # {v/k - 1/(6k) +- 1/3} via exact integer modulus
+        a = (6 * v - 1 + 2 * k) % mod
+        b = (6 * v - 1 - 2 * k) % mod
+        smallest = a if a < b else b
+        if smallest == 0:
+            raise ArithmeticError(
+                "zero fractional-part minimum in sixth error bound")
+        inner += mod / smallest
+    return inner / k
+
+
+def error_term_bound(i: int, n: int) -> float:
+    """The i-th explicit error bound, i in 1..6.
+
+    Sum limits take floors; an empty sum is 0.  The first bound's terms
+    depend on n, so its sum runs afresh in O(sqrt n); the fifth is closed
+    form; the others read their k-sums from running sums shared across
+    calls, bit-identical to summing the terms left to right.
     """
     _check_positive(n)
     if i == 1:
@@ -184,37 +233,24 @@ def error_term_bound(i: int, n: int) -> float:
     if i == 2:
         hi = isqrt(n) // 3
         return 0.12 * math.exp(2.0 * math.pi + math.pi / 24.0) / math.sqrt(3.0) \
-            * sum(1.0 / math.sqrt(k) for k in range(1, hi + 1))
+            * _prefix_sum(_sum_inv_sqrt, hi, lambda k: 1.0 / math.sqrt(k))
     if i == 3:
         hi = isqrt(n)
         return 1.412 * math.sqrt(3.0) * math.exp(2.0 * math.pi) \
-            * sum(1.0 / math.sqrt(k) for k in range(1, hi + 1) if k % 3)
+            * _prefix_sum(_sum_inv_sqrt_not3, hi,
+                          lambda k: 1.0 / math.sqrt(k) if k % 3 else 0.0)
     if i == 4:
         hi = isqrt(n) // 3
         return 2.0 * math.sqrt(3.0) * math.exp(2.0 * math.pi + math.pi / 12.0) \
-            / math.sqrt(n) * sum(math.sqrt(k) for k in range(1, hi + 1))
+            / math.sqrt(n) * _prefix_sum(_sum_sqrt, hi, math.sqrt)
     if i == 5:
         hi = isqrt(n) // 3
         return 8.0 * math.pi * math.exp(2.0 * math.pi + math.pi / 24.0) \
             * n ** -0.75 * (hi * (hi + 1) // 2)
     if i == 6:
-        hi = isqrt(n)
-        total = 0.0
-        for k in range(1, hi + 1):
-            mod = 6 * k
-            inner = 0.0
-            for v in range(1, k + 1):
-                # {v/k - 1/(6k) +- 1/3} via exact integer modulus
-                a = (6 * v - 1 + 2 * k) % mod
-                b = (6 * v - 1 - 2 * k) % mod
-                smallest = a if a < b else b
-                if smallest == 0:
-                    raise ArithmeticError(
-                        "zero fractional-part minimum in sixth error bound")
-                inner += mod / smallest
-            total += inner / k
         return 2.0 ** 0.25 * (math.e + 1.0 / math.e) \
-            * math.exp(2.0 * math.pi) * n ** -0.25 * total
+            * math.exp(2.0 * math.pi) * n ** -0.25 \
+            * _prefix_sum(_sum_sixth, isqrt(n), _sixth_term)
     raise ValueError("error term index must be in 1..6")
 
 
@@ -230,6 +266,17 @@ def error_budget(n: int) -> ErrorBudget:
         lower=lower,
         upper=upper,
     )
+
+
+def exact_gap(a: int, m: float) -> Fraction:
+    """|a - m| exactly, for an exact integer a and a float m.
+
+    The float difference a - m rounds a whenever a is not a double, which
+    can happen once |a| >= 2^53 (for the rank difference A(n), from
+    n = 2287 on), so budget checks compare this Fraction instead;
+    float(exact_gap(a, m)) equals abs(a - m) whenever a is a double."""
+    from fractions import Fraction
+    return abs(Fraction(a) - Fraction(m))
 
 
 def ratio_bound(i: int, n: int) -> float:

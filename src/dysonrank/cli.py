@@ -28,6 +28,7 @@ from .bounds import (
     ConstantTable,
     envelope,
     error_budget,
+    exact_gap,
     hardy_ramanujan,
     lehmer_bounds,
     lehmer_estimate,
@@ -480,11 +481,11 @@ def _suite_budget(args: argparse.Namespace) -> OutputRecord:
     bad = 0
     for n in range(lo, hi + 1, step):
         a = a_third_exact(table, n)
-        gap = abs(a - main_term(n))
+        gap = exact_gap(a, main_term(n))
         budget = error_budget(n)
         limit = BUDGET_CAP * budget.lower
         ok = gap <= budget.total <= limit
-        rows.append({"n": n, "a_third": a, "gap": gap,
+        rows.append({"n": n, "a_third": a, "gap": float(gap),
                      "error_total": budget.total, "limit": limit, "ok": ok})
         if not ok:
             bad += 1

@@ -122,9 +122,9 @@ class RankTable:
     """Counts N(m, n) for all 0 <= n <= n_max.
 
     Row n covers m in [-(n-1), n-1]; row 0 is the single count 1 for the
-    empty partition.  Instances are built once and then treated as
-    immutable; row() hands out the stored list, so callers must not
-    mutate it.
+    empty partition.  Instances are built once and never change: row()
+    hands out a fresh copy, so a caller that mutates it cannot corrupt
+    the table.
     """
 
     __slots__ = ("n_max", "_rows")
@@ -136,9 +136,9 @@ class RankTable:
         self._rows = rows
 
     def row(self, n: int) -> list[int]:
-        """Counts for m = -(n-1) .. n-1 in order.  Do not mutate."""
+        """Counts for m = -(n-1) .. n-1 in order, as a new list."""
         self._check_n(n)
-        return self._rows[n]
+        return list(self._rows[n])
 
     def count(self, m: int, n: int) -> int:
         self._check_n(n)

@@ -21,6 +21,7 @@ from dysonrank import (
     check_pair,
     conjecture_max_mod2,
     error_budget,
+    exact_gap,
     lehmer_bounds,
     lehmer_estimate,
     lemma_threshold,
@@ -129,7 +130,7 @@ def test_criterion_06_error_budget(big_table, criterion):
     for n in range(500, 2001, 50):
         a = a_third_exact(table, n)
         budget = error_budget(n)
-        gap = abs(a - main_term(n))
+        gap = exact_gap(a, main_term(n))
         ok = ok and gap <= budget.total <= BUDGET_CAP * budget.lower
     anchors = {500: -5619495, 1000: 13408694687, 2000: -565177684758967}
     for n, want in anchors.items():

@@ -3,7 +3,9 @@
 The reference numbers were computed independently with 50-digit
 arithmetic and are frozen here; double-precision evaluation must land
 within the stated relative tolerance.  The six error bounds are also
-recomputed inside the tests with separately written code.
+recomputed inside the tests with separately written code, and the four
+that production reads from running k-sums are compared bit for bit with
+the literal loops they replace.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from math import isqrt
 
 import pytest
 
+from dysonrank import bounds
 from dysonrank import (
     BUDGET_CAP,
     RATIO_CAP_2_DERIVED,
@@ -21,6 +24,7 @@ from dysonrank import (
     envelope,
     error_budget,
     error_term_bound,
+    exact_gap,
     hardy_ramanujan,
     lehmer_bounds,
     lehmer_estimate,
@@ -199,6 +203,100 @@ class TestErrorBounds:
             error_term_bound(0, 100)
         with pytest.raises(ValueError):
             error_term_bound(7, 100)
+
+
+def _literal_error_bound(i: int, n: int) -> float:
+    """Bounds 2, 3, 4 and 6 as literal loops over k, summed left to right
+    with a plain += (sum() of floats is compensated from Python 3.12 on,
+    so it would not reproduce the production running sums)."""
+    root = isqrt(n)
+    total = 0.0
+    if i == 2:
+        for k in range(1, root // 3 + 1):
+            total += 1.0 / math.sqrt(k)
+        return 0.12 * math.exp(2.0 * math.pi + math.pi / 24.0) \
+            / math.sqrt(3.0) * total
+    if i == 3:
+        for k in range(1, root + 1):
+            if k % 3:
+                total += 1.0 / math.sqrt(k)
+        return 1.412 * math.sqrt(3.0) * math.exp(2.0 * math.pi) * total
+    if i == 4:
+        for k in range(1, root // 3 + 1):
+            total += math.sqrt(k)
+        return 2.0 * math.sqrt(3.0) \
+            * math.exp(2.0 * math.pi + math.pi / 12.0) / math.sqrt(n) * total
+    if i == 6:
+        for k in range(1, root + 1):
+            mod = 6 * k
+            inner = 0.0
+            for v in range(1, k + 1):
+                a = (6 * v - 1 + 2 * k) % mod
+                b = (6 * v - 1 - 2 * k) % mod
+                inner += mod / min(a, b)
+            total += inner / k
+        return 2.0 ** 0.25 * (math.e + 1.0 / math.e) \
+            * math.exp(2.0 * math.pi) * n ** -0.25 * total
+    raise ValueError(i)
+
+
+class TestRunningSums:
+    ORDERS = ((20000, 10000, 2287, 500, 9, 8, 1, 3000),
+              (1, 8, 9, 500, 2287, 3000, 10000, 20000))
+
+    @pytest.mark.parametrize("order", ORDERS, ids=["large-first", "ascending"])
+    def test_bit_identical_to_literal_loops(self, order, monkeypatch):
+        # Start from empty running sums so the visit order decides which
+        # calls extend them and which read a prefix filled beyond n.
+        for name in ("_sum_inv_sqrt", "_sum_inv_sqrt_not3", "_sum_sqrt",
+                     "_sum_sixth"):
+            monkeypatch.setattr(bounds, name, [0.0])
+        for n in order:
+            for i in (2, 3, 4, 6):
+                assert error_term_bound(i, n) == _literal_error_bound(i, n), \
+                    (i, n)
+
+    def test_cache_length_is_root_plus_one(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_sum_sixth", [0.0])
+        error_term_bound(6, 10000)
+        error_term_bound(6, 500)
+        assert len(bounds._sum_sixth) == 101
+
+
+class TestExactGap:
+    def test_float_subtraction_loses_the_unit(self):
+        a, m = 2 ** 60 + 1, float(2 ** 60)
+        assert abs(a - m) == 0.0
+        assert exact_gap(a, m) == 1
+        assert exact_gap(a, -m) == 2 ** 61 + 1
+
+    def test_matches_float_gap_below_2_53(self):
+        for a, m in ((-5619495, -5619860.2724294), (7, 7.5), (0, -0.25)):
+            assert float(exact_gap(a, m)) == abs(a - m)
+
+
+class TestDenseCertification:
+    """The n >= 500 claims at every integer n up to 20000."""
+
+    def test_budget_ratios_and_lemma_at_every_n(self):
+        hi = 20000
+        failures = []
+        previous = [ratio_bound(i, 500) for i in range(1, 7)]
+        for n in range(500, hi + 1):
+            budget = error_budget(n)
+            if not budget.total <= BUDGET_CAP * budget.lower:
+                failures.append(("budget", n))
+            ratios = [ratio_bound(i, n) for i in range(1, 7)]
+            for i, (f, cap, before) in enumerate(
+                    zip(ratios, RATIO_CAPS, previous), start=1):
+                if not f <= cap:
+                    failures.append(("cap", i, n))
+                if not f <= before:
+                    failures.append(("increase", i, n))
+            previous = ratios
+            if not lemma_threshold(n):
+                failures.append(("lemma", n))
+        assert failures == []
 
 
 class TestRatioFunctions:

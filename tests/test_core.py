@@ -297,5 +297,15 @@ class TestTableObject:
         with pytest.raises(TypeError):
             table.row(1.5)
 
+    def test_row_is_a_copy(self):
+        t = build_rank_table(13)
+        row = t.row(13)
+        assert isinstance(row, list)
+        row[12] += 5
+        row.append(1)
+        assert t.row(13) != row
+        assert t.count(0, 13) == 11
+        assert residue_count(t, 0, 3, 13) == 37
+
     def test_repr(self, table):
         assert "240" in repr(table)
