@@ -1,14 +1,18 @@
 """Binary on-disk format for rank tables.
 
-Layout: magic b"RNKT", then format version and n_max as little-endian
-u32, then the rows in order n = 0 .. n_max.  Row n holds max(2n-1, 1)
-counts for m = -(n-1) .. n-1; each count is a LEB128 byte length
-followed by that many little-endian magnitude bytes (zero encodes as
-length 0).  Counts are nonnegative, so no sign byte is needed.
+Layout (version 2): magic b"RNKT", then format version and n_max as
+little-endian u32, then the rows in order n = 0 .. n_max.  Ranks are
+symmetric, N(-m, n) = N(m, n), so row n stores only the half
+m = 0 .. n-1 (row 0 stores its single count): a LEB128 byte width
+w >= 1, then max(n, 1) counts, each in w little-endian bytes.  Counts
+are nonnegative, so no sign byte is needed.  Version 1 files, which
+stored every count of the full row with its own length, are rejected.
 
 Saves go through a temporary file next to the target that is renamed
-into place, so a reader never sees a half-written table.  Loads
-check that every row sums to p(n) and is symmetric in m.
+into place, so a reader never sees a half-written table.  Loads check
+the magic, the version, that the header, each width and each row are
+complete, that no bytes trail the last row, and that every row sums to
+p(n); symmetry holds by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 from .core import RankTable, partition_numbers
 
 MAGIC = b"RNKT"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<4sII")
 
@@ -44,11 +48,12 @@ def save_table(table: RankTable, path: str | Path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, table.n_max))
             for n in range(table.n_max + 1):
+                half = table.row(n)[max(n - 1, 0):]
+                width = max((max(half).bit_length() + 7) // 8, 1)
                 buf = bytearray()
-                for value in table.row(n):
-                    nbytes = (value.bit_length() + 7) // 8
-                    _write_varint(buf, nbytes)
-                    buf += value.to_bytes(nbytes, "little")
+                _write_varint(buf, width)
+                for value in half:
+                    buf += value.to_bytes(width, "little")
                 fh.write(buf)
         os.replace(tmp, path)
     except BaseException:
@@ -69,32 +74,34 @@ def load_table(path: str | Path) -> RankTable:
         raise CacheFormatError(f"unsupported version {version}")
     pos = _HEADER.size
     end = len(data)
+    from_bytes = int.from_bytes  # bound once: the row loop calls it per count
     rows: list[list[int]] = []
     for n in range(n_max + 1):
-        width = max(2 * n - 1, 1)
-        row = []
-        for _ in range(width):
-            shift = 0
-            nbytes = 0
-            while True:
-                if pos >= end:
-                    raise CacheFormatError("truncated varint")
-                byte = data[pos]
-                pos += 1
-                nbytes |= (byte & 0x7F) << shift
-                if byte < 0x80:
-                    break
-                shift += 7
-            if pos + nbytes > end:
-                raise CacheFormatError("truncated value")
-            row.append(int.from_bytes(data[pos:pos + nbytes], "little"))
-            pos += nbytes
-        rows.append(row)
+        shift = 0
+        width = 0
+        while True:
+            if pos >= end:
+                raise CacheFormatError("truncated varint")
+            byte = data[pos]
+            pos += 1
+            width |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+        if width == 0:
+            raise CacheFormatError(f"row {n} has byte width 0")
+        stop = pos + width * max(n, 1)
+        if stop > end:
+            raise CacheFormatError("truncated value")
+        half = [from_bytes(data[i:i + width], "little")
+                for i in range(pos, stop, width)]
+        pos = stop
+        rows.append(half[:0:-1] + half)
     if pos != end:
         raise CacheFormatError(f"{end - pos} trailing bytes")
     # n_max is bounded by the file size here, so p(n_max) is cheap.
     p = partition_numbers(n_max)
     for n, row in enumerate(rows):
-        if sum(row) != p[n] or row != row[::-1]:
-            raise CacheFormatError(f"row {n} fails the p(n) sum or symmetry check")
+        if sum(row) != p[n]:
+            raise CacheFormatError(f"row {n} fails the p(n) sum check")
     return RankTable(n_max, rows)

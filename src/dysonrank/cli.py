@@ -51,6 +51,7 @@ from .maxprod import (
     closed_form,
     conjecture_max_mod2,
     max_table,
+    replacement_rules,
     verify_closed_forms,
     verify_replacement_rules,
     verify_small_tables,
@@ -201,22 +202,27 @@ def render(record: OutputRecord, fmt: str) -> str:
 
 
 def _table_for(args: argparse.Namespace, need: int) -> RankTable:
-    """A table holding counts up to at least `need`: from the cache
-    when present and big enough, otherwise built at --n-max (and saved
-    back to the cache when one was named).  A cache path that cannot be
-    read or written is a usage error."""
+    """A table holding counts up to at least `need`.  Without a cache it
+    is built to `need` alone; --n-max only caps what a call may read.
+    With a cache, the cached table serves when it is big enough;
+    otherwise one is built at --n-max and saved, since filling the
+    cache is the point of naming one.  A cache path that cannot be read
+    or written is a usage error."""
     if need > args.n_max:
         raise UsageError(
             f"this command requires --n-max >= {need} (got {args.n_max})")
     path = args.table_cache
+    if not path:
+        # A negative need reads no rows; a negative --n-max still
+        # fails in the builder.
+        return build_rank_table(min(max(need, 0), args.n_max))
     try:
-        if path and os.path.exists(path):
+        if os.path.exists(path):
             cached = load_table(path)
             if cached.n_max >= need:
                 return cached
         table = build_rank_table(args.n_max)
-        if path:
-            save_table(table, path)
+        save_table(table, path)
     except OSError as exc:
         raise UsageError(f"unusable table cache: {exc}") from exc
     return table
@@ -245,7 +251,8 @@ def _cmd_rank_table(args: argparse.Namespace) -> OutputRecord:
         args.lo if args.lo is not None else None)
     if hi is not None and (lo < 0 or hi < lo):
         raise UsageError("row range must satisfy 0 <= --from <= --to")
-    table = _table_for(args, hi if hi is not None else 0)
+    # The summary reports the table's own n_max and p(n_max).
+    table = _table_for(args, max(args.n_max, 0 if hi is None else hi))
     params: dict[str, Any] = {"n_max": args.n_max}
     results: dict[str, Any] = {"n_max": table.n_max,
                                "partitions_of_n_max": partition_number(
@@ -421,7 +428,10 @@ def _suite_convexity(args: argparse.Namespace) -> OutputRecord:
 
 def _suite_theorem2(args: argparse.Namespace) -> OutputRecord:
     hi = 500 if args.max is None else args.max
-    table = _table_for(args, hi)
+    # The replacement rules read their parts whatever --max is.
+    rule_top = max(part for r in (0, 1, 2) for rule in replacement_rules(r)
+                   for parts in rule for part in parts)
+    table = _table_for(args, max(hi, rule_top))
     rows = []
     bad = 0
     for r in (0, 1, 2):
@@ -543,7 +553,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "csv", "json"),
                         default="text", help="output format")
     common.add_argument("--n-max", dest="n_max", type=int, default=1024,
-                        help="size of the rank table to build (default 1024)")
+                        help="largest n a call may read (default 1024); "
+                             "tables are built only as far as the call "
+                             "needs, except with --table-cache, where a "
+                             "missing or undersized cache is built at "
+                             "--n-max")
     common.add_argument("--table-cache", dest="table_cache", metavar="PATH",
                         help="load/save the rank table from this file")
 

@@ -3,6 +3,8 @@ table format."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import struct
 
 import pytest
@@ -13,6 +15,7 @@ from dysonrank import (
     load_table,
     save_table,
 )
+from dysonrank.cli import main
 
 
 @pytest.fixture()
@@ -56,8 +59,20 @@ class TestRoundTrip:
         raw = path.read_bytes()
         magic, version, n_max = struct.unpack_from("<4sII", raw)
         assert magic == b"RNKT"
-        assert version == 1
+        assert version == 2
         assert n_max == 60
+
+    @pytest.mark.parametrize("n_max", [0, 1, 60])
+    def test_half_rows_round_trip(self, tmp_path, n_max):
+        # Row n stores a width byte and the max(n, 1) counts m >= 0.
+        table = build_rank_table(n_max)
+        path = tmp_path / "t.rnkt"
+        save_table(table, path)
+        assert load_table(path) == table
+        widths = [(max(table.row(n)).bit_length() + 7) // 8
+                  for n in range(n_max + 1)]
+        assert path.stat().st_size == 12 + sum(
+            1 + w * max(n, 1) for n, w in enumerate(widths))
 
 
 class TestMalformedInput:
@@ -80,6 +95,35 @@ class TestMalformedInput:
         struct.pack_into("<I", raw, 4, 99)
         bad = tmp_path / "version.rnkt"
         bad.write_bytes(bytes(raw))
+        with pytest.raises(CacheFormatError):
+            load_table(bad)
+
+    def test_version_1_file_is_a_usage_error(self, tmp_path):
+        old = tmp_path / "v1.rnkt"
+        old.write_bytes(struct.pack("<4sII", b"RNKT", 1, 0) + b"\x01\x01")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["count", "--r", "0", "--t", "3", "--n", "0",
+                         "--n-max", "4", "--table-cache", str(old)])
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            "error: unusable table cache: unsupported version 1\n")
+
+    def test_huge_n_max_fails_before_partition_numbers(self, tmp_path,
+                                                       monkeypatch):
+        def refuse(n_max):
+            raise AssertionError(f"p({n_max}) computed")
+
+        monkeypatch.setattr("dysonrank.cache.partition_numbers", refuse)
+        bad = tmp_path / "huge.rnkt"
+        bad.write_bytes(struct.pack("<4sII", b"RNKT", 2, 2 ** 32 - 1))
+        with pytest.raises(CacheFormatError):
+            load_table(bad)
+
+    def test_zero_width(self, tmp_path):
+        bad = tmp_path / "width.rnkt"
+        bad.write_bytes(struct.pack("<4sII", b"RNKT", 2, 0) + b"\x00")
         with pytest.raises(CacheFormatError):
             load_table(bad)
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from dysonrank import load_table
+from dysonrank import build_rank_table, load_table
 from dysonrank.cli import (
     OutputRecord,
     main,
@@ -209,6 +209,19 @@ class TestVerifySuites:
         assert code == 0
         assert "status = ok" in out
 
+    def test_theorem2_needs_the_replacement_rule_parts(self):
+        # The rules read parts up to 21 whatever --max is.
+        code, out, err = run("verify", "theorem2", "--max", "10",
+                             "--n-max", "10")
+        assert code == 2
+        assert out == ""
+        assert "requires --n-max >= 21" in err
+
+    def test_theorem2_small_max_at_default_n_max(self):
+        code, out, _ = run("verify", "theorem2", "--max", "10")
+        assert code == 0
+        assert "status = ok" in out
+
     def test_bounds(self):
         code, _, _ = run("verify", "bounds", "--max", "120")
         assert code == 0
@@ -252,6 +265,15 @@ class TestTableCache:
         assert code == 0
         assert load_table(path).n_max == 60
 
+    def test_rank_table_rebuilds_undersized_cache(self, tmp_path):
+        path = tmp_path / "t.rnkt"
+        run("rank-table", "--n-max", "40", "--table-cache", str(path))
+        code, out, _ = run("rank-table", "--from", "1", "--to", "5",
+                           "--n-max", "60", "--table-cache", str(path))
+        assert code == 0
+        assert "result.n_max = 60\n" in out
+        assert load_table(path).n_max == 60
+
     def test_corrupt_cache_is_surfaced(self, tmp_path):
         path = tmp_path / "t.rnkt"
         run("rank-table", "--n-max", "30", "--table-cache", str(path))
@@ -267,6 +289,46 @@ class TestTableCache:
         assert code == 2
         assert out == ""
         assert err.startswith("error: unusable table cache:")
+
+
+class TestTablePolicy:
+    """Tables are built to what a call reads; with a cache, at --n-max."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        sizes = []
+
+        def recording(n_max):
+            sizes.append(n_max)
+            return build_rank_table(n_max)
+
+        monkeypatch.setattr("dysonrank.cli.build_rank_table", recording)
+        return sizes
+
+    def test_count_builds_to_n(self, built):
+        code, out, _ = run("count", "--r", "0", "--t", "3", "--n", "13")
+        assert code == 0
+        assert "param.n_max = 1024\n" in out
+        assert built == [13]
+
+    def test_verify_tables_builds_to_32(self, built):
+        code, _, _ = run("verify", "tables")
+        assert code == 0
+        assert built == [32]
+
+    def test_rank_table_builds_to_n_max(self, built):
+        code, _, _ = run("rank-table", "--from", "1", "--to", "5",
+                         "--n-max", "50")
+        assert code == 0
+        assert built == [50]
+
+    def test_missing_cache_is_built_at_n_max(self, built, tmp_path):
+        path = tmp_path / "t.rnkt"
+        code, _, _ = run("count", "--r", "0", "--t", "3", "--n", "13",
+                         "--n-max", "50", "--table-cache", str(path))
+        assert code == 0
+        assert built == [50]
+        assert load_table(path).n_max == 50
 
 
 class TestRankTableCommand:
