@@ -251,12 +251,13 @@ def _cmd_rank_table(args: argparse.Namespace) -> OutputRecord:
         args.lo if args.lo is not None else None)
     if hi is not None and (lo < 0 or hi < lo):
         raise UsageError("row range must satisfy 0 <= --from <= --to")
-    # The summary reports the table's own n_max and p(n_max).
+    # The summary reports --n-max and p(--n-max), not the size of the
+    # table, since a cached table may hold more rows than the call asks.
     table = _table_for(args, max(args.n_max, 0 if hi is None else hi))
     params: dict[str, Any] = {"n_max": args.n_max}
-    results: dict[str, Any] = {"n_max": table.n_max,
+    results: dict[str, Any] = {"n_max": args.n_max,
                                "partitions_of_n_max": partition_number(
-                                   table.n_max)}
+                                   args.n_max)}
     if hi is not None:
         params["from"] = lo
         params["to"] = hi
@@ -638,5 +639,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(record, args.format))
+    try:
+        print(render(record, args.format))
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again;
+        # the exit code still reports the command's own outcome.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return _EXIT_BY_STATUS[record.status]

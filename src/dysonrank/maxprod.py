@@ -11,7 +11,6 @@ rules the closed forms rest on, and the analogous t = 2 conjectures.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
@@ -117,15 +116,23 @@ def _value_table(f: list[int], n_max: int) -> list[list]:
 def _collect_optima(V: list[list], f: list[int], n: int,
                     cap: int | None) -> tuple[list[tuple[int, ...]], bool]:
     """All partitions attaining V[n][n], each found exactly once (a
-    partition is reconstructed only at its own largest part)."""
+    partition is reconstructed only at its own largest part).
+
+    Depth first, the take branch before the skip branch, stopping once
+    cap + 1 are found, so a truncated set is always the same prefix of
+    that order.  The parts taken so far live in one shared path list; a
+    stack entry (s, c, depth) resumes at path[:depth], and only a
+    finished partition is copied into a tuple."""
     limit = None if cap is None else cap + 1
     found: list[tuple[int, ...]] = []
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(n, n, ())]
+    path: list[int] = []
+    stack: list[tuple[int, int, int]] = [(n, n, 0)]
     while stack:
-        s, c, prefix = stack.pop()
+        s, c, depth = stack.pop()
+        del path[depth:]
         while True:
             if s == 0:
-                found.append(prefix)
+                found.append(tuple(path))
                 break
             if c > s:
                 c = s
@@ -133,9 +140,9 @@ def _collect_optima(V: list[list], f: list[int], n: int,
             takes = V[s - c][c] >= 0 and f[c] * V[s - c][c] == target
             skips = c > 1 and V[s][c - 1] == target
             if takes and skips:
-                stack.append((s, c - 1, prefix))
+                stack.append((s, c - 1, len(path)))
             if takes:
-                prefix = prefix + (c,)
+                path.append(c)
                 s -= c
             elif skips:
                 c -= 1
@@ -348,23 +355,35 @@ def verify_small_tables(table: RankTable, r: int) -> VerificationReport:
 
 def _closure_mod2(start: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Closure of a partition under swapping (2,2) <-> (4) and
-    (2,2,2) <-> (6), both directions."""
-    swaps = [((2, 2), (4,)), ((4,), (2, 2)),
-             ((2, 2, 2), (6,)), ((6,), (2, 2, 2))]
-    first = tuple(sorted(start, reverse=True))
+    (2,2,2) <-> (6), both directions.
+
+    The swaps touch only parts 2, 4 and 6, so the search runs over
+    their counts (a, b, c) with every other part of start held fixed:
+    the moves are (-2,+1,0), (+2,-1,0), (-3,0,+1) and (+3,0,-1), each
+    allowed while no count goes negative.  Each reached vector becomes
+    one partition in nonincreasing order at the end."""
+    rest = tuple(p for p in start if p not in (2, 4, 6))
+    first = (start.count(2), start.count(4), start.count(6))
     seen = {first}
     frontier = [first]
     while frontier:
-        cur = Counter(frontier.pop())
-        for before, after in swaps:
-            need = Counter(before)
-            if all(cur[k] >= v for k, v in need.items()):
-                nxt = cur - need + Counter(after)
-                parts = tuple(sorted(nxt.elements(), reverse=True))
-                if parts not in seen:
-                    seen.add(parts)
-                    frontier.append(parts)
-    return seen
+        a, b, c = frontier.pop()
+        moves = []
+        if a >= 2:
+            moves.append((a - 2, b + 1, c))
+        if b >= 1:
+            moves.append((a + 2, b - 1, c))
+        if a >= 3:
+            moves.append((a - 3, b, c + 1))
+        if c >= 1:
+            moves.append((a + 3, b, c - 1))
+        for vec in moves:
+            if vec not in seen:
+                seen.add(vec)
+                frontier.append(vec)
+    return {tuple(sorted(rest + (6,) * c + (4,) * b + (2,) * a,
+                         reverse=True))
+            for a, b, c in seen}
 
 
 CONJECTURE_MOD2_START = {0: 6, 1: 8}

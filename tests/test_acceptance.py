@@ -203,6 +203,7 @@ def test_criterion_10_dp_equals_brute_force(big_table, criterion):
 
 def test_criterion_11_conjecture_suites(big_table, criterion):
     table = big_table.table
+    start = time.perf_counter()
     ok = True
     for r, lo in ((0, 11), (1, 12)):
         report = scan_region(table, r, 2, lo, 300)
@@ -218,6 +219,8 @@ def test_criterion_11_conjecture_suites(big_table, criterion):
         code = cli_main(["verify", "conjectures", "--max", "300", "--to",
                          "200", "--n-max", "600"])
     ok = ok and code == 0 and "status = ok" in out.getvalue()
+    elapsed = time.perf_counter() - start
     criterion(11, "modulus-2 conjecture scans and closed forms agree "
                   "(thresholds 11/12 to 300, forms to 200, the n=8 "
-                  "four-optima example); suite exits 0", ok)
+                  "four-optima example); suite exits 0", ok,
+              f"{elapsed:.1f}s given the table")

@@ -6,9 +6,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dysonrank
 from dysonrank import build_rank_table, load_table
 from dysonrank.cli import (
     OutputRecord,
@@ -274,6 +279,18 @@ class TestTableCache:
         assert "result.n_max = 60\n" in out
         assert load_table(path).n_max == 60
 
+    def test_rank_table_with_oversized_cache_reports_n_max(self, tmp_path):
+        path = tmp_path / "t.rnkt"
+        run("rank-table", "--n-max", "60", "--table-cache", str(path))
+        for window in ((), ("--from", "3", "--to", "5")):
+            _, want, _ = run("rank-table", "--n-max", "30", *window)
+            code, out, _ = run("rank-table", "--n-max", "30", *window,
+                               "--table-cache", str(path))
+            assert code == 0
+            assert out.replace(f"result.cache = {path}\n", "") == want
+            assert "result.partitions_of_n_max = 5604\n" in out
+        assert load_table(path).n_max == 60
+
     def test_corrupt_cache_is_surfaced(self, tmp_path):
         path = tmp_path / "t.rnkt"
         run("rank-table", "--n-max", "30", "--table-cache", str(path))
@@ -353,6 +370,27 @@ class TestRankTableCommand:
                            "--n-max", "16")
         assert code == 2
         assert "range" in err
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_is_not_a_failure(self):
+        # About 150 kB of stdout, more than a pipe buffer holds, so the
+        # write is still pending when the reader goes away.
+        src = str(Path(dysonrank.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        with subprocess.Popen(
+                [sys.executable, "-m", "dysonrank", "rank-table", "--from",
+                 "0", "--to", "120", "--n-max", "120"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            assert proc.stdout.read(8) == b"command "
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == 0
+        assert "Traceback" not in err
 
 
 class TestSerialization:

@@ -4,6 +4,8 @@ and the exploratory modulus-2 analogues."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from dysonrank import (
@@ -18,8 +20,80 @@ from dysonrank import (
     verify_replacement_rules,
     verify_small_tables,
 )
-from dysonrank.maxprod import CLOSED_FORM_START
+from dysonrank.maxprod import (
+    CLOSED_FORM_START,
+    _closure_mod2,
+    _count_row,
+    _value_table,
+)
 from dysonrank.reference import SMALL_TABLE, counts_column, max_column
+
+
+# The Counter closure and the tuple-prefix optima walk below are the
+# production algorithms these two helpers replaced, kept unchanged as
+# oracles for the part-count closure and the shared-path walk.
+
+def counter_closure_mod2(start: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Closure of a partition under swapping (2,2) <-> (4) and
+    (2,2,2) <-> (6), both directions."""
+    swaps = [((2, 2), (4,)), ((4,), (2, 2)),
+             ((2, 2, 2), (6,)), ((6,), (2, 2, 2))]
+    first = tuple(sorted(start, reverse=True))
+    seen = {first}
+    frontier = [first]
+    while frontier:
+        cur = Counter(frontier.pop())
+        for before, after in swaps:
+            need = Counter(before)
+            if all(cur[k] >= v for k, v in need.items()):
+                nxt = cur - need + Counter(after)
+                parts = tuple(sorted(nxt.elements(), reverse=True))
+                if parts not in seen:
+                    seen.add(parts)
+                    frontier.append(parts)
+    return seen
+
+
+def prefix_collect_optima(V: list[list], f: list[int], n: int,
+                          cap: int | None
+                          ) -> tuple[list[tuple[int, ...]], bool]:
+    """All partitions attaining V[n][n], each found exactly once (a
+    partition is reconstructed only at its own largest part)."""
+    limit = None if cap is None else cap + 1
+    found: list[tuple[int, ...]] = []
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(n, n, ())]
+    while stack:
+        s, c, prefix = stack.pop()
+        while True:
+            if s == 0:
+                found.append(prefix)
+                break
+            if c > s:
+                c = s
+            target = V[s][c]
+            takes = V[s - c][c] >= 0 and f[c] * V[s - c][c] == target
+            skips = c > 1 and V[s][c - 1] == target
+            if takes and skips:
+                stack.append((s, c - 1, prefix))
+            if takes:
+                prefix = prefix + (c,)
+                s -= c
+            elif skips:
+                c -= 1
+            else:  # pragma: no cover - V guarantees one branch matches
+                break
+        if limit is not None and len(found) >= limit:
+            break
+    found.sort()
+    if cap is not None and len(found) > cap:
+        return found[:cap], True
+    return found, False
+
+
+def _canonical_mod2(n: int) -> tuple[int, ...]:
+    if n % 2 == 0:
+        return (2,) * (n // 2)
+    return (9,) + (2,) * ((n - 9) // 2)
 
 
 class TestProductOverPartition:
@@ -185,3 +259,23 @@ class TestConjectureMod2:
     def test_rejects_other_residues(self, table):
         with pytest.raises(ValueError):
             conjecture_max_mod2(table, 2, 50)
+
+    def test_closure_matches_counter_oracle(self):
+        starts = [_canonical_mod2(n) for n in range(8, 121)]
+        starts += [(9, 2, 2, 2), (4, 4, 2, 1), (6, 6, 3), (6, 4, 2, 2, 1),
+                   (5, 3), (), (2,), (4,), (6,)]
+        for start in starts:
+            assert _closure_mod2(start) == counter_closure_mod2(start), start
+
+
+class TestOptimaWalk:
+    @pytest.mark.parametrize("cap", [None, 0, 1, 4, 64])
+    def test_entries_match_prefix_oracle(self, table, cap):
+        for r, t in ((1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 5)):
+            entries = max_table(table, r, t, 120, optima_cap=cap)
+            f = _count_row(table, r, t, 120)
+            V = _value_table(f, 120)
+            for n in range(1, 121):
+                optima, truncated = prefix_collect_optima(V, f, n, cap)
+                want = MaxProductEntry(n, V[n][n], tuple(optima), truncated)
+                assert entries[n] == want, (r, t, cap, n)
