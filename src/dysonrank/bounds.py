@@ -1,11 +1,15 @@
 """Analytic growth estimates and rigorous error envelopes.
 
-Everything here is closed-form double-precision arithmetic.  Exact
-integers meet floats in two ways only: in comparisons, which Python
-performs exactly between int and float, and in the gap |A(n) - M(n)|
-between an exact rank difference and the float main term, which
-exact_gap forms as a Fraction, so no verification rounds the integer
-side.
+Everything here is closed-form double-precision arithmetic, except
+main_term_decimal.  Exact integers meet floats in two ways only: in
+comparisons, which Python performs exactly between int and float, and
+in the gap |A(n) - M(n)| between an exact rank difference and the main
+term, which exact_gap forms as a Fraction, so no verification rounds
+the integer side.  A double M(n) carries a relative error near 1e-11
+by n = 4000, which is as large as the whole error budget there, so
+budget checks take M(n) from main_term_decimal, computed with more
+digits than |A(n)| has; the float main_term stays for display and the
+ratio functions.
 
 The six explicit error bounds, their ratio functions against the lower
 envelope, and the tabulated caps form one coherent budget: the sum of
@@ -28,6 +32,7 @@ from typing import TYPE_CHECKING
 from .core import RankTable, residue_count
 
 if TYPE_CHECKING:
+    from decimal import Decimal
     from fractions import Fraction
 
 __all__ = [
@@ -47,6 +52,7 @@ __all__ = [
     "lehmer_log_bounds",
     "lemma_threshold",
     "main_term",
+    "main_term_decimal",
     "mu",
     "ratio_bound",
     "residue_envelope_check",
@@ -168,6 +174,80 @@ def main_term(n: int) -> float:
         * math.sinh(math.pi / 18.0 * x) / x
 
 
+# Digits carried beyond those of |M(n)|, so that its absolute error
+# stays far below 1 whatever the cancellation in sin and exp.  decimal,
+# like fractions, is imported on first use and stays out of CLI start-up.
+_DECIMAL_GUARD = 30
+_decimal_constants: dict[int, tuple[Decimal, tuple[Decimal, ...]]] = {}
+
+
+def _decimal_pi() -> Decimal:
+    """pi to the current context's precision (the decimal docs recipe)."""
+    from decimal import Decimal, localcontext
+    with localcontext() as ctx:
+        ctx.prec += 2
+        three = Decimal(3)
+        lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+def _decimal_sin(x: Decimal) -> Decimal:
+    """sin(x) to the current context's precision by its Taylor series
+    (the decimal docs recipe); meant for |x| <= pi."""
+    from decimal import localcontext
+    with localcontext() as ctx:
+        ctx.prec += 2
+        i, lasts, s, fact, num, sign = 1, 0, x, 1, x, 1
+        while s != lasts:
+            lasts = s
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign *= -1
+            s += num / fact * sign
+    return +s
+
+
+def _main_term_constants(prec: int) -> tuple[Decimal, tuple[Decimal, ...]]:
+    """pi/18 and sin(pi/18 - 2 pi j/3) for j = 0, 1, 2 at precision
+    prec, cached per precision.  The sine arguments are taken in
+    (-pi, pi]: pi/18, -11 pi/18 and 13 pi/18."""
+    if prec not in _decimal_constants:
+        from decimal import localcontext
+        with localcontext() as ctx:
+            ctx.prec = prec
+            step = _decimal_pi() / 18
+            sines = tuple(_decimal_sin(k * step) for k in (1, -11, 13))
+        _decimal_constants[prec] = (step, sines)
+    return _decimal_constants[prec]
+
+
+def main_term_decimal(n: int) -> Decimal:
+    """main_term(n) in decimal arithmetic, for comparisons with A(n).
+
+    2n pi/3 is reduced exactly by n mod 3, so only three sines occur.
+    The precision is the digit count of |M(n)| plus a guard of
+    _DECIMAL_GUARD digits, which leaves an absolute error far below 1
+    and so resolves the integer A(n)."""
+    from decimal import Decimal, localcontext
+    _check_positive(n)
+    x_float = math.sqrt(24.0 * n - 1.0)
+    prec = int(math.pi / 18.0 * x_float / math.log(10.0)) + 1 \
+        + _DECIMAL_GUARD
+    step, sines = _main_term_constants(prec)
+    with localcontext() as ctx:
+        ctx.prec = prec
+        x = Decimal(24 * n - 1).sqrt()
+        e = (step * x).exp()
+        return -8 * sines[n % 3] * ((e - 1 / e) / 2) / x
+
+
 def envelope(n: int) -> tuple[float, float]:
     """(L(n), U(n)): smallest and largest magnitude the main term can take.
 
@@ -268,8 +348,8 @@ def error_budget(n: int) -> ErrorBudget:
     )
 
 
-def exact_gap(a: int, m: float) -> Fraction:
-    """|a - m| exactly, for an exact integer a and a float m.
+def exact_gap(a: int, m: float | Decimal) -> Fraction:
+    """|a - m| exactly, for an exact integer a and a float or Decimal m.
 
     The float difference a - m rounds a whenever a is not a double, which
     can happen once |a| >= 2^53 (for the rank difference A(n), from

@@ -34,6 +34,7 @@ from .bounds import (
     lehmer_estimate,
     lemma_threshold,
     main_term,
+    main_term_decimal,
     ratio_bound,
 )
 from .cache import CacheFormatError, load_table, save_table
@@ -492,7 +493,7 @@ def _suite_budget(args: argparse.Namespace) -> OutputRecord:
     bad = 0
     for n in range(lo, hi + 1, step):
         a = a_third_exact(table, n)
-        gap = exact_gap(a, main_term(n))
+        gap = exact_gap(a, main_term_decimal(n))
         budget = error_budget(n)
         limit = BUDGET_CAP * budget.lower
         ok = gap <= budget.total <= limit

@@ -180,19 +180,26 @@ def build_rank_table(n_max: int) -> RankTable:
     p = partition_numbers(n_max)
     rows: list[list[int]] = [[1]]
     for n in range(1, n_max + 1):
-        half = []
-        for m in range(n):
-            total = 0
-            k = 1
-            a = m + 1
-            while a <= n:
-                term = p[n - a] - p[n - a - k] if a + k <= n else p[n - a]
-                total += term if k & 1 else -term
-                a += 3 * k + 1 + m  # a_(k+1) - a_k
-                k += 1
-            half.append(total)
+        half = _half_row(p, n)
         rows.append(half[:0:-1] + half)
     return RankTable(n_max, rows)
+
+
+def _half_row(p: Sequence[int], n: int) -> list[int]:
+    """N(m, n) for m = 0 .. n-1 by the formula above, given p(0..n);
+    n >= 1."""
+    half = []
+    for m in range(n):
+        total = 0
+        k = 1
+        a = m + 1
+        while a <= n:
+            term = p[n - a] - p[n - a - k] if a + k <= n else p[n - a]
+            total += term if k & 1 else -term
+            a += 3 * k + 1 + m  # a_(k+1) - a_k
+            k += 1
+        half.append(total)
+    return half
 
 
 def rank_count(table: RankTable, m: int, n: int) -> int:

@@ -7,10 +7,16 @@ ways: a dynamic program over bounded largest parts, brute force over
 all partitions, and (for t = 3 above the stabilization thresholds)
 periodic closed forms.  It also machine-checks the local replacement
 rules the closed forms rest on, and the analogous t = 2 conjectures.
+
+Theorem 2 and the t = 2 conjectures are checked by counting, not by
+listing: a knapsack over the parts keeps, for every s, the best product
+and the number of partitions of s that attain it, in O(n) memory.  An
+expected optimum set is then confirmed by its value and its size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
@@ -156,6 +162,39 @@ def _collect_optima(V: list[list], f: list[int], n: int,
     return found, False
 
 
+def _check_n_max(table: RankTable, n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if n_max > table.n_max:
+        raise ValueError(
+            f"needs counts up to {n_max} but table holds {table.n_max}")
+
+
+def _best_and_count(f: list[int], n_max: int) -> tuple[list[int], list[int]]:
+    """best[s], the largest product of f over the parts of a partition
+    of s, and cnt[s], how many partitions of s attain it, for
+    s = 0 .. n_max.
+
+    A knapsack over the parts c = 1 .. n_max: after part c, best[s] and
+    cnt[s] cover the partitions of s with parts <= c.  A candidate
+    f[c] * best[s - c] that beats best[s] takes over its count; one
+    that ties adds its count.  cnt[s] is exact whenever best[s] > 0 (a
+    zero product could also be reached through sub-partitions that are
+    not optimal themselves)."""
+    best = [1] + [-1] * n_max
+    cnt = [1] * (n_max + 1)
+    for c in range(1, n_max + 1):
+        fc = f[c]
+        for s in range(c, n_max + 1):
+            cand = fc * best[s - c]
+            if cand > best[s]:
+                best[s] = cand
+                cnt[s] = cnt[s - c]
+            elif cand == best[s]:
+                cnt[s] += cnt[s - c]
+    return best, cnt
+
+
 def max_table(table: RankTable, r: int, t: int, n_max: int,
               optima_cap: int | None = DEFAULT_OPTIMA_CAP) -> list[MaxProductEntry]:
     """Entries for n = 0 .. n_max by dynamic programming.
@@ -166,11 +205,7 @@ def max_table(table: RankTable, r: int, t: int, n_max: int,
     the stored set per n (None means unbounded); overflow is flagged,
     never silent."""
     _validate_rt(r, t)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max > table.n_max:
-        raise ValueError(
-            f"needs counts up to {n_max} but table holds {table.n_max}")
+    _check_n_max(table, n_max)
     f = _count_row(table, r, t, n_max)
     V = _value_table(f, n_max)
     entries = [MaxProductEntry(0, 1, ((),))]
@@ -256,16 +291,25 @@ def closed_form(r: int, n: int) -> tuple[int, tuple[int, ...]]:
 def verify_closed_forms(table: RankTable, r: int, n_hi: int,
                         n_lo: int | None = None) -> VerificationReport:
     """Closed form == dynamic program, value and unique optimum, over
-    [n_lo, n_hi] (n_lo defaults to the stabilization threshold)."""
+    [n_lo, n_hi] (n_lo defaults to the stabilization threshold).
+
+    At each n the best product over partitions of n must equal the
+    closed-form value, the table's counts over the closed-form parts
+    must multiply to that value, and exactly one partition may attain
+    it: together, the closed form is the unique optimum.  A mismatch is
+    recorded as (n, value, parts, best, count)."""
+    if r not in CLOSED_FORM_START:
+        raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
+    _check_n_max(table, n_hi)
     lo = CLOSED_FORM_START[r] if n_lo is None else n_lo
     report = VerificationReport(name=f"closed-forms r={r}")
-    entries = max_table(table, r, 3, n_hi, optima_cap=4)
+    f = _count_row(table, r, 3, n_hi)
+    best, cnt = _best_and_count(f, n_hi)
     for n in range(lo, n_hi + 1):
         value, parts = closed_form(r, n)
-        entry = entries[n]
-        if entry.value != value or entry.optima != (parts,) or entry.truncated:
-            report.mismatches.append(
-                (n, value, parts, entry.value, entry.optima))
+        product = math.prod(f[part] for part in parts)
+        if best[n] != value or product != value or cnt[n] != 1:
+            report.mismatches.append((n, value, parts, best[n], cnt[n]))
         report.checked += 1
     return report
 
@@ -353,37 +397,13 @@ def verify_small_tables(table: RankTable, r: int) -> VerificationReport:
     return report
 
 
-def _closure_mod2(start: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Closure of a partition under swapping (2,2) <-> (4) and
-    (2,2,2) <-> (6), both directions.
-
-    The swaps touch only parts 2, 4 and 6, so the search runs over
-    their counts (a, b, c) with every other part of start held fixed:
-    the moves are (-2,+1,0), (+2,-1,0), (-3,0,+1) and (+3,0,-1), each
-    allowed while no count goes negative.  Each reached vector becomes
-    one partition in nonincreasing order at the end."""
-    rest = tuple(p for p in start if p not in (2, 4, 6))
-    first = (start.count(2), start.count(4), start.count(6))
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        a, b, c = frontier.pop()
-        moves = []
-        if a >= 2:
-            moves.append((a - 2, b + 1, c))
-        if b >= 1:
-            moves.append((a + 2, b - 1, c))
-        if a >= 3:
-            moves.append((a - 3, b, c + 1))
-        if c >= 1:
-            moves.append((a + 3, b, c - 1))
-        for vec in moves:
-            if vec not in seen:
-                seen.add(vec)
-                frontier.append(vec)
-    return {tuple(sorted(rest + (6,) * c + (4,) * b + (2,) * a,
-                         reverse=True))
-            for a, b, c in seen}
+def _closure_size_mod2(h: int) -> int:
+    """#{(a, b, c) >= 0 : a + 2b + 3c = h}, the number of partitions in
+    the closure of a partition with h parts 2 and no 4s or 6s under
+    swapping (2,2) <-> (4) and (2,2,2) <-> (6): the swaps move between
+    the counts (a, b, c) of 2s, 4s and 6s, keep a + 2b + 3c, and reach
+    every such vector (undo them all to get back to (h, 0, 0))."""
+    return sum((h - 3 * c) // 2 + 1 for c in range(h // 3 + 1))
 
 
 CONJECTURE_MOD2_START = {0: 6, 1: 8}
@@ -395,40 +415,46 @@ def conjecture_max_mod2(table: RankTable, r: int, n_hi: int,
     a mismatch, only reports it.
 
     r = 0: period-3 forms with unique optima built from parts
-    {3, 5, 7}.  r = 1: powers of 2 (with a 9 absorbing odd n), optima
-    equal to the substitution closure of the all-2s form."""
+    {3, 5, 7}: the best product must equal the form's value and be
+    attained once.  r = 1: powers of 2 (with a 9 absorbing odd n),
+    optima equal to the substitution closure of the all-2s form.  When
+    N(1,2;4) = N(1,2;2)^2 and N(1,2;6) = N(1,2;2)^3, both checked here,
+    every member of that closure has the canonical value; so a best
+    product equal to it, attained exactly as many times as the closure
+    has members, makes the optima and the closure the same set.  A
+    mismatch is recorded as (n, expected_value, best, expected_count,
+    count)."""
     if r not in (0, 1):
         raise ValueError("the t = 2 conjectures cover r in {0, 1}")
+    _check_n_max(table, n_hi)
     lo = CONJECTURE_MOD2_START[r] if n_lo is None else n_lo
     lo = max(lo, CONJECTURE_MOD2_START[r])
-    f = _count_row(table, r, 2, min(9, n_hi))
+    f = _count_row(table, r, 2, n_hi)
+    best, cnt = _best_and_count(f, n_hi)
     report = VerificationReport(name=f"max-mod2 r={r}")
-    entries = max_table(table, r, 2, n_hi, optima_cap=None)
     for n in range(lo, n_hi + 1):
+        swaps_keep_value = True
         if r == 0:
             m = n % 3
             if m == 0:
-                value, parts = f[3] ** (n // 3), (3,) * (n // 3)
+                expected_value = f[3] ** (n // 3)
             elif m == 1:
-                value = f[7] * f[3] ** ((n - 7) // 3)
-                parts = (7,) + (3,) * ((n - 7) // 3)
+                expected_value = f[7] * f[3] ** ((n - 7) // 3)
             else:
-                value = f[5] * f[3] ** ((n - 5) // 3)
-                parts = (5,) + (3,) * ((n - 5) // 3)
-            expected_optima = (parts,)
-            expected_value = value
+                expected_value = f[5] * f[3] ** ((n - 5) // 3)
+            expected_count = 1
         else:
             if n % 2 == 0:
-                expected_value = f[2] ** (n // 2)
-                canonical = (2,) * (n // 2)
+                h = n // 2
+                expected_value = f[2] ** h
             else:
-                expected_value = f[9] * f[2] ** ((n - 9) // 2)
-                canonical = (9,) + (2,) * ((n - 9) // 2)
-            expected_optima = tuple(sorted(_closure_mod2(canonical)))
-        entry = entries[n]
-        if entry.value != expected_value or entry.optima != expected_optima:
+                h = (n - 9) // 2
+                expected_value = f[9] * f[2] ** h
+            expected_count = _closure_size_mod2(h)
+            swaps_keep_value = f[4] == f[2] ** 2 and f[6] == f[2] ** 3
+        if (best[n] != expected_value or cnt[n] != expected_count
+                or not swaps_keep_value):
             report.mismatches.append(
-                (n, expected_value, entry.value,
-                 len(expected_optima), len(entry.optima)))
+                (n, expected_value, best[n], expected_count, cnt[n]))
         report.checked += 1
     return report

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from dysonrank import RankTable, build_rank_table
+from dysonrank import RankTable, build_rank_table, partition_numbers
+from dysonrank.core import _half_row
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -18,6 +19,23 @@ _ACCEPTANCE_LINES: list[str] = []
 def table() -> RankTable:
     """Counts up to n = 240; enough for every unit test."""
     return build_rank_table(240)
+
+
+@pytest.fixture(scope="session")
+def a_third_from_row():
+    """N(0,3;n) - N(1,3;n) from the single Atkin-Swinnerton-Dyer row n,
+    for n past any table a test builds."""
+
+    def a_third(n: int) -> int:
+        by_residue = [0, 0, 0]
+        # rows are symmetric, N(-m, n) = N(m, n)
+        for m, count in enumerate(_half_row(partition_numbers(n), n)):
+            by_residue[m % 3] += count
+            if m:
+                by_residue[-m % 3] += count
+        return by_residue[0] - by_residue[1]
+
+    return a_third
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,14 @@ the literal loops they replace.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from math import isqrt
 
 import pytest
 
 from dysonrank import bounds
 from dysonrank import (
+    a_third_exact,
     BUDGET_CAP,
     RATIO_CAP_2_DERIVED,
     RATIO_CAPS,
@@ -31,6 +33,7 @@ from dysonrank import (
     lehmer_log_bounds,
     lemma_threshold,
     main_term,
+    main_term_decimal,
     mu,
     partition_number,
     partition_numbers,
@@ -273,6 +276,30 @@ class TestExactGap:
     def test_matches_float_gap_below_2_53(self):
         for a, m in ((-5619495, -5619860.2724294), (7, 7.5), (0, -0.25)):
             assert float(exact_gap(a, m)) == abs(a - m)
+
+
+class TestDecimalMainTerm:
+    def test_agrees_with_float_main_term(self):
+        for n in list(range(1, 40)) + list(range(500, 2001, 50)):
+            m = main_term(n)
+            assert float(main_term_decimal(n)) == pytest.approx(m, rel=1e-9), n
+
+    def test_frozen_value_at_4347(self):
+        # 50 significant digits of an independent 80-digit evaluation
+        want = Decimal("-6535410516625001315982.423466487578554111598780418")
+        assert abs(main_term_decimal(4347) - want) < Decimal("1e-25")
+
+    def test_single_row_matches_table(self, table, a_third_from_row):
+        for n in (1, 2, 3, 100, 240):
+            assert a_third_from_row(n) == a_third_exact(table, n), n
+
+    def test_budget_holds_at_4347(self, a_third_from_row):
+        # The double main term is off here by about 0.79 of the budget,
+        # which once made this n a false violation.
+        a = a_third_from_row(4347)
+        assert a == -6535410516613307218660
+        budget = error_budget(4347)
+        assert exact_gap(a, main_term_decimal(4347)) <= budget.total
 
 
 class TestDenseCertification:

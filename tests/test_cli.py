@@ -237,6 +237,19 @@ class TestVerifySuites:
         assert code == 0
         assert "result.failures = 0" in out
 
+    def test_budget_past_the_double_main_term(self, monkeypatch,
+                                              a_third_from_row):
+        # A(n) from single rows stands in for a 4350-row table.  With
+        # the double main term, n = 4347 was a false violation.
+        monkeypatch.setattr("dysonrank.cli._table_for", lambda args, need: None)
+        monkeypatch.setattr("dysonrank.cli.a_third_exact",
+                            lambda table, n: a_third_from_row(n))
+        code, out, _ = run("verify", "budget", "--from", "4340", "--to",
+                           "4350", "--step", "1", "--n-max", "4350")
+        assert code == 0
+        assert "result.rows[7].n = 4347" in out
+        assert "result.failures = 0" in out
+
     def test_conjectures_always_exit_zero(self):
         code, out, _ = run("verify", "conjectures", "--max", "20", "--to",
                            "30", "--n-max", "64")

@@ -22,7 +22,9 @@ from dysonrank import (
 )
 from dysonrank.maxprod import (
     CLOSED_FORM_START,
-    _closure_mod2,
+    CONJECTURE_MOD2_START,
+    _best_and_count,
+    _closure_size_mod2,
     _count_row,
     _value_table,
 )
@@ -31,7 +33,9 @@ from dysonrank.reference import SMALL_TABLE, counts_column, max_column
 
 # The Counter closure and the tuple-prefix optima walk below are the
 # production algorithms these two helpers replaced, kept unchanged as
-# oracles for the part-count closure and the shared-path walk.
+# oracles for the part-count closure and the shared-path walk.  The
+# part-count closure and the listing conjecture check after them are in
+# turn what the counting knapsack replaced, kept as its oracles.
 
 def counter_closure_mod2(start: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Closure of a partition under swapping (2,2) <-> (4) and
@@ -88,6 +92,61 @@ def prefix_collect_optima(V: list[list], f: list[int], n: int,
     if cap is not None and len(found) > cap:
         return found[:cap], True
     return found, False
+
+
+def _closure_mod2(start: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Closure of a partition under swapping (2,2) <-> (4) and
+    (2,2,2) <-> (6), both directions.
+
+    The swaps touch only parts 2, 4 and 6, so the search runs over
+    their counts (a, b, c) with every other part of start held fixed:
+    the moves are (-2,+1,0), (+2,-1,0), (-3,0,+1) and (+3,0,-1), each
+    allowed while no count goes negative.  Each reached vector becomes
+    one partition in nonincreasing order at the end."""
+    rest = tuple(p for p in start if p not in (2, 4, 6))
+    first = (start.count(2), start.count(4), start.count(6))
+    seen = {first}
+    frontier = [first]
+    while frontier:
+        a, b, c = frontier.pop()
+        moves = []
+        if a >= 2:
+            moves.append((a - 2, b + 1, c))
+        if b >= 1:
+            moves.append((a + 2, b - 1, c))
+        if a >= 3:
+            moves.append((a - 3, b, c + 1))
+        if c >= 1:
+            moves.append((a + 3, b, c - 1))
+        for vec in moves:
+            if vec not in seen:
+                seen.add(vec)
+                frontier.append(vec)
+    return {tuple(sorted(rest + (6,) * c + (4,) * b + (2,) * a,
+                         reverse=True))
+            for a, b, c in seen}
+
+
+def listing_conjecture_max_mod2(table, r: int, n_hi: int
+                                ) -> tuple[int, list]:
+    """(checked, mismatches) of the t = 2 conjecture check by listing:
+    every optimum from max_table, compared with the expected set (the
+    single period-3 form for r = 0, the literal swap closure of the
+    canonical partition for r = 1)."""
+    entries = max_table(table, r, 2, n_hi, optima_cap=None)
+    checked, mismatches = 0, []
+    for n in range(CONJECTURE_MOD2_START[r], n_hi + 1):
+        if r == 0:
+            head = {0: (), 1: (7,), 2: (5,)}[n % 3]
+            parts = head + (3,) * ((n - sum(head)) // 3)
+            expected = {parts}
+        else:
+            expected = _closure_mod2(_canonical_mod2(n))
+        value = product_over_partition(table, r, 2, next(iter(expected)))
+        if entries[n].value != value or set(entries[n].optima) != expected:
+            mismatches.append(n)
+        checked += 1
+    return checked, mismatches
 
 
 def _canonical_mod2(n: int) -> tuple[int, ...]:
@@ -201,6 +260,30 @@ class TestClosedForm:
             assert report.ok, report.mismatches
             assert report.checked == 240 - CLOSED_FORM_START[r] + 1
 
+    def test_unique_optima_to_2000(self, big_table):
+        for r in (0, 1, 2):
+            report = verify_closed_forms(big_table.table, r, 2000)
+            assert report.ok, report.mismatches[:3]
+            assert report.checked == 2001 - CLOSED_FORM_START[r]
+
+    def test_verify_rejects_other_residues_and_ranges(self, table):
+        with pytest.raises(ValueError, match="r in"):
+            verify_closed_forms(table, 3, 30)
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_closed_forms(table, 0, -5)
+        with pytest.raises(ValueError, match="table holds"):
+            verify_closed_forms(table, 0, table.n_max + 1)
+
+    def test_mismatch_reports_best_and_count(self, table, monkeypatch):
+        # A closed form that is not the optimum: at n = 33 the table's
+        # best product is attained once, by (13, 13, 7), not by (33,).
+        from dysonrank import maxprod
+        monkeypatch.setattr(maxprod, "closed_form",
+                            lambda r, n: (closed_form(r, n)[0], (n,)))
+        report = verify_closed_forms(table, 0, 33)
+        assert report.checked == 1
+        assert report.mismatches == [(33, 9583, (33,), 9583, 1)]
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             closed_form(0, 32)
@@ -260,12 +343,55 @@ class TestConjectureMod2:
         with pytest.raises(ValueError):
             conjecture_max_mod2(table, 2, 50)
 
+    def test_rejects_ranges_past_the_table(self, table):
+        with pytest.raises(ValueError, match="nonnegative"):
+            conjecture_max_mod2(table, 1, -5)
+        with pytest.raises(ValueError, match="table holds"):
+            conjecture_max_mod2(table, 0, table.n_max + 1)
+
+    def test_counting_matches_listing_oracle(self, table):
+        for r in (0, 1):
+            report = conjecture_max_mod2(table, r, 120)
+            checked, mismatches = listing_conjecture_max_mod2(table, r, 120)
+            assert report.checked == checked == 121 - CONJECTURE_MOD2_START[r]
+            assert report.mismatches == mismatches == []
+
+    def test_mismatch_reports_counts(self, table, monkeypatch):
+        # With N(1,2;6) lowered from 2^3 to 7, (6, 2) drops out of the
+        # four optima at n = 8 and the swap identities fail.
+        from dysonrank import maxprod
+
+        def lowered_row(table, r, t, n_max):
+            f = _count_row(table, r, t, n_max)
+            f[6] -= 1
+            return f
+
+        monkeypatch.setattr(maxprod, "_count_row", lowered_row)
+        report = conjecture_max_mod2(table, 1, 8)
+        assert report.mismatches == [(8, 16, 16, 4, 3)]
+
+    def test_closure_size_matches_literal_closure(self):
+        for n in range(8, 121):
+            h = n // 2 if n % 2 == 0 else (n - 9) // 2
+            assert _closure_size_mod2(h) == len(_closure_mod2(
+                _canonical_mod2(n))), n
+
     def test_closure_matches_counter_oracle(self):
         starts = [_canonical_mod2(n) for n in range(8, 121)]
         starts += [(9, 2, 2, 2), (4, 4, 2, 1), (6, 6, 3), (6, 4, 2, 2, 1),
                    (5, 3), (), (2,), (4,), (6,)]
         for start in starts:
             assert _closure_mod2(start) == counter_closure_mod2(start), start
+
+
+class TestBestAndCount:
+    @pytest.mark.parametrize("r, t", [(0, 3), (1, 3), (2, 3), (1, 2),
+                                      (0, 2), (0, 5), (1, 7), (0, 1)])
+    def test_matches_listed_optima(self, table, r, t):
+        entries = max_table(table, r, t, 120, optima_cap=None)
+        best, cnt = _best_and_count(_count_row(table, r, t, 120), 120)
+        assert best == [e.value for e in entries]
+        assert cnt == [len(e.optima) for e in entries]
 
 
 class TestOptimaWalk:
