@@ -24,6 +24,7 @@ later calls cost O(sqrt n), the first bound's n-dependent sum.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import isqrt
@@ -37,8 +38,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BoundPair",
-    "ConstantTable",
     "ErrorBudget",
+    "LEHMER_ESTIMATE_MAX_N",
     "RATIO_CAPS",
     "RATIO_CAP_2_DERIVED",
     "BUDGET_CAP",
@@ -71,6 +72,12 @@ RATIO_CAPS = (0.0065, 0.00019, 0.0098, 0.0071, 0.0072, 0.54)
 RATIO_CAP_2_DERIVED = 0.0019
 BUDGET_CAP = 0.58
 
+# The largest n at which lehmer_estimate is finite: its e^mu overflows
+# a double once mu(n) = (pi/6) sqrt(24n - 1) passes log(DBL_MAX).  The
+# bound falls 0.17 above an integer, far beyond the rounding here.
+LEHMER_ESTIMATE_MAX_N = int(
+    ((6.0 / math.pi * math.log(sys.float_info.max)) ** 2 + 1.0) / 24.0)
+
 
 @dataclass(frozen=True)
 class BoundPair:
@@ -90,19 +97,6 @@ class ErrorBudget:
     main: float
     lower: float
     upper: float
-
-
-@dataclass(frozen=True)
-class ConstantTable:
-    """The ratio caps and the aggregate budget cap, plus the flagged
-    alternate value for the second cap (see RATIO_CAPS comment)."""
-    caps: tuple[float, ...] = RATIO_CAPS
-    budget_cap: float = BUDGET_CAP
-    cap_2_derived: float = RATIO_CAP_2_DERIVED
-
-    @property
-    def discrepant(self) -> bool:
-        return self.caps[1] != self.cap_2_derived
 
 
 def _check_positive(n: int) -> None:

@@ -7,7 +7,8 @@ strings.
 
 Exit codes: 0 success (including conjecture mismatches, which are
 reported but never gate), 1 a verified claim failed, 2 usage error,
-including a table cache that cannot be read, written or trusted.
+including a table cache that cannot be read, written or trusted and
+arithmetic out of range, such as a float overflow.
 """
 
 from __future__ import annotations
@@ -19,45 +20,25 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
-from . import __version__
+from . import __version__, claims
 from .bounds import (
-    BUDGET_CAP,
-    ConstantTable,
+    LEHMER_ESTIMATE_MAX_N,
+    RATIO_CAP_2_DERIVED,
+    RATIO_CAPS,
     envelope,
     error_budget,
-    exact_gap,
     hardy_ramanujan,
     lehmer_bounds,
     lehmer_estimate,
-    lemma_threshold,
     main_term,
-    main_term_decimal,
     ratio_bound,
 )
 from .cache import CacheFormatError, load_table, save_table
-from .convexity import scan_region
-from .core import (
-    RankTable,
-    a_third_exact,
-    build_rank_table,
-    partition_number,
-    partition_numbers,
-    residue_count,
-)
-from .maxprod import (
-    CLOSED_FORM_START,
-    closed_form,
-    conjecture_max_mod2,
-    max_table,
-    replacement_rules,
-    verify_closed_forms,
-    verify_replacement_rules,
-    verify_small_tables,
-)
-from .reference import counts_column
+from .core import RankTable, build_rank_table, partition_number, residue_count
+from .maxprod import CLOSED_FORM_START, closed_form, max_table
 
 __all__ = ["OutputRecord", "main", "record_from_json", "record_to_json",
            "render"]
@@ -66,10 +47,6 @@ __all__ = ["OutputRecord", "main", "record_from_json", "record_to_json",
 # they serialize as decimal strings; the parser restores them.
 _BIG = 1 << 53
 _INT_RE = re.compile(r"-?[0-9]+\Z")
-
-# Scan thresholds above which the product inequality is expected to
-# hold, keyed by (t, r); t = 3 is proven, t = 2 conjectured.
-_SCAN_MIN = {(3, 0): 12, (3, 1): 11, (3, 2): 11, (2, 0): 11, (2, 1): 12}
 
 _EXIT_BY_STATUS = {"ok": 0, "violation-found": 1, "conjecture-mismatch": 0}
 
@@ -321,40 +298,36 @@ def _cmd_maxn(args: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_convexity(args: argparse.Namespace) -> OutputRecord:
-    b_max = 500 if args.max is None else args.max
-    a_min = args.min
-    if a_min is None:
-        a_min = _SCAN_MIN.get((args.t, args.r), 1)
-    table = _table_for(args, 2 * b_max)
-    report = scan_region(table, args.r, args.t, a_min, b_max)
-    params = {"r": args.r, "t": args.t, "min": a_min, "max": b_max,
+    claim = _run_claim(args, "convexity")
+    (row,) = claim.results["rows"]
+    params = {"r": args.r, "t": args.t, "min": row["min"], "max": row["max"],
               "n_max": args.n_max}
-    results = {"pairs_checked": report.pairs_checked,
-               "violations_found": len(report.violations),
-               "violations": [list(v) for v in report.violations[:20]]}
-    status = "ok" if report.ok else "violation-found"
-    return OutputRecord("convexity", params, results, status)
+    results = {key: row[key]
+               for key in ("pairs_checked", "violations_found", "violations")}
+    return OutputRecord("convexity", params, results, claim.status)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
     n = args.n
     if n < 1:
         raise UsageError("--n must be >= 1")
+    if n > LEHMER_ESTIMATE_MAX_N:
+        raise UsageError(f"--n must be <= {LEHMER_ESTIMATE_MAX_N}, past which "
+                         "the Lehmer estimate overflows a double")
     p = partition_number(n)
     pair = lehmer_bounds(n)
     est, cap = lehmer_estimate(n)
     lower, upper = envelope(n)
     budget = error_budget(n)
-    constants = ConstantTable()
     results: dict[str, Any] = {
         "p": p,
         "mu": pair.mu,
         "lehmer_lower": pair.lower,
         "lehmer_upper": pair.upper,
-        "sandwich_ok": pair.lower < p < pair.upper,
+        "sandwich_ok": claims.sandwich_holds(pair, p),
         "estimate": est,
         "estimate_cap": cap,
-        "estimate_ok": abs(est - p) <= cap,
+        "estimate_ok": claims.estimate_holds((est, cap), p),
         "hardy_ramanujan": hardy_ramanujan(n),
         "main_term": main_term(n),
         "envelope_lower": lower,
@@ -366,15 +339,14 @@ def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
     if n >= 500:
         # The aggregate budget and the ratio caps are claims about
         # n >= 500 only, so they gate the status only there.
-        results["budget_ok"] = budget.total <= BUDGET_CAP * lower
+        results["budget_ok"] = claims.budget_holds(budget)
         checks.append(results["budget_ok"])
         ratios = [ratio_bound(i, n) for i in range(1, 7)]
         results["ratios"] = ratios
-        results["ratio_caps"] = list(constants.caps)
-        results["ratio_caps_ok"] = all(
-            f <= c for f, c in zip(ratios, constants.caps))
-        results["cap_2_alternate"] = constants.cap_2_derived
-        results["cap_2_discrepant"] = constants.discrepant
+        results["ratio_caps"] = list(RATIO_CAPS)
+        results["ratio_caps_ok"] = claims.ratio_caps_hold(ratios)
+        results["cap_2_alternate"] = RATIO_CAP_2_DERIVED
+        results["cap_2_discrepant"] = RATIO_CAPS[1] != RATIO_CAP_2_DERIVED
         checks.append(results["ratio_caps_ok"])
     status = "ok" if all(checks) else "violation-found"
     return OutputRecord("bounds", {"n": n}, results, status)
@@ -382,169 +354,32 @@ def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
 
 # ---------------------------------------------------------- verify suites
 
-
-def _suite_tables(args: argparse.Namespace) -> OutputRecord:
-    table = _table_for(args, 32)
-    rows = []
-    bad = 0
-    for r in (0, 1, 2):
-        column = counts_column(r)
-        count_bad = sum(1 for n, v in column.items()
-                        if residue_count(table, r, 3, n) != v)
-        report = verify_small_tables(table, r)
-        rows.append({"r": r, "counts_checked": len(column),
-                     "count_mismatches": count_bad,
-                     "max_checked": report.checked,
-                     "max_mismatches": len(report.mismatches)})
-        bad += count_bad + len(report.mismatches)
-    status = "ok" if bad == 0 else "violation-found"
-    return OutputRecord("verify", {"suite": "tables", "n_max": args.n_max},
-                        {"rows": rows}, status)
-
-
-def _suite_convexity(args: argparse.Namespace) -> OutputRecord:
-    b_max = 500 if args.max is None else args.max
-    targets = [args.r] if args.r is not None else [0, 1, 2]
-    table = _table_for(args, 2 * b_max)
-    rows = []
-    bad = 0
-    for r in targets:
-        a_min = args.min
-        if a_min is None:
-            a_min = _SCAN_MIN.get((args.t, r), 1)
-        report = scan_region(table, r, args.t, a_min, b_max)
-        rows.append({"r": r, "min": a_min, "max": b_max,
-                     "pairs_checked": report.pairs_checked,
-                     "violations_found": len(report.violations),
-                     "violations": [list(v) for v in report.violations[:20]]})
-        bad += len(report.violations)
-    params = {"suite": "convexity", "t": args.t, "max": b_max,
-              "n_max": args.n_max}
-    if args.r is not None:
-        params["r"] = args.r
-    if args.min is not None:
-        params["min"] = args.min
-    status = "ok" if bad == 0 else "violation-found"
-    return OutputRecord("verify", params, {"rows": rows}, status)
-
-
-def _suite_theorem2(args: argparse.Namespace) -> OutputRecord:
-    hi = 500 if args.max is None else args.max
-    # The replacement rules read their parts whatever --max is.
-    rule_top = max(part for r in (0, 1, 2) for rule in replacement_rules(r)
-                   for parts in rule for part in parts)
-    table = _table_for(args, max(hi, rule_top))
-    rows = []
-    bad = 0
-    for r in (0, 1, 2):
-        closed = verify_closed_forms(table, r, hi)
-        rules = verify_replacement_rules(table, r)
-        rows.append({"r": r, "closed_checked": closed.checked,
-                     "closed_mismatches": len(closed.mismatches),
-                     "rules_checked": rules.checked,
-                     "rule_failures": len(rules.mismatches)})
-        bad += len(closed.mismatches) + len(rules.mismatches)
-    status = "ok" if bad == 0 else "violation-found"
-    return OutputRecord("verify", {"suite": "theorem2", "max": hi,
-                                   "n_max": args.n_max}, {"rows": rows},
-                        status)
-
-
-def _suite_bounds(args: argparse.Namespace) -> OutputRecord:
-    hi = 1000 if args.max is None else args.max
-    if hi < 2:
-        raise UsageError("--max must be >= 2")
-    exact = partition_numbers(hi)
-    sandwich_bad = []
-    for n in range(2, hi + 1):
-        pair = lehmer_bounds(n)
-        if not pair.lower < exact[n] < pair.upper:
-            sandwich_bad.append(n)
-    estimate_hi = min(hi, 500)
-    estimate_bad = []
-    for n in range(1, estimate_hi + 1):
-        est, cap = lehmer_estimate(n)
-        if abs(est - exact[n]) > cap:
-            estimate_bad.append(n)
-    xs = list(range(500, 601)) + [1000, 2000, 5000]
-    threshold_bad = [x for x in xs if not lemma_threshold(x)]
-    bad = len(sandwich_bad) + len(estimate_bad) + len(threshold_bad)
-    results = {
-        "sandwich_range": [2, hi],
-        "sandwich_failures": sandwich_bad[:20],
-        "estimate_range": [1, estimate_hi],
-        "estimate_failures": estimate_bad[:20],
-        "threshold_points": len(xs),
-        "threshold_failures": threshold_bad[:20],
-    }
-    status = "ok" if bad == 0 else "violation-found"
-    return OutputRecord("verify", {"suite": "bounds", "max": hi},
-                        results, status)
-
-
-def _suite_budget(args: argparse.Namespace) -> OutputRecord:
-    lo = 500 if args.lo is None else args.lo
-    hi = 1000 if args.hi is None else args.hi
-    step = 50 if args.step is None else args.step
-    if lo < 1 or hi < lo or step < 1:
-        raise UsageError("need 1 <= --from <= --to and --step >= 1")
-    table = _table_for(args, hi)
-    rows = []
-    bad = 0
-    for n in range(lo, hi + 1, step):
-        a = a_third_exact(table, n)
-        gap = exact_gap(a, main_term_decimal(n))
-        budget = error_budget(n)
-        limit = BUDGET_CAP * budget.lower
-        ok = gap <= budget.total <= limit
-        rows.append({"n": n, "a_third": a, "gap": float(gap),
-                     "error_total": budget.total, "limit": limit, "ok": ok})
-        if not ok:
-            bad += 1
-    status = "ok" if bad == 0 else "violation-found"
-    return OutputRecord("verify", {"suite": "budget", "from": lo, "to": hi,
-                                   "step": step, "n_max": args.n_max},
-                        {"rows": rows, "failures": bad}, status)
-
-
-def _suite_conjectures(args: argparse.Namespace) -> OutputRecord:
-    scan_max = 300 if args.max is None else args.max
-    forms_hi = 200 if args.hi is None else args.hi
-    table = _table_for(args, max(2 * scan_max, forms_hi))
-    rows = []
-    mismatched = 0
-    for r, a_min in ((0, 11), (1, 12)):
-        report = scan_region(table, r, 2, a_min, scan_max)
-        rows.append({"kind": "product-scan", "r": r, "t": 2, "min": a_min,
-                     "max": scan_max, "pairs_checked": report.pairs_checked,
-                     "violations_found": len(report.violations),
-                     "violations": [list(v) for v in report.violations[:20]]})
-        mismatched += len(report.violations)
-    for r in (0, 1):
-        report = conjecture_max_mod2(table, r, forms_hi)
-        rows.append({"kind": "closed-form", "r": r, "t": 2,
-                     "max": forms_hi, "checked": report.checked,
-                     "mismatches": len(report.mismatches)})
-        mismatched += len(report.mismatches)
-    status = "ok" if mismatched == 0 else "conjecture-mismatch"
-    return OutputRecord("verify", {"suite": "conjectures", "max": scan_max,
-                                   "forms_max": forms_hi,
-                                   "n_max": args.n_max}, {"rows": rows},
-                        status)
-
-
-_SUITES = {
-    "tables": _suite_tables,
-    "convexity": _suite_convexity,
-    "theorem2": _suite_theorem2,
-    "bounds": _suite_bounds,
-    "budget": _suite_budget,
-    "conjectures": _suite_conjectures,
+# Each verify suite's claim and the flags it reads, as {dest: keyword};
+# a flag left unset keeps the claim's default.
+_VERIFY = {
+    "tables": (claims.tables, {"n_max": "n_max"}),
+    "convexity": (claims.convexity, {"t": "t", "r": "r", "min": "a_min",
+                                     "max": "b_max", "n_max": "n_max"}),
+    "theorem2": (claims.theorem2, {"max": "hi", "n_max": "n_max"}),
+    "bounds": (claims.bounds, {"max": "hi"}),
+    "budget": (claims.budget, {"lo": "lo", "hi": "hi", "step": "step",
+                               "n_max": "n_max"}),
+    "conjectures": (claims.conjectures, {"max": "scan_max", "hi": "forms_hi",
+                                         "n_max": "n_max"}),
 }
 
 
+def _run_claim(args: argparse.Namespace, suite: str) -> claims.ClaimRecord:
+    claim, flags = _VERIFY[suite]
+    given = {keyword: getattr(args, dest) for dest, keyword in flags.items()
+             if getattr(args, dest) is not None}
+    return claim(lambda need: _table_for(args, need), **given)
+
+
 def _cmd_verify(args: argparse.Namespace) -> OutputRecord:
-    return _SUITES[args.suite](args)
+    record = _run_claim(args, args.suite)
+    return OutputRecord("verify", {"suite": args.suite, **record.params},
+                        record.results, record.status)
 
 
 # --------------------------------------------------------------- parser
@@ -613,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification suite")
-    p.add_argument("suite", choices=sorted(_SUITES))
+    p.add_argument("suite", choices=sorted(_VERIFY))
     p.add_argument("--r", type=int)
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--min", type=int)
@@ -631,13 +466,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         record = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CacheFormatError as exc:
         print(f"error: unusable table cache: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (UsageError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

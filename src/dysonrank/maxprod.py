@@ -25,7 +25,6 @@ from .reference import counts_column, max_column
 
 __all__ = [
     "MaxProductEntry",
-    "ClosedFormCase",
     "VerificationReport",
     "brute_max",
     "closed_form",
@@ -51,16 +50,6 @@ class MaxProductEntry:
     value: int
     optima: tuple[tuple[int, ...], ...]
     truncated: bool = False
-
-
-@dataclass(frozen=True)
-class ClosedFormCase:
-    """One periodic case: fixed head parts plus arbitrarily many copies
-    of the base part."""
-    residue: int
-    head: tuple[int, ...]
-    base: int
-    coefficient: int
 
 
 @dataclass
@@ -252,39 +241,26 @@ _HEADS_R12 = {0: (), 1: (15,), 2: (15, 15), 3: (17,), 4: (17, 15),
 CLOSED_FORM_START = {0: 33, 1: 22, 2: 22}
 
 
-def _closed_form_case(r: int, n: int) -> ClosedFormCase:
+def closed_form(r: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """(value, partition) from the periodic case table.
+
+    The partition is the head for n modulo the base part plus
+    (n - sum(head))/base copies of the base part, in canonical
+    nonincreasing order; the value is the product of the head parts'
+    counts times the base count to that power."""
     if r not in (0, 1, 2):
         raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
     if n < CLOSED_FORM_START[r]:
         raise ValueError(
             f"closed form for r={r} applies from n={CLOSED_FORM_START[r]}")
-    counts = counts_column(r)
-    if r == 0:
-        base, heads = 7, _HEADS_R0
-    else:
-        base, heads = 14, _HEADS_R12
+    base, heads = (7, _HEADS_R0) if r == 0 else (14, _HEADS_R12)
     head = heads[n % base]
-    coeff = 1
-    for part in head:
-        coeff *= counts[part]
-    return ClosedFormCase(residue=n % base, head=head, base=base,
-                          coefficient=coeff)
-
-
-def closed_form(r: int, n: int) -> tuple[int, tuple[int, ...]]:
-    """(value, partition) from the periodic case table.
-
-    The partition is the head plus (n - sum(head))/base copies of the
-    base part, in canonical nonincreasing order; the value is the
-    coefficient times the base count to that power."""
-    case = _closed_form_case(r, n)
-    rest = n - sum(case.head)
-    reps, rem = divmod(rest, case.base)
+    reps, rem = divmod(n - sum(head), base)
     if rem:  # head sums are chosen per residue class; cannot happen
         raise AssertionError(f"case table broken at r={r}, n={n}")
-    base_count = counts_column(r)[case.base]
-    value = case.coefficient * base_count ** reps
-    parts = tuple(sorted(case.head + (case.base,) * reps, reverse=True))
+    counts = counts_column(r)
+    value = math.prod(counts[part] for part in head) * counts[base] ** reps
+    parts = tuple(sorted(head + (base,) * reps, reverse=True))
     return value, parts
 
 

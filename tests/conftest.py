@@ -53,17 +53,24 @@ def big_table() -> BigTable:
     return BigTable(t, time.perf_counter() - start)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture()
 def criterion():
-    """Callable recording one acceptance-criterion outcome.  The line
-    is stored before the assert fires so failures still print."""
+    """Callable recording one acceptance-criterion outcome and its runtime
+    since this fixture's set-up (after any session table is built).  A
+    `limit` gates the runtime plus `build_seconds`; the line is stored
+    before the assert fires, so failures still print."""
+    start = time.perf_counter()
 
-    def record(number: int, description: str, ok: bool, note: str = "") -> None:
+    def record(number: int, description: str, ok: bool, note: str = "",
+               limit: float | None = None, build_seconds: float = 0.0) -> None:
+        elapsed = time.perf_counter() - start + build_seconds
+        ok = ok and (limit is None or elapsed < limit)
+        notes = f"{elapsed:.2f}s" + (" including table build"
+                                     if build_seconds else "")
+        notes += f"; {note}" if note else ""
         verdict = "PASS" if ok else "FAIL"
-        line = f"criterion {number:2d} {verdict}: {description}"
-        if note:
-            line += f"  [{note}]"
-        _ACCEPTANCE_LINES.append(line)
+        _ACCEPTANCE_LINES.append(
+            f"criterion {number:2d} {verdict}: {description}  [{notes}]")
         assert ok, f"acceptance criterion {number} failed: {description}"
 
     return record

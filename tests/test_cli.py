@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -190,6 +191,18 @@ class TestBounds:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("n", [76568, 10 ** 12])
+    def test_past_the_double_range_fails_before_p(self, monkeypatch, n):
+        monkeypatch.setattr("dysonrank.cli.partition_number", None)
+        assert run("bounds", "--n", str(n)) == (
+            2, "", "error: --n must be <= 76567, past which the Lehmer "
+                   "estimate overflows a double\n")
+
+    def test_arithmetic_error_is_a_usage_error(self, monkeypatch):
+        monkeypatch.setattr("dysonrank.cli.lehmer_estimate", math.exp)
+        assert run("bounds", "--n", "1000") == (
+            2, "", "error: math range error\n")
+
 
 class TestVerifySuites:
     def test_tables(self):
@@ -242,7 +255,7 @@ class TestVerifySuites:
         # A(n) from single rows stands in for a 4350-row table.  With
         # the double main term, n = 4347 was a false violation.
         monkeypatch.setattr("dysonrank.cli._table_for", lambda args, need: None)
-        monkeypatch.setattr("dysonrank.cli.a_third_exact",
+        monkeypatch.setattr("dysonrank.claims.a_third_exact",
                             lambda table, n: a_third_from_row(n))
         code, out, _ = run("verify", "budget", "--from", "4340", "--to",
                            "4350", "--step", "1", "--n-max", "4350")
