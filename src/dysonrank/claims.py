@@ -133,10 +133,13 @@ def convexity(table_for: TableFor, t: int = 3, r: int | None = None,
               a_min: int | None = None, b_max: int = 500,
               n_max: int | None = None) -> ClaimRecord:
     """The product inequality on a_min <= a <= b <= b_max for residue r
-    (all residues when None), from SCAN_THRESHOLDS when a_min is None."""
+    (all residues of t when None), from SCAN_THRESHOLDS when a_min is
+    None."""
+    if t < 1:
+        raise ValueError("modulus t must be positive")
     table = table_for(2 * b_max)
     rows = []
-    for target in (0, 1, 2) if r is None else (r,):
+    for target in range(t) if r is None else (r,):
         lo = SCAN_THRESHOLDS.get((t, target), 1) if a_min is None else a_min
         rows.append(_scan(table, target, t, lo, b_max))
     bad = sum(row["violations_found"] for row in rows)
@@ -197,8 +200,9 @@ def budget(table_for: TableFor, lo: int = 500, hi: int = 1000, step: int = 50,
            n_max: int | None = None) -> ClaimRecord:
     """|A(n) - M(n)| <= sum of the six error bounds <= 0.58 L(n) for n in
     range(lo, hi + 1, step), with the exact A(n) and the decimal M(n)."""
-    if lo < 1 or hi < lo or step < 1:
-        raise ValueError("need 1 <= --from <= --to and --step >= 1")
+    if lo < 500 or hi < lo or step < 1:
+        raise ValueError("need 500 <= --from <= --to and --step >= 1; "
+                         "the budget is claimed for n >= 500")
     table = table_for(hi)
     rows = []
     for n in range(lo, hi + 1, step):

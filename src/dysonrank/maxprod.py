@@ -3,22 +3,24 @@
 For fixed residue r and modulus t, each partition (l_1, ..., l_k) of n
 gets the score prod_i N(r, t; l_i).  This module computes the maximum
 score and the complete set of maximizing partitions three independent
-ways: a dynamic program over bounded largest parts, brute force over
-all partitions, and (for t = 3 above the stabilization thresholds)
-periodic closed forms.  It also machine-checks the local replacement
-rules the closed forms rest on, and the analogous t = 2 conjectures.
+ways: a knapsack over the parts, brute force over all partitions, and
+(for t = 3 above the stabilization thresholds) periodic closed forms.
+It also machine-checks the local replacement rules the closed forms
+rest on, and the analogous t = 2 conjectures.
 
-Theorem 2 and the t = 2 conjectures are checked by counting, not by
-listing: a knapsack over the parts keeps, for every s, the best product
-and the number of partitions of s that attain it, in O(n) memory.  An
-expected optimum set is then confirmed by its value and its size.
+The knapsack keeps, for every s, the best product, the number of
+partitions of s that attain it and the smallest largest part among
+them, in O(n) memory.  Theorem 2 and the t = 2 conjectures are checked
+by counting, not by listing: an expected optimum set is confirmed by
+its value and its size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterator, Sequence
+from itertools import islice
 
 from .core import RankTable, enumerate_partitions, residue_count
 from .reference import counts_column, max_column
@@ -87,68 +89,35 @@ def _count_row(table: RankTable, r: int, t: int, n_max: int) -> list[int]:
     return [0] + [residue_count(table, r, t, j) for j in range(1, n_max + 1)]
 
 
-def _value_table(f: list[int], n_max: int) -> list[list]:
-    """V[s][c] = best product over partitions of s with parts <= c,
-    or -1 when no such partition exists (s > 0, c = 0).  Zero products
-    are real values (zero factors happen), hence the separate sentinel."""
-    V = [[1] * (n_max + 1)]
-    for s in range(1, n_max + 1):
-        row = [-1] * (n_max + 1)
-        prev = -1
-        for c in range(1, n_max + 1):
-            best = prev
-            if c <= s:
-                sub = V[s - c][c]
-                if sub >= 0:
-                    cand = f[c] * sub
-                    if cand > best:
-                        best = cand
-            row[c] = prev = best
-        V.append(row)
-    return V
+def _walk_optima(best: list[int], top: list[int], f: list[int],
+                 n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every partition of n attaining best[n] > 0, in reverse
+    lexicographic order, each exactly once.
 
-
-def _collect_optima(V: list[list], f: list[int], n: int,
-                    cap: int | None) -> tuple[list[tuple[int, ...]], bool]:
-    """All partitions attaining V[n][n], each found exactly once (a
-    partition is reconstructed only at its own largest part).
-
-    Depth first, the take branch before the skip branch, stopping once
-    cap + 1 are found, so a truncated set is always the same prefix of
-    that order.  The parts taken so far live in one shared path list; a
-    stack entry (s, c, depth) resumes at path[:depth], and only a
-    finished partition is copied into a tuple."""
-    limit = None if cap is None else cap + 1
-    found: list[tuple[int, ...]] = []
+    No part of such an optimum has f = 0, so dropping its largest part c
+    leaves an optimum of n - c: c leads an optimum of s with parts <= k
+    iff c <= k, f[c] * best[s - c] == best[s] and top[s - c] <= c.
+    A state (s, c) is resumed only while c >= top[s], so some optimum of
+    s has parts <= c and no branch dead-ends.  Depth first, the larger
+    leading part first; the parts taken so far live in one shared path
+    list, a stack entry (s, c, depth) resumes at path[:depth], and only
+    a finished partition is copied into a tuple."""
     path: list[int] = []
     stack: list[tuple[int, int, int]] = [(n, n, 0)]
     while stack:
         s, c, depth = stack.pop()
         del path[depth:]
-        while True:
-            if s == 0:
-                found.append(tuple(path))
-                break
+        while s:
             if c > s:
                 c = s
-            target = V[s][c]
-            takes = V[s - c][c] >= 0 and f[c] * V[s - c][c] == target
-            skips = c > 1 and V[s][c - 1] == target
-            if takes and skips:
-                stack.append((s, c - 1, len(path)))
-            if takes:
+            if f[c] * best[s - c] == best[s] and top[s - c] <= c:
+                if c > top[s]:
+                    stack.append((s, c - 1, len(path)))
                 path.append(c)
                 s -= c
-            elif skips:
+            else:
                 c -= 1
-            else:  # pragma: no cover - V guarantees one branch matches
-                break
-        if limit is not None and len(found) >= limit:
-            break
-    found.sort()
-    if cap is not None and len(found) > cap:
-        return found[:cap], True
-    return found, False
+        yield tuple(path)
 
 
 def _check_n_max(table: RankTable, n_max: int) -> None:
@@ -159,19 +128,22 @@ def _check_n_max(table: RankTable, n_max: int) -> None:
             f"needs counts up to {n_max} but table holds {table.n_max}")
 
 
-def _best_and_count(f: list[int], n_max: int) -> tuple[list[int], list[int]]:
+def _best_and_count(f: list[int], n_max: int
+                    ) -> tuple[list[int], list[int], list[int]]:
     """best[s], the largest product of f over the parts of a partition
-    of s, and cnt[s], how many partitions of s attain it, for
-    s = 0 .. n_max.
+    of s, cnt[s], how many partitions of s attain it, and top[s], the
+    smallest largest part among them, for s = 0 .. n_max.
 
     A knapsack over the parts c = 1 .. n_max: after part c, best[s] and
     cnt[s] cover the partitions of s with parts <= c.  A candidate
-    f[c] * best[s - c] that beats best[s] takes over its count; one
-    that ties adds its count.  cnt[s] is exact whenever best[s] > 0 (a
-    zero product could also be reached through sub-partitions that are
-    not optimal themselves)."""
+    f[c] * best[s - c] that beats best[s] takes over its count and sets
+    top[s] = c; one that ties adds its count.  The last c that beat
+    best[s] is the first with which best[s] is reached, hence top.  cnt[s]
+    is exact whenever best[s] > 0 (a zero product could also be reached
+    through sub-partitions that are not optimal themselves)."""
     best = [1] + [-1] * n_max
     cnt = [1] * (n_max + 1)
+    top = [0] * (n_max + 1)
     for c in range(1, n_max + 1):
         fc = f[c]
         for s in range(c, n_max + 1):
@@ -179,28 +151,34 @@ def _best_and_count(f: list[int], n_max: int) -> tuple[list[int], list[int]]:
             if cand > best[s]:
                 best[s] = cand
                 cnt[s] = cnt[s - c]
+                top[s] = c
             elif cand == best[s]:
                 cnt[s] += cnt[s - c]
-    return best, cnt
+    return best, cnt, top
 
 
 def max_table(table: RankTable, r: int, t: int, n_max: int,
               optima_cap: int | None = DEFAULT_OPTIMA_CAP) -> list[MaxProductEntry]:
-    """Entries for n = 0 .. n_max by dynamic programming.
-
-    The recurrence V(s, c) = max(V(s, c-1), f(c) V(s-c, c)) walks parts
-    in canonical nonincreasing order, so each optimal partition
-    corresponds to exactly one reconstruction path.  optima_cap bounds
-    the stored set per n (None means unbounded); overflow is flagged,
-    never silent."""
+    """Entries for n = 0 .. n_max: values from the knapsack, optima
+    walked over its best and top lists.  optima_cap bounds the stored
+    set per n (None means unbounded); overflow is flagged, never
+    silent.  The walk stops once optima_cap + 1 are found, so a
+    truncated set is always the same prefix of the reverse
+    lexicographic order."""
     _validate_rt(r, t)
     _check_n_max(table, n_max)
     f = _count_row(table, r, t, n_max)
-    V = _value_table(f, n_max)
+    best, _, top = _best_and_count(f, n_max)
+    limit = None if optima_cap is None else optima_cap + 1
     entries = [MaxProductEntry(0, 1, ((),))]
     for n in range(1, n_max + 1):
-        optima, truncated = _collect_optima(V, f, n, optima_cap)
-        entries.append(MaxProductEntry(n, V[n][n], tuple(optima), truncated))
+        # When best[n] == 0 every partition of n is optimal.
+        walk = (enumerate_partitions(n) if best[n] == 0
+                else _walk_optima(best, top, f, n))
+        optima = sorted(islice(walk, limit))
+        truncated = limit is not None and len(optima) == limit
+        entries.append(MaxProductEntry(n, best[n], tuple(optima[:optima_cap]),
+                                       truncated))
     return entries
 
 
@@ -280,7 +258,7 @@ def verify_closed_forms(table: RankTable, r: int, n_hi: int,
     lo = CLOSED_FORM_START[r] if n_lo is None else n_lo
     report = VerificationReport(name=f"closed-forms r={r}")
     f = _count_row(table, r, 3, n_hi)
-    best, cnt = _best_and_count(f, n_hi)
+    best, cnt, _ = _best_and_count(f, n_hi)
     for n in range(lo, n_hi + 1):
         value, parts = closed_form(r, n)
         product = math.prod(f[part] for part in parts)
@@ -406,7 +384,7 @@ def conjecture_max_mod2(table: RankTable, r: int, n_hi: int,
     lo = CONJECTURE_MOD2_START[r] if n_lo is None else n_lo
     lo = max(lo, CONJECTURE_MOD2_START[r])
     f = _count_row(table, r, 2, n_hi)
-    best, cnt = _best_and_count(f, n_hi)
+    best, cnt, _ = _best_and_count(f, n_hi)
     report = VerificationReport(name=f"max-mod2 r={r}")
     for n in range(lo, n_hi + 1):
         swaps_keep_value = True

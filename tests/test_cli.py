@@ -17,6 +17,7 @@ import pytest
 import dysonrank
 from dysonrank import build_rank_table, load_table
 from dysonrank.cli import (
+    MAX_TABLE_ROWS,
     OutputRecord,
     main,
     record_from_json,
@@ -221,6 +222,21 @@ class TestVerifySuites:
         assert code == 1
         assert "status = violation-found" in out
 
+    def test_convexity_scans_every_residue_of_t(self):
+        code, out, _ = run("verify", "convexity", "--t", "2", "--max", "40",
+                           "--n-max", "80")
+        assert code == 0
+        assert "status = ok" in out
+        assert "result.rows[0].r = 0\nresult.rows[0].min = 11\n" in out
+        assert "result.rows[1].r = 1\nresult.rows[1].min = 12\n" in out
+        assert "rows[2]" not in out
+
+    def test_convexity_rejects_t_0_before_building(self, monkeypatch):
+        monkeypatch.setattr("dysonrank.cli._table_for", None)
+        assert run("verify", "convexity", "--t", "0", "--max", "40",
+                   "--n-max", "80") == (
+            2, "", "error: modulus t must be positive\n")
+
     def test_theorem2(self):
         code, out, _ = run("verify", "theorem2", "--max", "60", "--n-max",
                            "64")
@@ -249,6 +265,14 @@ class TestVerifySuites:
                            "600", "--step", "50", "--n-max", "600")
         assert code == 0
         assert "result.failures = 0" in out
+
+    def test_budget_below_500_is_a_usage_error(self, monkeypatch):
+        # The paper claims the budget for n >= 500 only.
+        monkeypatch.setattr("dysonrank.cli._table_for", None)
+        code, out, err = run("verify", "budget", "--from", "10", "--to",
+                             "40", "--step", "7", "--n-max", "64")
+        assert (code, out) == (2, "")
+        assert "500 <= --from" in err
 
     def test_budget_past_the_double_main_term(self, monkeypatch,
                                               a_third_from_row):
@@ -372,6 +396,45 @@ class TestTablePolicy:
         assert code == 0
         assert built == [50]
         assert load_table(path).n_max == 50
+
+
+class TestTableCeiling:
+    """A table past MAX_TABLE_ROWS is refused before any work starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_build(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"built to {n}")
+
+        monkeypatch.setattr("dysonrank.cli.build_rank_table", refuse)
+        monkeypatch.setattr("dysonrank.cli.partition_number", refuse)
+
+    def test_count_past_the_ceiling_exits_2(self):
+        code, out, err = run("count", "--r", "0", "--t", "3", "--n",
+                             "3000000", "--n-max", "3000000")
+        assert (code, out) == (2, "")
+        assert err == ("error: a rank table to n = 3000000 is past the "
+                       f"ceiling of {MAX_TABLE_ROWS} rows; its memory "
+                       "grows as n^2\n")
+
+    def test_one_row_past_the_ceiling(self):
+        rows = str(MAX_TABLE_ROWS + 1)
+        for argv in (("count", "--r", "0", "--t", "3", "--n", rows),
+                     ("rank-table",),
+                     ("maxn", "--r", "0", "--n", rows),
+                     ("verify", "theorem2", "--max", rows)):
+            code, out, err = run(*argv, "--n-max", rows)
+            assert (code, out) == (2, ""), argv
+            assert f"ceiling of {MAX_TABLE_ROWS} rows" in err
+
+    def test_cache_is_sized_by_n_max(self, tmp_path):
+        path = tmp_path / "t.rnkt"
+        code, _, err = run("count", "--r", "0", "--t", "3", "--n", "13",
+                           "--n-max", str(MAX_TABLE_ROWS + 1),
+                           "--table-cache", str(path))
+        assert code == 2
+        assert "ceiling" in err
+        assert not path.exists()
 
 
 class TestRankTableCommand:

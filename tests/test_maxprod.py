@@ -26,16 +26,16 @@ from dysonrank.maxprod import (
     _best_and_count,
     _closure_size_mod2,
     _count_row,
-    _value_table,
 )
 from dysonrank.reference import SMALL_TABLE, counts_column, max_column
 
 
-# The Counter closure and the tuple-prefix optima walk below are the
-# production algorithms these two helpers replaced, kept unchanged as
-# oracles for the part-count closure and the shared-path walk.  The
-# part-count closure and the listing conjecture check after them are in
-# turn what the counting knapsack replaced, kept as its oracles.
+# The Counter closure, the (n+1)^2 value table and the tuple-prefix
+# optima walk over it below are production algorithms that were
+# replaced, kept unchanged as oracles for the part-count closure and the
+# knapsack's optima walk.  The part-count closure and the listing
+# conjecture check after them are in turn what the counting knapsack
+# replaced, kept as its oracles.
 
 def counter_closure_mod2(start: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Closure of a partition under swapping (2,2) <-> (4) and
@@ -56,6 +56,27 @@ def counter_closure_mod2(start: tuple[int, ...]) -> set[tuple[int, ...]]:
                     seen.add(parts)
                     frontier.append(parts)
     return seen
+
+
+def _value_table(f: list[int], n_max: int) -> list[list]:
+    """V[s][c] = best product over partitions of s with parts <= c,
+    or -1 when no such partition exists (s > 0, c = 0).  Zero products
+    are real values (zero factors happen), hence the separate sentinel."""
+    V = [[1] * (n_max + 1)]
+    for s in range(1, n_max + 1):
+        row = [-1] * (n_max + 1)
+        prev = -1
+        for c in range(1, n_max + 1):
+            best = prev
+            if c <= s:
+                sub = V[s - c][c]
+                if sub >= 0:
+                    cand = f[c] * sub
+                    if cand > best:
+                        best = cand
+            row[c] = prev = best
+        V.append(row)
+    return V
 
 
 def prefix_collect_optima(V: list[list], f: list[int], n: int,
@@ -178,7 +199,8 @@ class TestDynamicProgram:
         assert entries[0] == MaxProductEntry(0, 1, ((),))
 
     def test_matches_brute_force(self, table):
-        for r, t in ((0, 3), (1, 3), (2, 3), (0, 2), (1, 2)):
+        # (3, 7) has best = 0 at n <= 3, where every partition is optimal.
+        for r, t in ((0, 3), (1, 3), (2, 3), (0, 2), (1, 2), (3, 7)):
             entries = max_table(table, r, t, 22, optima_cap=None)
             for n in range(23):
                 assert entries[n] == brute_max(table, r, t, n,
@@ -389,19 +411,37 @@ class TestBestAndCount:
                                       (0, 2), (0, 5), (1, 7), (0, 1)])
     def test_matches_listed_optima(self, table, r, t):
         entries = max_table(table, r, t, 120, optima_cap=None)
-        best, cnt = _best_and_count(_count_row(table, r, t, 120), 120)
+        best, cnt, _ = _best_and_count(_count_row(table, r, t, 120), 120)
         assert best == [e.value for e in entries]
         assert cnt == [len(e.optima) for e in entries]
+
+    @pytest.mark.parametrize("r, t", [(0, 3), (1, 3), (2, 3), (1, 2),
+                                      (0, 2), (0, 5), (1, 7), (3, 7)])
+    def test_top_is_smallest_largest_part(self, table, r, t):
+        # (3, 7) has best = 0 at n <= 3, where every partition is optimal.
+        f = _count_row(table, r, t, 120)
+        _, _, top = _best_and_count(f, 120)
+        V = _value_table(f, 120)
+        assert top[0] == 0
+        for n in range(1, 121):
+            optima, _ = prefix_collect_optima(V, f, n, None)
+            assert top[n] == min(p[0] for p in optima), (r, t, n)
 
 
 class TestOptimaWalk:
     @pytest.mark.parametrize("cap", [None, 0, 1, 4, 64])
     def test_entries_match_prefix_oracle(self, table, cap):
-        for r, t in ((1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 5)):
-            entries = max_table(table, r, t, 120, optima_cap=cap)
-            f = _count_row(table, r, t, 120)
-            V = _value_table(f, 120)
-            for n in range(1, 121):
+        # (50, 100) has best = 0 at every n <= 50, where the walk lists
+        # all partitions; capped, since p(50) is too many to list.
+        cases = [(r, t, 120) for r, t in ((1, 2), (0, 2), (0, 3), (1, 3),
+                                          (2, 3), (0, 5), (3, 7))]
+        if cap is not None:
+            cases.append((50, 100, 60))
+        for r, t, n_hi in cases:
+            entries = max_table(table, r, t, n_hi, optima_cap=cap)
+            f = _count_row(table, r, t, n_hi)
+            V = _value_table(f, n_hi)
+            for n in range(1, n_hi + 1):
                 optima, truncated = prefix_collect_optima(V, f, n, cap)
                 want = MaxProductEntry(n, V[n][n], tuple(optima), truncated)
                 assert entries[n] == want, (r, t, cap, n)
