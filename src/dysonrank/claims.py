@@ -137,6 +137,8 @@ def convexity(table_for: TableFor, t: int = 3, r: int | None = None,
     None."""
     if t < 1:
         raise ValueError("modulus t must be positive")
+    if r is not None and not 0 <= r < t:
+        raise ValueError("residue r must satisfy 0 <= r < t")
     table = table_for(2 * b_max)
     rows = []
     for target in range(t) if r is None else (r,):

@@ -51,9 +51,9 @@ _INT_RE = re.compile(r"-?[0-9]+\Z")
 _EXIT_BY_STATUS = {"ok": 0, "violation-found": 1, "conjecture-mismatch": 0}
 
 # The largest rank table a call may build.  A table's memory grows as
-# n^2: on a 2-vCPU host with Python 3.11, 2000 rows took 2.3 s and a
-# 131 MiB peak RSS and 3000 rows 6.8 s and 285 MiB, so 5000 rows is
-# about 0.75 GB.
+# n^2: on a 2-vCPU host with Python 3.11, 2000 rows took 0.54 s and a
+# 131 MiB peak RSS and 3000 rows 1.6 s and 288 MiB, so 5000 rows is
+# about 0.8 GB.
 MAX_TABLE_ROWS = 5000
 
 

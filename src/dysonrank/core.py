@@ -2,11 +2,13 @@
 
 The rank of a partition is its largest part minus its number of parts.
 The central object here is the table of counts N(m, n), the number of
-partitions of n with rank m.  Each count is a short alternating sum of
-partition numbers p(n - a), by the Atkin-Swinnerton-Dyer formula for
-fixed rank (see build_rank_table); p(n) comes from Euler's pentagonal
-recurrence.  All counts are exact integers; nothing here ever passes
-through a float.
+partitions of n with rank m.  By the Atkin-Swinnerton-Dyer formula for
+fixed rank (see build_rank_table), the number of partitions of n with
+rank >= m is a short alternating sum of partition numbers p(n - a);
+for each k of that sum the terms over m = 0, 1, ... form one strided
+slice of p, so a row costs one list-wide pass per k.  p(n) comes from
+Euler's pentagonal recurrence.  All counts are exact integers; nothing
+here ever passes through a float.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import cmath
 from collections import Counter
 from collections.abc import Iterator, Sequence
+from operator import add, sub
 
 __all__ = [
     "RankTable",
@@ -168,12 +171,19 @@ def build_rank_table(n_max: int) -> RankTable:
     formula for fixed rank m >= 0,
 
         sum_n N(m, n) q^n
-            = (1/(q)_inf) sum_{k>=1} (-1)^(k-1) q^(k(3k-1)/2 + mk) (1 - q^k),
+            = (1/(q)_inf) sum_{k>=1} (-1)^(k-1) q^(k(3k-1)/2 + mk) (1 - q^k).
 
-    so N(m, n) = sum_k (-1)^(k-1) (p(n - a_k) - p(n - a_k - k)) with
-    a_k = k(3k-1)/2 + mk, over the k with a_k <= n, and p zero at
-    negative arguments.  Rows are symmetric, N(-m, n) = N(m, n), so each
-    row is the half m = 0 .. n-1 mirrored.
+    Since q^(k(3k-1)/2 + mk) q^k = q^(k(3k-1)/2 + (m+1)k), the sum over
+    ranks >= m telescopes: F(m, n), the number of partitions of n with
+    rank >= m, is
+
+        F(m, n) = sum_{k>=1} (-1)^(k-1) p(n - g_k - mk),   g_k = k(3k-1)/2,
+
+    over the k with g_k <= n, with p zero at negative arguments, and
+    N(m, n) = F(m, n) - F(m+1, n).  For fixed k the terms over
+    m = 0, 1, ... are the stride -k slice p[n - g_k :: -k], so each k
+    adds or subtracts one slice into F.  Rows are symmetric,
+    N(-m, n) = N(m, n), so each row is the half m = 0 .. n-1 mirrored.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -188,18 +198,17 @@ def build_rank_table(n_max: int) -> RankTable:
 def _half_row(p: Sequence[int], n: int) -> list[int]:
     """N(m, n) for m = 0 .. n-1 by the formula above, given p(0..n);
     n >= 1."""
-    half = []
-    for m in range(n):
-        total = 0
-        k = 1
-        a = m + 1
-        while a <= n:
-            term = p[n - a] - p[n - a - k] if a + k <= n else p[n - a]
-            total += term if k & 1 else -term
-            a += 3 * k + 1 + m  # a_(k+1) - a_k
-            k += 1
-        half.append(total)
-    return half
+    # k = 1 gives F(m, n) = p(n - 1 - m); no partition of n has rank n.
+    f = [*p[n - 1::-1], 0]
+    k = 2
+    g = 5  # g_k
+    while g <= n:
+        seg = p[n - g::-k]
+        width = len(seg)
+        f[:width] = map(add if k & 1 else sub, f[:width], seg)
+        g += 3 * k + 1  # g_(k+1) - g_k
+        k += 1
+    return list(map(sub, f, f[1:]))
 
 
 def rank_count(table: RankTable, m: int, n: int) -> int:

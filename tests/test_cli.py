@@ -237,6 +237,18 @@ class TestVerifySuites:
                    "--n-max", "80") == (
             2, "", "error: modulus t must be positive\n")
 
+    @pytest.mark.parametrize("command", [("verify", "convexity"),
+                                         ("convexity",)])
+    @pytest.mark.parametrize("r", ["5", "-1"])
+    def test_convexity_rejects_r_before_building(self, monkeypatch, command,
+                                                 r):
+        def refuse(n):
+            raise AssertionError(f"built to {n}")
+
+        monkeypatch.setattr("dysonrank.cli.build_rank_table", refuse)
+        assert run(*command, "--t", "2", "--r", r, "--max", "500") == (
+            2, "", "error: residue r must satisfy 0 <= r < t\n")
+
     def test_theorem2(self):
         code, out, _ = run("verify", "theorem2", "--max", "60", "--n-max",
                            "64")

@@ -1,11 +1,14 @@
 """Exactness of the partition/rank counting core.
 
 Two independent oracles check the production table, which is built by
-the Atkin-Swinnerton-Dyer fixed-rank formula.  The brute-force
-enumerator literally builds every partition and measures its rank.
-The series oracle below expands the two-variable rank generating
-function, a different algorithm that reaches much larger n.  Small
-rows are also checked against hand-derived values.
+the Atkin-Swinnerton-Dyer fixed-rank formula from strided slices of p.
+The brute-force enumerator literally builds every partition and
+measures its rank.  The series oracle below expands the two-variable
+rank generating function, a different algorithm that reaches much
+larger n.  A third oracle, entry_half_row, evaluates the same formula
+one count at a time, with no telescoping and no slices, and reaches
+single rows past any table.  Small rows are also checked against
+hand-derived values.
 """
 
 from __future__ import annotations
@@ -27,6 +30,25 @@ from dysonrank import (
     rank_count,
     residue_count,
 )
+from dysonrank.core import _half_row
+
+
+def entry_half_row(p, n):
+    """N(m, n) for m = 0 .. n-1, one count at a time:
+    N(m, n) = sum_k (-1)^(k-1) (p(n - a_k) - p(n - a_k - k)) with
+    a_k = k(3k-1)/2 + mk, over the k with a_k <= n; n >= 1."""
+    half = []
+    for m in range(n):
+        total = 0
+        k = 1
+        a = m + 1
+        while a <= n:
+            term = p[n - a] - p[n - a - k] if a + k <= n else p[n - a]
+            total += term if k & 1 else -term
+            a += 3 * k + 1 + m  # a_(k+1) - a_k
+            k += 1
+        half.append(total)
+    return half
 
 
 def series_rank_rows(n_max: int) -> list[list[int]]:
@@ -161,6 +183,25 @@ class TestTableAgainstOracle:
         series = series_rank_rows(300)
         for n in range(301):
             assert table.row(n) == series[n], n
+
+    def test_rows_equal_entry_formula(self):
+        table = build_rank_table(600)
+        p = partition_numbers(600)
+        for n in range(1, 601):
+            half = entry_half_row(p, n)
+            assert table.row(n) == half[:0:-1] + half, n
+
+    @pytest.mark.parametrize("n", [1000, 2000, 4347])
+    def test_large_half_rows_equal_entry_formula(self, n):
+        p = partition_numbers(n)
+        assert _half_row(p, n) == entry_half_row(p, n)
+
+    @pytest.mark.parametrize("g", [5, 12, 22, 35, 51, 70])
+    def test_rows_where_a_stride_enters(self, g):
+        # g = k(3k-1)/2 is the first n whose row reads stride -k.
+        for n in (g - 1, g):
+            p = partition_numbers(n)
+            assert _half_row(p, n) == entry_half_row(p, n), n
 
     def test_hand_derived_rows(self, table):
         assert table.row(0) == [1]
