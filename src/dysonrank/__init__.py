@@ -5,117 +5,63 @@ into residue counts N(r, t; n), checks those counts against analytic
 envelopes and error budgets, verifies multiplicative convexity of the
 residue counts, and maximizes products of residue counts over the parts
 of a partition, including closed forms for the maximizing partitions.
+
+`import dysonrank` is lazy: each public name is imported from its home
+submodule on first access (PEP 562), so a caller pays only for the
+modules it uses.
 """
 
-from .bounds import (
-    BUDGET_CAP,
-    RATIO_CAP_2_DERIVED,
-    RATIO_CAPS,
-    BoundPair,
-    ErrorBudget,
-    envelope,
-    error_budget,
-    error_term_bound,
-    exact_gap,
-    hardy_ramanujan,
-    lehmer_bounds,
-    lehmer_estimate,
-    lehmer_log_bounds,
-    lemma_threshold,
-    main_term,
-    main_term_decimal,
-    mu,
-    ratio_bound,
-    residue_envelope_check,
-    s_ratio,
-    t_gap,
-)
-from .cache import CacheFormatError, load_table, save_table
-from .convexity import (
-    ConvexityReport,
-    check_pair,
-    scan_region,
-    sharpness_frontier,
-)
-from .core import (
-    RankTable,
-    a_third_exact,
-    brute_rank_counts,
-    build_rank_table,
-    decomposition_check,
-    enumerate_partitions,
-    partition_number,
-    partition_numbers,
-    rank,
-    rank_count,
-    residue_count,
-)
-from .maxprod import (
-    MaxProductEntry,
-    VerificationReport,
-    brute_max,
-    closed_form,
-    conjecture_max_mod2,
-    max_table,
-    product_over_partition,
-    replacement_rules,
-    verify_closed_forms,
-    verify_replacement_rules,
-    verify_small_tables,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUDGET_CAP",
-    "RATIO_CAP_2_DERIVED",
-    "RATIO_CAPS",
-    "BoundPair",
-    "CacheFormatError",
-    "ConvexityReport",
-    "ErrorBudget",
-    "MaxProductEntry",
-    "RankTable",
-    "VerificationReport",
-    "a_third_exact",
-    "brute_max",
-    "brute_rank_counts",
-    "build_rank_table",
-    "check_pair",
-    "closed_form",
-    "conjecture_max_mod2",
-    "decomposition_check",
-    "enumerate_partitions",
-    "envelope",
-    "error_budget",
-    "error_term_bound",
-    "exact_gap",
-    "hardy_ramanujan",
-    "lehmer_bounds",
-    "lehmer_estimate",
-    "lehmer_log_bounds",
-    "lemma_threshold",
-    "load_table",
-    "main_term",
-    "main_term_decimal",
-    "max_table",
-    "mu",
-    "partition_number",
-    "partition_numbers",
-    "product_over_partition",
-    "rank",
-    "rank_count",
-    "ratio_bound",
-    "replacement_rules",
-    "residue_count",
-    "residue_envelope_check",
-    "s_ratio",
-    "save_table",
-    "scan_region",
-    "sharpness_frontier",
-    "t_gap",
-    "verify_closed_forms",
-    "verify_replacement_rules",
-    "verify_small_tables",
-    "__version__",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "bounds": (
+        "BUDGET_CAP", "RATIO_CAP_2_DERIVED", "RATIO_CAPS", "BoundPair",
+        "ErrorBudget", "envelope", "error_budget", "error_term_bound",
+        "exact_gap", "hardy_ramanujan", "lehmer_bounds", "lehmer_estimate",
+        "lehmer_log_bounds", "lemma_threshold", "main_term",
+        "main_term_decimal", "mu", "ratio_bound", "residue_envelope_check",
+        "s_ratio", "t_gap",
+    ),
+    "cache": ("CacheFormatError", "load_table", "save_table"),
+    "convexity": (
+        "ConvexityReport", "check_pair", "scan_region", "sharpness_frontier",
+    ),
+    "core": (
+        "RankTable", "a_third_exact", "brute_rank_counts", "build_rank_table",
+        "decomposition_check", "enumerate_partitions", "partition_number",
+        "partition_numbers", "rank", "rank_count", "residue_count",
+    ),
+    "maxprod": (
+        "MaxProductEntry", "VerificationReport", "brute_max", "closed_form",
+        "conjecture_max_mod2", "max_table", "product_over_partition",
+        "replacement_rules", "verify_closed_forms",
+        "verify_replacement_rules", "verify_small_tables",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a public name's home submodule on first access and keep
+    the name here, so later lookups skip this hook.  The home
+    submodules resolve too, so `dysonrank.core.rank` works after a bare
+    `import dysonrank`."""
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_HOME})

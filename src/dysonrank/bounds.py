@@ -26,9 +26,8 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import RankTable, residue_count
 
@@ -79,8 +78,7 @@ LEHMER_ESTIMATE_MAX_N = int(
     ((6.0 / math.pi * math.log(sys.float_info.max)) ** 2 + 1.0) / 24.0)
 
 
-@dataclass(frozen=True)
-class BoundPair:
+class BoundPair(NamedTuple):
     """Strict lower/upper envelope for p(n) at one n."""
     n: int
     lower: float
@@ -88,8 +86,7 @@ class BoundPair:
     mu: float
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(NamedTuple):
     """The six error bounds at one n, with the envelope they live under."""
     n: int
     terms: tuple[float, float, float, float, float, float]

@@ -11,8 +11,7 @@ The per-n inequalities that the `bounds` command shares live here too.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .bounds import (
     BUDGET_CAP,
@@ -61,8 +60,7 @@ LEMMA_POINTS = tuple(range(500, 601)) + (1000, 2000, 5000)
 BUDGET_ALLOWANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(NamedTuple):
     """What one claim checked and how many of its checks failed."""
     params: dict[str, Any]
     results: dict[str, Any]

@@ -9,6 +9,16 @@ Exit codes: 0 success (including conjecture mismatches, which are
 reported but never gate), 1 a verified claim failed, 2 usage error,
 including a table cache that cannot be read, written or trusted and
 arithmetic out of range, such as a float overflow.
+
+Start-up imports only `core` and the standard library; each handler
+imports what it runs, so a fresh process compiles no more than its
+subcommand needs:
+
+- count, rank-table: `core` only;
+- maxn: also `maxprod` (and `reference`, which it reads);
+- convexity, verify: `claims`, which loads every module but `cache`;
+- bounds: `bounds` and `claims`;
+- any command given --table-cache: also `cache`.
 """
 
 from __future__ import annotations
@@ -20,25 +30,13 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from . import __version__, claims
-from .bounds import (
-    LEHMER_ESTIMATE_MAX_N,
-    RATIO_CAP_2_DERIVED,
-    RATIO_CAPS,
-    envelope,
-    error_budget,
-    hardy_ramanujan,
-    lehmer_bounds,
-    lehmer_estimate,
-    main_term,
-    ratio_bound,
-)
-from .cache import CacheFormatError, load_table, save_table
+from . import __version__
 from .core import RankTable, build_rank_table, partition_number, residue_count
-from .maxprod import CLOSED_FORM_START, closed_form, max_table
+
+if TYPE_CHECKING:
+    from .claims import ClaimRecord
 
 __all__ = ["OutputRecord", "main", "record_from_json", "record_to_json",
            "render"]
@@ -75,21 +73,29 @@ def _plain(value: Any) -> Any:
     return str(value)
 
 
-@dataclass
 class OutputRecord:
-    """One command's machine-readable outcome."""
-    command: str
-    parameters: dict[str, Any]
-    results: dict[str, Any]
-    status: str = "ok"
+    """One command's machine-readable outcome.  Records are equal when
+    their command, parameters, results and status are."""
 
-    def __post_init__(self) -> None:
-        self.parameters = _plain(self.parameters)
-        self.results = _plain(self.results)
+    def __init__(self, command: str, parameters: dict[str, Any],
+                 results: dict[str, Any], status: str = "ok") -> None:
+        self.command = command
+        self.parameters = _plain(parameters)
+        self.results = _plain(results)
+        self.status = status
 
     def as_dict(self) -> dict[str, Any]:
         return {"command": self.command, "parameters": self.parameters,
                 "results": self.results, "status": self.status}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OutputRecord):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
+        return f"OutputRecord({fields})"
 
 
 def _encode(value: Any) -> Any:
@@ -206,6 +212,7 @@ def _table_for(args: argparse.Namespace, need: int) -> RankTable:
             f"{MAX_TABLE_ROWS} rows; its memory grows as n^2")
     if not path:
         return build_rank_table(rows)
+    from .cache import CacheFormatError, load_table, save_table
     try:
         if os.path.exists(path):
             cached = load_table(path)
@@ -213,7 +220,7 @@ def _table_for(args: argparse.Namespace, need: int) -> RankTable:
                 return cached
         table = build_rank_table(args.n_max)
         save_table(table, path)
-    except OSError as exc:
+    except (OSError, CacheFormatError) as exc:
         raise UsageError(f"unusable table cache: {exc}") from exc
     return table
 
@@ -275,6 +282,7 @@ def _cmd_maxn(args: argparse.Namespace) -> OutputRecord:
         hi = args.hi
     if lo < 0 or hi < lo:
         raise UsageError("range must satisfy 0 <= from <= to")
+    from .maxprod import CLOSED_FORM_START, closed_form, max_table
     table = _table_for(args, hi)
     entries = max_table(table, args.r, args.t, hi)
     closed_start = (CLOSED_FORM_START[args.r]
@@ -320,6 +328,19 @@ def _cmd_convexity(args: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
+    from . import claims
+    from .bounds import (
+        LEHMER_ESTIMATE_MAX_N,
+        RATIO_CAP_2_DERIVED,
+        RATIO_CAPS,
+        envelope,
+        error_budget,
+        hardy_ramanujan,
+        lehmer_bounds,
+        lehmer_estimate,
+        main_term,
+        ratio_bound,
+    )
     n = args.n
     if n < 1:
         raise UsageError("--n must be >= 1")
@@ -366,26 +387,27 @@ def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
 
 # ---------------------------------------------------------- verify suites
 
-# Each verify suite's claim and the flags it reads, as {dest: keyword};
-# a flag left unset keeps the claim's default.
+# Each verify suite runs the `claims` function of its name, with the
+# flags it reads, as {dest: keyword}; a flag left unset keeps the
+# claim's default.
 _VERIFY = {
-    "tables": (claims.tables, {"n_max": "n_max"}),
-    "convexity": (claims.convexity, {"t": "t", "r": "r", "min": "a_min",
-                                     "max": "b_max", "n_max": "n_max"}),
-    "theorem2": (claims.theorem2, {"max": "hi", "n_max": "n_max"}),
-    "bounds": (claims.bounds, {"max": "hi"}),
-    "budget": (claims.budget, {"lo": "lo", "hi": "hi", "step": "step",
-                               "n_max": "n_max"}),
-    "conjectures": (claims.conjectures, {"max": "scan_max", "hi": "forms_hi",
-                                         "n_max": "n_max"}),
+    "tables": {"n_max": "n_max"},
+    "convexity": {"t": "t", "r": "r", "min": "a_min", "max": "b_max",
+                  "n_max": "n_max"},
+    "theorem2": {"max": "hi", "n_max": "n_max"},
+    "bounds": {"max": "hi"},
+    "budget": {"lo": "lo", "hi": "hi", "step": "step", "n_max": "n_max"},
+    "conjectures": {"max": "scan_max", "hi": "forms_hi", "n_max": "n_max"},
 }
 
 
-def _run_claim(args: argparse.Namespace, suite: str) -> claims.ClaimRecord:
-    claim, flags = _VERIFY[suite]
-    given = {keyword: getattr(args, dest) for dest, keyword in flags.items()
+def _run_claim(args: argparse.Namespace, suite: str) -> ClaimRecord:
+    from . import claims
+    given = {keyword: getattr(args, dest)
+             for dest, keyword in _VERIFY[suite].items()
              if getattr(args, dest) is not None}
-    return claim(lambda need: _table_for(args, need), **given)
+    return getattr(claims, suite)(lambda need: _table_for(args, need),
+                                  **given)
 
 
 def _cmd_verify(args: argparse.Namespace) -> OutputRecord:
@@ -479,9 +501,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         record = args.handler(args)
-    except CacheFormatError as exc:
-        print(f"error: unusable table cache: {exc}", file=sys.stderr)
-        return 2
     except (UsageError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,23 +8,22 @@ count once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import RankTable, residue_count
 
 __all__ = ["ConvexityReport", "check_pair", "scan_region", "sharpness_frontier"]
 
 
-@dataclass
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     """Result of one region scan.  Violations are (a, b, lhs, rhs) with
     a <= b, sorted; empty means the inequality held everywhere."""
     r: int
     t: int
     a_range: tuple[int, int]
     b_range: tuple[int, int]
-    pairs_checked: int = 0
-    violations: list[tuple[int, int, int, int]] = field(default_factory=list)
+    pairs_checked: int
+    violations: list[tuple[int, int, int, int]]
 
     @property
     def ok(self) -> bool:

@@ -18,9 +18,9 @@ its value and its size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
 from itertools import islice
+from typing import NamedTuple
 
 from .core import RankTable, enumerate_partitions, residue_count
 from .reference import counts_column, max_column
@@ -42,8 +42,7 @@ __all__ = [
 DEFAULT_OPTIMA_CAP = 64
 
 
-@dataclass(frozen=True)
-class MaxProductEntry:
+class MaxProductEntry(NamedTuple):
     """Best product for one n, with every attaining partition.
 
     optima is sorted ascending; truncated means the set was cut at the
@@ -54,12 +53,11 @@ class MaxProductEntry:
     truncated: bool = False
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one verification sweep."""
     name: str
-    checked: int = 0
-    mismatches: list = field(default_factory=list)
+    checked: int
+    mismatches: list
 
     @property
     def ok(self) -> bool:
@@ -256,16 +254,16 @@ def verify_closed_forms(table: RankTable, r: int, n_hi: int,
         raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
     _check_n_max(table, n_hi)
     lo = CLOSED_FORM_START[r] if n_lo is None else n_lo
-    report = VerificationReport(name=f"closed-forms r={r}")
     f = _count_row(table, r, 3, n_hi)
     best, cnt, _ = _best_and_count(f, n_hi)
+    checked, mismatches = 0, []
     for n in range(lo, n_hi + 1):
         value, parts = closed_form(r, n)
         product = math.prod(f[part] for part in parts)
         if best[n] != value or product != value or cnt[n] != 1:
-            report.mismatches.append((n, value, parts, best[n], cnt[n]))
-        report.checked += 1
-    return report
+            mismatches.append((n, value, parts, best[n], cnt[n]))
+        checked += 1
+    return VerificationReport(f"closed-forms r={r}", checked, mismatches)
 
 
 # Local replacement rules from the stabilization arguments: replacing
@@ -325,14 +323,14 @@ def replacement_rules(r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 def verify_replacement_rules(table: RankTable, r: int) -> VerificationReport:
     """product(after) > product(before), exactly, for every rule."""
     t = 3
-    report = VerificationReport(name=f"replacement-rules r={r}")
+    checked, mismatches = 0, []
     for before, after in replacement_rules(r):
         pb = product_over_partition(table, r, t, before)
         pa = product_over_partition(table, r, t, after)
         if sum(before) != sum(after) or pa <= pb:
-            report.mismatches.append((before, after, pb, pa))
-        report.checked += 1
-    return report
+            mismatches.append((before, after, pb, pa))
+        checked += 1
+    return VerificationReport(f"replacement-rules r={r}", checked, mismatches)
 
 
 def verify_small_tables(table: RankTable, r: int) -> VerificationReport:
@@ -340,15 +338,14 @@ def verify_small_tables(table: RankTable, r: int) -> VerificationReport:
     complete optima) over the tabulated range."""
     column = max_column(r)
     top = max(column)
-    report = VerificationReport(name=f"small-table r={r}")
     entries = max_table(table, r, 3, top)
+    checked, mismatches = 0, []
     for n, (value, optima) in sorted(column.items()):
         entry = entries[n]
         if entry.value != value or entry.optima != optima or entry.truncated:
-            report.mismatches.append(
-                (n, value, optima, entry.value, entry.optima))
-        report.checked += 1
-    return report
+            mismatches.append((n, value, optima, entry.value, entry.optima))
+        checked += 1
+    return VerificationReport(f"small-table r={r}", checked, mismatches)
 
 
 def _closure_size_mod2(h: int) -> int:
@@ -385,7 +382,7 @@ def conjecture_max_mod2(table: RankTable, r: int, n_hi: int,
     lo = max(lo, CONJECTURE_MOD2_START[r])
     f = _count_row(table, r, 2, n_hi)
     best, cnt, _ = _best_and_count(f, n_hi)
-    report = VerificationReport(name=f"max-mod2 r={r}")
+    checked, mismatches = 0, []
     for n in range(lo, n_hi + 1):
         swaps_keep_value = True
         if r == 0:
@@ -408,7 +405,7 @@ def conjecture_max_mod2(table: RankTable, r: int, n_hi: int,
             swaps_keep_value = f[4] == f[2] ** 2 and f[6] == f[2] ** 3
         if (best[n] != expected_value or cnt[n] != expected_count
                 or not swaps_keep_value):
-            report.mismatches.append(
+            mismatches.append(
                 (n, expected_value, best[n], expected_count, cnt[n]))
-        report.checked += 1
-    return report
+        checked += 1
+    return VerificationReport(f"max-mod2 r={r}", checked, mismatches)

@@ -11,7 +11,6 @@ the literal loops they replace.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
@@ -320,11 +319,11 @@ class TestDenseCertification:
         assert failures == []
 
     def test_allowance_only_tightens(self):
-        at_cap = replace(error_budget(500), total=BUDGET_CAP * 1000.0,
-                         lower=1000.0)
+        at_cap = error_budget(500)._replace(total=BUDGET_CAP * 1000.0,
+                                            lower=1000.0)
         assert at_cap.total <= BUDGET_CAP * at_cap.lower
         assert not claims.budget_holds(at_cap)
-        inside = replace(at_cap, total=100.0)
+        inside = at_cap._replace(total=100.0)
         assert claims.budget_holds(inside, Fraction(99))
         assert not claims.budget_holds(inside, Fraction(100) * (1 - 1e-10))
 

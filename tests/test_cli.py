@@ -200,7 +200,7 @@ class TestBounds:
                    "estimate overflows a double\n")
 
     def test_arithmetic_error_is_a_usage_error(self, monkeypatch):
-        monkeypatch.setattr("dysonrank.cli.lehmer_estimate", math.exp)
+        monkeypatch.setattr("dysonrank.bounds.lehmer_estimate", math.exp)
         assert run("bounds", "--n", "1000") == (
             2, "", "error: math range error\n")
 

@@ -1,0 +1,143 @@
+"""What the package imports, and when: a CLI call loads only the modules
+its subcommand runs, `import dysonrank` resolves its public names on
+first access, and the reports those names return cannot be mutated."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import dysonrank
+from dysonrank import bounds, claims, convexity, core, maxprod
+
+# Runs `python -m dysonrank ARGS` through runpy, the way -m does, then
+# prints the exit code and every module the process holds.
+_PROBE = """\
+import io, runpy, sys
+sys.argv = ["dysonrank", *sys.argv[1:]]
+out, sys.stdout = sys.stdout, io.StringIO()
+try:
+    runpy.run_module("dysonrank", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stdout = out
+print(code)
+print(*sorted(sys.modules))
+"""
+
+_LIBRARY = ("dysonrank.bounds", "dysonrank.maxprod", "dysonrank.claims",
+            "dysonrank.cache", "dysonrank.convexity", "dysonrank.reference")
+
+
+def _env() -> dict[str, str]:
+    """This environment, with the package's source first on the path."""
+    src = str(Path(dysonrank.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    """The modules a fresh `python -m dysonrank ARGV` has loaded when it
+    exits; the call itself must succeed."""
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv],
+                          capture_output=True, text=True, env=_env(),
+                          timeout=120, check=True)
+    code, modules = proc.stdout.splitlines()
+    assert code == "0", proc.stderr
+    return set(modules.split())
+
+
+class TestImportBudget:
+    @pytest.mark.parametrize("argv", [
+        ("count", "--r", "0", "--t", "3", "--n", "13"),
+        ("rank-table", "--from", "3", "--to", "5", "--n-max", "5"),
+    ])
+    def test_table_commands_load_only_core(self, argv):
+        modules = loaded_modules(*argv)
+        assert "dysonrank.core" in modules
+        assert not modules & {"dataclasses", "inspect", *_LIBRARY}
+
+    @pytest.mark.parametrize("argv", [
+        ("maxn", "--r", "0", "--n", "40"),
+        ("bounds", "--n", "600"),
+        ("convexity", "--r", "0", "--max", "40"),
+        ("verify", "tables"),
+    ])
+    def test_no_command_loads_dataclasses(self, argv):
+        assert "dataclasses" not in loaded_modules(*argv)
+
+
+class TestLazyNamespace:
+    def test_import_loads_no_submodule_until_a_name_is_read(self):
+        probe = """\
+import sys
+import dysonrank
+assert not [m for m in sys.modules if m.startswith("dysonrank.")]
+assert dysonrank.max_table is dysonrank.maxprod.max_table
+loaded = sorted(m for m in sys.modules if m.startswith("dysonrank."))
+assert loaded == ["dysonrank.core", "dysonrank.maxprod",
+                  "dysonrank.reference"], loaded
+assert dysonrank.bounds.mu is dysonrank.mu
+"""
+        subprocess.run([sys.executable, "-c", probe], env=_env(),
+                       check=True, timeout=60)
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(dysonrank.__all__) - {"__version__"}))
+    def test_every_public_name_is_its_home_object(self, name):
+        home = import_module(f"dysonrank.{dysonrank._HOME[name]}")
+        value = getattr(dysonrank, name)
+        assert value is getattr(home, name)
+        if callable(value):
+            assert value.__module__ == home.__name__
+
+    def test_named_examples(self):
+        assert dysonrank.max_table is maxprod.max_table
+        assert dysonrank.build_rank_table is core.build_rank_table
+        assert dysonrank.BUDGET_CAP is bounds.BUDGET_CAP
+
+    def test_star_import_binds_all(self):
+        namespace: dict = {}
+        exec("from dysonrank import *", namespace)
+        assert set(dysonrank.__all__) <= set(namespace)
+        assert namespace["__version__"] == dysonrank.__version__
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            dysonrank.no_such_name  # noqa: B018
+        assert not hasattr(dysonrank, "no_such_name")
+
+    def test_dir_lists_the_public_names_and_home_modules(self):
+        assert {*dysonrank.__all__, "bounds", "cache", "convexity", "core",
+                "maxprod"} <= set(dir(dysonrank))
+
+
+class TestReportsAreImmutable:
+    def test_convexity_report(self, table):
+        report = convexity.scan_region(table, 0, 3, 12, 40)
+        with pytest.raises(AttributeError):
+            report.pairs_checked = 0
+
+    def test_verification_report(self, table):
+        report = maxprod.verify_closed_forms(table, 0, 60)
+        with pytest.raises(AttributeError):
+            report.checked = 0
+
+    def test_claim_record(self, table):
+        record = claims.tables(lambda need: table)
+        with pytest.raises(AttributeError):
+            record.failures = 0
+
+    def test_value_records(self, table):
+        for value, field in ((bounds.lehmer_bounds(500), "mu"),
+                             (bounds.error_budget(500), "total"),
+                             (maxprod.max_table(table, 0, 3, 5)[5], "value")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
