@@ -1,9 +1,9 @@
 """Exact Dyson rank statistics for integer partitions.
 
-The package builds exact tables of rank counts N(m, n), aggregates them
-into residue counts N(r, t; n), checks those counts against analytic
-envelopes and error budgets, verifies multiplicative convexity of the
-residue counts, and maximizes products of residue counts over the parts
+The package computes exact residue counts N(r, t; n) of Dyson's rank,
+and rows of rank counts N(m, n) where they are asked for.  It checks
+those counts against analytic envelopes and error budgets, verifies
+multiplicative convexity of the residue counts, and maximizes products of residue counts over the parts
 of a partition, including closed forms for the maximizing partitions.
 
 `import dysonrank` is lazy: each public name is imported from its home
@@ -32,7 +32,8 @@ _EXPORTS = {
     "core": (
         "RankTable", "a_third_exact", "brute_rank_counts", "build_rank_table",
         "decomposition_check", "enumerate_partitions", "partition_number",
-        "partition_numbers", "rank", "rank_count", "residue_count",
+        "partition_numbers", "rank", "rank_count", "residue_column",
+        "residue_count",
     ),
     "maxprod": (
         "MaxProductEntry", "VerificationReport", "brute_max", "closed_form",

@@ -6,6 +6,8 @@ a `table_for(need)` callable returning a RankTable with counts up to at
 least `need`, and returns a ClaimRecord.  An `n_max` is only reported
 with the parameters, and a range error names the CLI flag that sets it.
 The per-n inequalities that the `bounds` command shares live here too.
+Each suite imports the `convexity`, `maxprod` and `reference` modules
+it runs, so `dysonrank bounds` loads none of them.
 """
 
 from __future__ import annotations
@@ -25,16 +27,7 @@ from .bounds import (
     lemma_threshold,
     main_term_decimal,
 )
-from .convexity import scan_region
 from .core import RankTable, a_third_exact, partition_numbers, residue_count
-from .maxprod import (
-    conjecture_max_mod2,
-    replacement_rules,
-    verify_closed_forms,
-    verify_replacement_rules,
-    verify_small_tables,
-)
-from .reference import counts_column
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -103,6 +96,7 @@ def ratio_caps_hold(ratios: list[float]) -> bool:
 def _scan(table: RankTable, r: int, t: int, a_min: int,
           b_max: int) -> dict[str, Any]:
     """One product-inequality scan as a report row."""
+    from .convexity import scan_region
     report = scan_region(table, r, t, a_min, b_max)
     return {"r": r, "min": a_min, "max": b_max,
             "pairs_checked": report.pairs_checked,
@@ -112,6 +106,8 @@ def _scan(table: RankTable, r: int, t: int, a_min: int,
 
 def tables(table_for: TableFor, n_max: int | None = None) -> ClaimRecord:
     """The golden small-n count columns and max-product tables, t = 3."""
+    from .maxprod import verify_small_tables
+    from .reference import counts_column
     table = table_for(32)
     rows = []
     for r in (0, 1, 2):
@@ -155,6 +151,8 @@ def theorem2(table_for: TableFor, hi: int = 500,
              n_max: int | None = None) -> ClaimRecord:
     """Theorem 2: the closed forms are the unique optima up to hi, and
     the replacement rules they rest on raise the product."""
+    from .maxprod import (replacement_rules, verify_closed_forms,
+                          verify_replacement_rules)
     # The replacement rules read their parts whatever hi is.
     rule_top = max(part for r in (0, 1, 2) for rule in replacement_rules(r)
                    for parts in rule for part in parts)
@@ -222,6 +220,7 @@ def conjectures(table_for: TableFor, scan_max: int = 300, forms_hi: int = 200,
                 n_max: int | None = None) -> ClaimRecord:
     """The t = 2 analogues: product scans to scan_max from
     SCAN_THRESHOLDS, and closed forms with their optima to forms_hi."""
+    from .maxprod import conjecture_max_mod2
     table = table_for(max(2 * scan_max, forms_hi))
     rows = [{"kind": "product-scan", "r": r, "t": 2,
              **_scan(table, r, 2, SCAN_THRESHOLDS[(2, r)], scan_max)}

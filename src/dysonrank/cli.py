@@ -5,6 +5,12 @@ results, status) and renders it as text, CSV, or JSON.  Structured
 output is deterministic: stable key order, big integers as decimal
 strings.
 
+Residue counts come from residue columns, so a command that reports
+counts gets a table without rows and computes none.  Only `rank-table
+--from/--to` and `count --show-row` print rank rows; they compute the
+rows they print, or read them from --table-cache, which no other
+command reads or writes.
+
 Exit codes: 0 success (including conjecture mismatches, which are
 reported but never gate), 1 a verified claim failed, 2 usage error,
 including a table cache that cannot be read, written or trusted and
@@ -16,17 +22,17 @@ subcommand needs:
 
 - count, rank-table: `core` only;
 - maxn: also `maxprod` (and `reference`, which it reads);
-- convexity, verify: `claims`, which loads every module but `cache`;
 - bounds: `bounds` and `claims`;
-- any command given --table-cache: also `cache`.
+- convexity: also `convexity`;
+- verify: `claims` and the modules its suite runs;
+- rank-table and count --show-row given --table-cache: also `cache`;
+- --format json or csv: also `json` or `csv`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import re
 import sys
@@ -48,10 +54,11 @@ _INT_RE = re.compile(r"-?[0-9]+\Z")
 
 _EXIT_BY_STATUS = {"ok": 0, "violation-found": 1, "conjecture-mismatch": 0}
 
-# The largest rank table a call may build.  A table's memory grows as
-# n^2: on a 2-vCPU host with Python 3.11, 2000 rows took 0.54 s and a
-# 131 MiB peak RSS and 3000 rows 1.6 s and 288 MiB, so 5000 rows is
-# about 0.8 GB.
+# The largest n a call may read: the length of a residue column, and the
+# size of a table that --table-cache builds.  A full table's memory
+# grows as n^2: on a 2-vCPU host with Python 3.11, 2000 rows took 0.54 s
+# and a 131 MiB peak RSS and 3000 rows 1.6 s and 288 MiB, so 5000 rows
+# is about 0.8 GB.
 MAX_TABLE_ROWS = 5000
 
 
@@ -121,10 +128,12 @@ def _decode(value: Any) -> Any:
 
 
 def record_to_json(record: OutputRecord) -> str:
+    import json
     return json.dumps(_encode(record.as_dict()), indent=2)
 
 
 def record_from_json(text: str) -> OutputRecord:
+    import json
     data = json.loads(text)
     decoded = {"command": data["command"],
                "parameters": _decode(data["parameters"]),
@@ -172,6 +181,7 @@ def render_text(record: OutputRecord) -> str:
 
 
 def render_csv(record: OutputRecord) -> str:
+    import csv
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -191,27 +201,30 @@ def render(record: OutputRecord, fmt: str) -> str:
 # ---------------------------------------------------------------- table
 
 
-def _table_for(args: argparse.Namespace, need: int) -> RankTable:
-    """A table holding counts up to at least `need`.  Without a cache it
-    is built to `need` alone; --n-max only caps what a call may read.
-    With a cache, the cached table serves when it is big enough;
-    otherwise one is built at --n-max and saved, since filling the
-    cache is the point of naming one.  A cache path that cannot be read
-    or written, or a table that would be built past MAX_TABLE_ROWS, is
-    a usage error."""
+def _table_for(args: argparse.Namespace, need: int,
+               rows: bool = False) -> RankTable:
+    """A table holding counts up to at least `need`; --n-max only caps
+    what a call may read.  Without a cache the table is sized to `need`
+    and holds no rows: residue counts come from columns, and a row is
+    computed when it is read.  A command that prints rows (`rows`) and
+    names a cache is served by the cached table when it is big enough;
+    otherwise one is built at --n-max and saved, since filling the cache
+    is the point of naming one.  Other commands ignore the cache.  A
+    cache path that cannot be read or written, or a table past
+    MAX_TABLE_ROWS, is a usage error."""
     if need > args.n_max:
         raise UsageError(
             f"this command requires --n-max >= {need} (got {args.n_max})")
-    path = args.table_cache
-    # A negative need reads no rows; a negative --n-max still fails in
-    # the builder.
-    rows = args.n_max if path else min(max(need, 0), args.n_max)
-    if rows > MAX_TABLE_ROWS:
+    path = args.table_cache if rows else None
+    # A negative need reads nothing; a negative --n-max still fails in
+    # RankTable.
+    size = args.n_max if path else min(max(need, 0), args.n_max)
+    if size > MAX_TABLE_ROWS:
         raise UsageError(
-            f"a rank table to n = {rows} is past the ceiling of "
+            f"a rank table to n = {size} is past the ceiling of "
             f"{MAX_TABLE_ROWS} rows; its memory grows as n^2")
     if not path:
-        return build_rank_table(rows)
+        return RankTable(size)
     from .cache import CacheFormatError, load_table, save_table
     try:
         if os.path.exists(path):
@@ -231,7 +244,7 @@ def _table_for(args: argparse.Namespace, need: int) -> RankTable:
 def _cmd_count(args: argparse.Namespace) -> OutputRecord:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
-    table = _table_for(args, args.n)
+    table = _table_for(args, args.n, rows=args.show_row)
     value = residue_count(table, args.r, args.t, args.n)
     params = {"r": args.r, "t": args.t, "n": args.n, "n_max": args.n_max}
     results: dict[str, Any] = {"count": value}
@@ -250,7 +263,8 @@ def _cmd_rank_table(args: argparse.Namespace) -> OutputRecord:
         raise UsageError("row range must satisfy 0 <= --from <= --to")
     # The summary reports --n-max and p(--n-max), not the size of the
     # table, since a cached table may hold more rows than the call asks.
-    table = _table_for(args, max(args.n_max, 0 if hi is None else hi))
+    table = _table_for(args, max(args.n_max, 0 if hi is None else hi),
+                       rows=True)
     params: dict[str, Any] = {"n_max": args.n_max}
     results: dict[str, Any] = {"n_max": args.n_max,
                                "partitions_of_n_max": partition_number(
@@ -431,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "--n-max; a table past "
                              f"{MAX_TABLE_ROWS} rows is refused")
     common.add_argument("--table-cache", dest="table_cache", metavar="PATH",
-                        help="load/save the rank table from this file")
+                        help="load/save the rank table from this file; "
+                             "read only by commands that print rank rows "
+                             "(rank-table --from/--to, count --show-row)")
 
     parser = argparse.ArgumentParser(
         prog="dysonrank",

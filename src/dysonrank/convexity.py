@@ -1,16 +1,16 @@
 """Multiplicative convexity of residue counts.
 
 The claim under test: N(r, t; a) N(r, t; b) > N(r, t; a + b) once both
-a and b are large enough.  Everything is exact integer arithmetic on a
-prebuilt table; the scan exploits symmetry in (a, b) and reads each
-count once.
+a and b are large enough.  Everything is exact integer arithmetic on
+residue columns; the table only bounds the n a scan may read.  The
+scan exploits symmetry in (a, b) and reads each count once.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import RankTable, residue_count
+from .core import RankTable, residue_column, residue_count
 
 __all__ = ["ConvexityReport", "check_pair", "scan_region", "sharpness_frontier"]
 
@@ -53,9 +53,7 @@ def scan_region(table: RankTable, r: int, t: int, a_min: int, b_max: int,
     if a_hi + b_max > table.n_max:
         raise ValueError(
             f"scan needs counts up to {a_hi + b_max} but table holds {table.n_max}")
-    counts = [0] * (a_hi + b_max + 1)
-    for n in range(1, a_hi + b_max + 1):
-        counts[n] = residue_count(table, r, t, n)
+    counts = residue_column(r, t, a_hi + b_max)
 
     checked = 0
     bad = []

@@ -1,13 +1,15 @@
 """Exact rank statistics of integer partitions.
 
 The rank of a partition is its largest part minus its number of parts.
-The central object here is the table of counts N(m, n), the number of
-partitions of n with rank m.  By the Atkin-Swinnerton-Dyer formula for
-fixed rank (see build_rank_table), the number of partitions of n with
-rank >= m is a short alternating sum of partition numbers p(n - a);
-for each k of that sum the terms over m = 0, 1, ... form one strided
-slice of p, so a row costs one list-wide pass per k.  p(n) comes from
-Euler's pentagonal recurrence.  All counts are exact integers; nothing
+Every claim checked in this package reads residue columns N(r, t; n),
+the number of partitions of n with rank congruent to r modulo t, for
+n = 0 .. n_max.  A column is a sparse numerator, read off the
+Atkin-Swinnerton-Dyer formula for fixed rank, divided by Euler's
+product (q)_inf; that division is the pentagonal recurrence that also
+gives p(n), and costs O(n^1.5) exact additions with no n x n storage
+(see residue_column).  The rank rows N(m, n), every rank m of one n,
+are computed only where a caller reads them, each from strided slices
+of p (see build_rank_table).  All counts are exact integers; nothing
 here ever passes through a float.
 """
 
@@ -29,31 +31,53 @@ __all__ = [
     "partition_numbers",
     "rank",
     "rank_count",
+    "residue_column",
     "residue_count",
 ]
 
 
 _pcache = [1]
+# Residue columns by (r, t), each N(r, t; 0 .. len - 1); extended, never
+# recomputed, when a longer one is asked for.
+_columns: dict[tuple[int, int], list[int]] = {}
+
+
+def _divide_by_euler(series: list[int], numerator: Sequence[int],
+                     n: int) -> None:
+    """Extend series, the coefficients c of a / (q)_inf, from degree
+    len(series) to degree n; numerator[i] is a's coefficient of degree
+    len(series) + i.
+
+    By Euler's pentagonal theorem (q)_inf = 1 + sum_{k>=1} (-1)^k
+    (q^(g_k) + q^(g_k + k)) with g_k = k(3k-1)/2, so
+
+        c[m] = a[m] + sum_{k>=1} (-1)^(k-1) (c[m - g_k] + c[m - g_k - k])
+
+    over the terms with an index >= 0."""
+    steps = []  # (g_k, g_k + k, k odd) for every g_k <= n
+    k, g = 1, 1
+    while g <= n:
+        steps.append((g, g + k, k & 1))
+        g += 3 * k + 1  # g_(k+1) - g_k
+        k += 1
+    lo = len(series)
+    for m in range(lo, n + 1):
+        total = numerator[m - lo]
+        for g, h, odd in steps:
+            if g > m:
+                break
+            v = series[m - g] + series[m - h] if h <= m else series[m - g]
+            if odd:
+                total += v
+            else:
+                total -= v
+        series.append(total)
 
 
 def _extend_pcache(n: int) -> None:
-    # Euler's pentagonal recurrence; generalized pentagonal numbers are
-    # k(3k-1)/2 and k(3k+1)/2 with alternating signs.
-    p = _pcache
-    for m in range(len(p), n + 1):
-        total = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2
-            if g > m:
-                break
-            s = -1 if k % 2 == 0 else 1
-            total += s * p[m - g]
-            g += k
-            if g <= m:
-                total += s * p[m - g]
-            k += 1
-        p.append(total)
+    # 1/(q)_inf = sum_n p(n) q^n: the numerator is 1, and p(0) = 1 is
+    # stored from the start.
+    _divide_by_euler(_pcache, [0] * (n + 1 - len(_pcache)), n)
 
 
 def partition_number(n: int) -> int:
@@ -125,23 +149,41 @@ class RankTable:
     """Counts N(m, n) for all 0 <= n <= n_max.
 
     Row n covers m in [-(n-1), n-1]; row 0 is the single count 1 for the
-    empty partition.  Instances are built once and never change: row()
-    hands out a fresh copy, so a caller that mutates it cannot corrupt
-    the table.
+    empty partition.  A table made without rows computes each row the
+    first time it is read and keeps it; residue counts read columns and
+    never a row.  row() hands out a fresh copy, so a caller that
+    mutates it cannot corrupt the table.
     """
 
     __slots__ = ("n_max", "_rows")
 
-    def __init__(self, n_max: int, rows: list[list[int]]):
-        if len(rows) != n_max + 1:
+    def __init__(self, n_max: int, rows: list[list[int]] | None = None):
+        if n_max < 0:
+            raise ValueError("n_max must be nonnegative")
+        if rows is None:
+            rows = [None] * (n_max + 1)
+        elif len(rows) != n_max + 1:
             raise ValueError("row count does not match n_max")
         self.n_max = n_max
-        self._rows = rows
+        self._rows: list[list[int] | None] = rows
+
+    def _row(self, n: int) -> list[int]:
+        """The stored row n, computed on first read; n must be in range."""
+        row = self._rows[n]
+        if row is None:
+            if n == 0:
+                row = [1]
+            else:
+                partition_number(n)  # extends _pcache to n
+                half = _half_row(_pcache, n)
+                row = half[:0:-1] + half
+            self._rows[n] = row
+        return row
 
     def row(self, n: int) -> list[int]:
         """Counts for m = -(n-1) .. n-1 in order, as a new list."""
         self._check_n(n)
-        return list(self._rows[n])
+        return list(self._row(n))
 
     def count(self, m: int, n: int) -> int:
         self._check_n(n)
@@ -149,7 +191,7 @@ class RankTable:
             return 1 if m == 0 else 0
         if m <= -n or m >= n:
             return 0
-        return self._rows[n][m + n - 1]
+        return self._row(n)[m + n - 1]
 
     def _check_n(self, n: int) -> None:
         if not isinstance(n, int):
@@ -160,7 +202,8 @@ class RankTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RankTable):
             return NotImplemented
-        return self.n_max == other.n_max and self._rows == other._rows
+        return self.n_max == other.n_max and all(
+            self._row(n) == other._row(n) for n in range(self.n_max + 1))
 
     def __repr__(self) -> str:
         return f"RankTable(n_max={self.n_max})"
@@ -184,20 +227,19 @@ def build_rank_table(n_max: int) -> RankTable:
     m = 0, 1, ... are the stride -k slice p[n - g_k :: -k], so each k
     adds or subtracts one slice into F.  Rows are symmetric,
     N(-m, n) = N(m, n), so each row is the half m = 0 .. n-1 mirrored.
+
+    Every row is computed before this returns; RankTable(n_max) gives
+    the same table with each row computed when it is first read.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    p = partition_numbers(n_max)
-    rows: list[list[int]] = [[1]]
-    for n in range(1, n_max + 1):
-        half = _half_row(p, n)
-        rows.append(half[:0:-1] + half)
-    return RankTable(n_max, rows)
+    table = RankTable(n_max)
+    for n in range(n_max + 1):
+        table._row(n)
+    return table
 
 
 def _half_row(p: Sequence[int], n: int) -> list[int]:
-    """N(m, n) for m = 0 .. n-1 by the formula above, given p(0..n);
-    n >= 1."""
+    """N(m, n) for m = 0 .. n-1 by the formula above, given p at least
+    to n; n >= 1."""
     # k = 1 gives F(m, n) = p(n - 1 - m); no partition of n has rank n.
     f = [*p[n - 1::-1], 0]
     k = 2
@@ -216,19 +258,85 @@ def rank_count(table: RankTable, m: int, n: int) -> int:
     return table.count(m, n)
 
 
-def residue_count(table: RankTable, r: int, t: int, n: int) -> int:
-    """N(r, t; n): partitions of n with rank congruent to r modulo t."""
+def _residue_numerator(r: int, t: int, lo: int, hi: int) -> list[int]:
+    """Coefficients of degrees lo .. hi of the numerator in
+    residue_column, so that extending a column costs only its new
+    degrees."""
+    terms = [0] * (hi + 1 - lo)
+    if r == 0 and lo == 0:
+        terms[0] = 1
+    k, g = 1, 1  # g = g_k = k(3k-1)/2
+    while g <= hi:
+        sign = 1 if k & 1 else -1
+        if r == 0:
+            # [r = 0] (q)_inf: the empty partition's 1 times Euler's product
+            for e in (g, g + k):
+                if lo <= e <= hi:
+                    terms[e - lo] -= sign
+        # |m| over m = r + jt and m = r - t - jt (j >= 0), so each m != 0
+        # counts as both m and -m: r = 0 lists 0 once and +-jt for j >= 1.
+        # Each |m| adds sign q^e (1 - q^k) with e = g_k + |m| k.
+        step = t * k
+        for start in (r, t - r):
+            e = g + start * k
+            if e + k < lo:  # skip to the first term that reaches lo
+                e += (lo - k - e + step - 1) // step * step
+            for e in range(e, hi + 1, step):
+                if e >= lo:
+                    terms[e - lo] += sign
+                if lo <= e + k <= hi:
+                    terms[e + k - lo] -= sign
+        g += 3 * k + 1
+        k += 1
+    return terms
+
+
+def _column(r: int, t: int, n_max: int) -> list[int]:
+    """The stored column of (r, t), at least to n_max; validated."""
     if t < 1:
         raise ValueError("modulus t must be positive")
     if not 0 <= r < t:
         raise ValueError("residue r must satisfy 0 <= r < t")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    column = _columns.setdefault((r, t), [])
+    if len(column) <= n_max:
+        _divide_by_euler(
+            column, _residue_numerator(r, t, len(column), n_max), n_max)
+    return column
+
+
+def residue_column(r: int, t: int, n_max: int) -> tuple[int, ...]:
+    """N(r, t; n) for n = 0 .. n_max: partitions of n with rank
+    congruent to r modulo t.
+
+    Summing the Atkin-Swinnerton-Dyer formula for fixed rank m (see
+    build_rank_table) over every m = r (mod t), with m and -m counted
+    apart, gives
+
+        sum_n N(r, t; n) q^n = [r = 0]
+            + (1/(q)_inf) sum_{k>=1} (-1)^(k-1) q^(g_k) (1 - q^k) S(q^k),
+
+    where g_k = k(3k-1)/2 and S(x) = sum_{m = r (mod t)} x^|m|, that is
+    (x^r + x^(t-r)) / (1 - x^t), or (1 + x^t) / (1 - x^t) when r = 0.
+    Writing [r = 0] as (q)_inf / (q)_inf puts everything over (q)_inf.
+    The numerator has O((n_max / t) log n_max) nonzero terms, each +-1,
+    and dividing by (q)_inf is the pentagonal recurrence of p(n).
+
+    Columns are kept per (r, t) for the life of the process: a longer
+    request extends the stored column and never recomputes it.  The
+    tuple returned is a copy, which no caller can change."""
+    return tuple(_column(r, t, n_max)[:n_max + 1])
+
+
+def residue_count(table: RankTable, r: int, t: int, n: int) -> int:
+    """N(r, t; n): partitions of n with rank congruent to r modulo t.
+
+    Read from the residue column, which is computed to the table's
+    n_max on first use; no row of the table is read."""
+    column = _column(r, t, table.n_max)
     table._check_n(n)
-    if n == 0:
-        return 1 if r == 0 else 0
-    row = table._rows[n]
-    # row index i holds m = i - (n-1), so i runs over (r + n - 1) mod t steps
-    start = (r + n - 1) % t
-    return sum(row[start::t])
+    return column[n]
 
 
 def a_third_exact(table: RankTable, n: int) -> int:
@@ -250,12 +358,8 @@ def decomposition_check(table: RankTable, r: int, t: int, n: int,
     to the full rank row through an identity neither is built from.
     """
     exact = residue_count(table, r, t, n)
-    if n == 0:
-        row: list[int] = [1]
-        lo = 0
-    else:
-        row = table._rows[n]
-        lo = -(n - 1)
+    row = table._row(n)
+    lo = 0 if n == 0 else -(n - 1)
     acc = complex(partition_number(n))
     for j in range(1, t):
         z = cmath.exp(2j * cmath.pi * j / t)

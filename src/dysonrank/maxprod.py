@@ -22,7 +22,7 @@ from collections.abc import Iterator, Sequence
 from itertools import islice
 from typing import NamedTuple
 
-from .core import RankTable, enumerate_partitions, residue_count
+from .core import RankTable, enumerate_partitions, residue_column, residue_count
 from .reference import counts_column, max_column
 
 __all__ = [
@@ -83,8 +83,19 @@ def product_over_partition(table: RankTable, r: int, t: int,
     return out
 
 
+def _check_n_max(table: RankTable, n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if n_max > table.n_max:
+        raise ValueError(
+            f"needs counts up to {n_max} but table holds {table.n_max}")
+
+
 def _count_row(table: RankTable, r: int, t: int, n_max: int) -> list[int]:
-    return [0] + [residue_count(table, r, t, j) for j in range(1, n_max + 1)]
+    """f[j] = N(r, t; j) for 1 <= j <= n_max, the score of a part j;
+    f[0] = 0, since no part is 0."""
+    _check_n_max(table, n_max)
+    return [0, *residue_column(r, t, n_max)[1:]]
 
 
 def _walk_optima(best: list[int], top: list[int], f: list[int],
@@ -116,14 +127,6 @@ def _walk_optima(best: list[int], top: list[int], f: list[int],
             else:
                 c -= 1
         yield tuple(path)
-
-
-def _check_n_max(table: RankTable, n_max: int) -> None:
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max > table.n_max:
-        raise ValueError(
-            f"needs counts up to {n_max} but table holds {table.n_max}")
 
 
 def _best_and_count(f: list[int], n_max: int
@@ -164,7 +167,6 @@ def max_table(table: RankTable, r: int, t: int, n_max: int,
     truncated set is always the same prefix of the reverse
     lexicographic order."""
     _validate_rt(r, t)
-    _check_n_max(table, n_max)
     f = _count_row(table, r, t, n_max)
     best, _, top = _best_and_count(f, n_max)
     limit = None if optima_cap is None else optima_cap + 1
@@ -252,7 +254,6 @@ def verify_closed_forms(table: RankTable, r: int, n_hi: int,
     recorded as (n, value, parts, best, count)."""
     if r not in CLOSED_FORM_START:
         raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
-    _check_n_max(table, n_hi)
     lo = CLOSED_FORM_START[r] if n_lo is None else n_lo
     f = _count_row(table, r, 3, n_hi)
     best, cnt, _ = _best_and_count(f, n_hi)
@@ -377,7 +378,6 @@ def conjecture_max_mod2(table: RankTable, r: int, n_hi: int,
     count)."""
     if r not in (0, 1):
         raise ValueError("the t = 2 conjectures cover r in {0, 1}")
-    _check_n_max(table, n_hi)
     lo = CONJECTURE_MOD2_START[r] if n_lo is None else n_lo
     lo = max(lo, CONJECTURE_MOD2_START[r])
     f = _count_row(table, r, 2, n_hi)

@@ -21,6 +21,7 @@ from dysonrank import bounds, claims
 from dysonrank import (
     a_third_exact,
     BUDGET_CAP,
+    RankTable,
     RATIO_CAP_2_DERIVED,
     RATIO_CAPS,
     envelope,
@@ -297,8 +298,9 @@ class TestDecimalMainTerm:
 
 
 class TestDenseCertification:
-    """The n >= 500 claims at every integer n up to 20000, and the
-    allowance their shared budget predicate keeps."""
+    """The n >= 500 claims at every integer n up to 20000, the residue
+    envelope at every n up to 10000, and the allowance their shared
+    budget predicate keeps."""
 
     def test_budget_ratios_and_lemma_at_every_n(self):
         hi = 20000
@@ -316,6 +318,14 @@ class TestDenseCertification:
             previous = ratios
             if not lemma_threshold(n):
                 failures.append(("lemma", n))
+        assert failures == []
+
+    def test_residue_envelope_at_every_n(self):
+        # The exact counts N(r,3;n) come from the residue columns; the
+        # table holds no row.
+        table = RankTable(10000)
+        failures = [n for n in range(500, 10001)
+                    if not residue_envelope_check(table, n)]
         assert failures == []
 
     def test_allowance_only_tightens(self):

@@ -104,7 +104,8 @@ class TestMalformedInput:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["count", "--r", "0", "--t", "3", "--n", "0",
-                         "--n-max", "4", "--table-cache", str(old)])
+                         "--n-max", "4", "--show-row", "--table-cache",
+                         str(old)])
         assert code == 2
         assert out.getvalue() == ""
         assert err.getvalue() == (

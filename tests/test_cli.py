@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output formats, golden strings,
-serialization round trips, exit codes, and the table cache."""
+serialization round trips, exit codes, and the table cache, which only
+the row-printing commands read."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import pytest
 
 import dysonrank
 from dysonrank import build_rank_table, load_table
+from dysonrank.core import _half_row
 from dysonrank.cli import (
     MAX_TABLE_ROWS,
     OutputRecord,
@@ -242,10 +244,10 @@ class TestVerifySuites:
     @pytest.mark.parametrize("r", ["5", "-1"])
     def test_convexity_rejects_r_before_building(self, monkeypatch, command,
                                                  r):
-        def refuse(n):
-            raise AssertionError(f"built to {n}")
+        def refuse(args, need, rows=False):
+            raise AssertionError(f"table to {need} asked for")
 
-        monkeypatch.setattr("dysonrank.cli.build_rank_table", refuse)
+        monkeypatch.setattr("dysonrank.cli._table_for", refuse)
         assert run(*command, "--t", "2", "--r", r, "--max", "500") == (
             2, "", "error: residue r must satisfy 0 <= r < t\n")
 
@@ -286,17 +288,16 @@ class TestVerifySuites:
         assert (code, out) == (2, "")
         assert "500 <= --from" in err
 
-    def test_budget_past_the_double_main_term(self, monkeypatch,
-                                              a_third_from_row):
-        # A(n) from single rows stands in for a 4350-row table.  With
-        # the double main term, n = 4347 was a false violation.
-        monkeypatch.setattr("dysonrank.cli._table_for", lambda args, need: None)
-        monkeypatch.setattr("dysonrank.claims.a_third_exact",
-                            lambda table, n: a_third_from_row(n))
+    def test_budget_past_the_double_main_term(self, a_third_from_row):
+        # A(n) comes from two residue columns, checked here against one
+        # rank row.  With the double main term, n = 4347 was a false
+        # violation.
         code, out, _ = run("verify", "budget", "--from", "4340", "--to",
                            "4350", "--step", "1", "--n-max", "4350")
         assert code == 0
         assert "result.rows[7].n = 4347" in out
+        assert (f"result.rows[7].a_third = {a_third_from_row(4347)}\n"
+                in out)
         assert "result.failures = 0" in out
 
     def test_conjectures_always_exit_zero(self):
@@ -311,6 +312,9 @@ class TestVerifySuites:
 
 
 class TestTableCache:
+    """Only the commands that print rank rows read or write the cache:
+    `rank-table` and `count --show-row`."""
+
     def test_cache_created_and_reused(self, tmp_path):
         path = tmp_path / "t.rnkt"
         code, _, _ = run("rank-table", "--n-max", "40", "--table-cache",
@@ -319,7 +323,8 @@ class TestTableCache:
         assert load_table(path).n_max == 40
         before = path.read_bytes()
         code, out, _ = run("count", "--r", "0", "--t", "3", "--n", "22",
-                           "--n-max", "40", "--table-cache", str(path))
+                           "--n-max", "40", "--show-row", "--table-cache",
+                           str(path))
         assert code == 0
         assert "result.count = 340" in out
         assert path.read_bytes() == before  # served from cache, not rebuilt
@@ -328,7 +333,8 @@ class TestTableCache:
         path = tmp_path / "t.rnkt"
         run("rank-table", "--n-max", "30", "--table-cache", str(path))
         code, out, _ = run("count", "--r", "0", "--t", "3", "--n", "50",
-                           "--n-max", "60", "--table-cache", str(path))
+                           "--n-max", "60", "--show-row", "--table-cache",
+                           str(path))
         assert code == 0
         assert load_table(path).n_max == 60
 
@@ -358,20 +364,48 @@ class TestTableCache:
         run("rank-table", "--n-max", "30", "--table-cache", str(path))
         path.write_bytes(path.read_bytes()[:10])
         code, _, err = run("count", "--r", "0", "--t", "3", "--n", "5",
-                           "--n-max", "30", "--table-cache", str(path))
+                           "--n-max", "30", "--show-row", "--table-cache",
+                           str(path))
         assert code == 2
         assert "cache" in err
 
     def test_unreadable_cache_path_is_usage_error(self, tmp_path):
         code, out, err = run("count", "--r", "0", "--t", "3", "--n", "5",
-                             "--n-max", "10", "--table-cache", str(tmp_path))
+                             "--n-max", "10", "--show-row", "--table-cache",
+                             str(tmp_path))
         assert code == 2
         assert out == ""
         assert err.startswith("error: unusable table cache:")
 
+    @pytest.mark.parametrize("argv", [
+        ("count", "--r", "0", "--t", "3", "--n", "13"),
+        ("maxn", "--r", "0", "--n", "40", "--show-partitions"),
+        ("convexity", "--r", "0", "--max", "30"),
+        ("verify", "tables"),
+    ])
+    @pytest.mark.parametrize("kind", ["corrupt", "directory"])
+    def test_counting_commands_ignore_an_unusable_cache(self, tmp_path, argv,
+                                                        kind):
+        if kind == "corrupt":
+            path = tmp_path / "t.rnkt"
+            path.write_bytes(b"RNKT\x02\x00")
+        else:
+            path = tmp_path / "cache"
+            path.mkdir()
+        before = path.read_bytes() if kind == "corrupt" else []
+        want = run(*argv, "--n-max", "64")
+        assert want[0] == 0
+        assert run(*argv, "--n-max", "64", "--table-cache", str(path)) == want
+        after = (path.read_bytes() if kind == "corrupt"
+                 else list(path.iterdir()))
+        assert after == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
 
 class TestTablePolicy:
-    """Tables are built to what a call reads; with a cache, at --n-max."""
+    """A call gets a table sized to what it reads.  Residue counts come
+    from columns; a row is computed only where it is printed, and with
+    a cache the table is built at --n-max."""
 
     @pytest.fixture()
     def built(self, monkeypatch):
@@ -384,27 +418,70 @@ class TestTablePolicy:
         monkeypatch.setattr("dysonrank.cli.build_rank_table", recording)
         return sizes
 
-    def test_count_builds_to_n(self, built):
-        code, out, _ = run("count", "--r", "0", "--t", "3", "--n", "13")
+    @pytest.fixture()
+    def sized(self, monkeypatch):
+        """n_max of every table a command is handed."""
+        from dysonrank import cli
+        sizes = []
+        table_for = cli._table_for
+
+        def recording(args, need, rows=False):
+            table = table_for(args, need, rows)
+            sizes.append(table.n_max)
+            return table
+
+        monkeypatch.setattr(cli, "_table_for", recording)
+        return sizes
+
+    @pytest.fixture()
+    def computed_rows(self, monkeypatch):
+        """Every n whose rank row is computed."""
+        rows = []
+
+        def recording(p, n):
+            rows.append(n)
+            return _half_row(p, n)
+
+        monkeypatch.setattr("dysonrank.core._half_row", recording)
+        return rows
+
+    def test_count_builds_to_n(self, built, sized, computed_rows):
+        code, out, _ = run("count", "--r", "0", "--t", "3", "--n", "13",
+                           "--show-row")
         assert code == 0
         assert "param.n_max = 1024\n" in out
-        assert built == [13]
+        assert sized == [13]
+        assert computed_rows == [13]
+        assert built == []
 
-    def test_verify_tables_builds_to_32(self, built):
+    def test_verify_tables_builds_to_32(self, built, sized, computed_rows):
         code, _, _ = run("verify", "tables")
         assert code == 0
-        assert built == [32]
+        assert sized == [32]
+        assert computed_rows == []
+        assert built == []
 
-    def test_rank_table_builds_to_n_max(self, built):
+    def test_rank_table_builds_to_n_max(self, built, sized):
         code, _, _ = run("rank-table", "--from", "1", "--to", "5",
                          "--n-max", "50")
         assert code == 0
-        assert built == [50]
+        assert sized == [50]
+        assert built == []
+
+    def test_rank_table_computes_only_the_rows_it_prints(self, built,
+                                                         computed_rows):
+        code, out, _ = run("rank-table", "--from", "1", "--to", "5",
+                           "--n-max", "50")
+        assert code == 0
+        assert "result.partitions_of_n_max = 204226\n" in out
+        assert computed_rows == [1, 2, 3, 4, 5]
+        assert built == []
 
     def test_missing_cache_is_built_at_n_max(self, built, tmp_path):
         path = tmp_path / "t.rnkt"
         code, _, _ = run("count", "--r", "0", "--t", "3", "--n", "13",
-                         "--n-max", "50", "--table-cache", str(path))
+                         "--n-max", "50", "--show-row", "--table-cache",
+                         str(path))
         assert code == 0
         assert built == [50]
         assert load_table(path).n_max == 50
@@ -442,7 +519,7 @@ class TestTableCeiling:
     def test_cache_is_sized_by_n_max(self, tmp_path):
         path = tmp_path / "t.rnkt"
         code, _, err = run("count", "--r", "0", "--t", "3", "--n", "13",
-                           "--n-max", str(MAX_TABLE_ROWS + 1),
+                           "--n-max", str(MAX_TABLE_ROWS + 1), "--show-row",
                            "--table-cache", str(path))
         assert code == 2
         assert "ceiling" in err

@@ -2,6 +2,9 @@
 
 Two independent oracles check the production table, which is built by
 the Atkin-Swinnerton-Dyer fixed-rank formula from strided slices of p.
+The production residue counts come from columns, a different sum of
+the same formula divided by Euler's product; row_residue_count, which
+sums every t-th entry of a table row, is their oracle.
 The brute-force enumerator literally builds every partition and
 measures its rank.  The series oracle below expands the two-variable
 rank generating function, a different algorithm that reaches much
@@ -28,9 +31,19 @@ from dysonrank import (
     partition_numbers,
     rank,
     rank_count,
+    residue_column,
     residue_count,
 )
 from dysonrank.core import _half_row
+
+
+def row_residue_count(table, r, t, n):
+    """N(r, t; n) as the sum of every t-th entry of the table's row n."""
+    if n == 0:
+        return 1 if r == 0 else 0
+    row = table.row(n)
+    # row index i holds m = i - (n-1), so i runs over (r + n - 1) mod t steps
+    return sum(row[(r + n - 1) % t::t])
 
 
 def entry_half_row(p, n):
@@ -291,6 +304,66 @@ class TestResidueCounts:
             residue_count(table, 0, 3, table.n_max + 1)
 
 
+class TestResidueColumn:
+    @pytest.fixture(scope="class")
+    def table600(self):
+        return build_rank_table(600)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 7])
+    def test_equals_row_slices(self, table600, t):
+        for r in range(t):
+            assert list(residue_column(r, t, 600)) == [
+                row_residue_count(table600, r, t, n) for n in range(601)], r
+
+    def test_equals_row_slices_to_2000(self, big_table):
+        table = big_table.table
+        for r in range(3):
+            assert list(residue_column(r, 3, 2000)) == [
+                row_residue_count(table, r, 3, n) for n in range(2001)], r
+
+    def test_extending_a_column_keeps_its_values(self, monkeypatch):
+        # A column grown one n at a time, or in uneven steps, equals one
+        # computed in a single call.
+        for r, t in ((0, 4), (2, 7), (1, 2)):
+            monkeypatch.setattr("dysonrank.core._columns", {})
+            whole = residue_column(r, t, 300)
+            monkeypatch.setattr("dysonrank.core._columns", {})
+            grown = [residue_column(r, t, n)[n] for n in range(301)]
+            monkeypatch.setattr("dysonrank.core._columns", {})
+            steps = [residue_column(r, t, n) for n in (0, 17, 18, 150, 300)]
+            assert list(whole) == grown == list(steps[-1])
+            assert all(whole[:len(s)] == s for s in steps)
+
+    def test_modulus_one_is_the_partition_function(self):
+        assert list(residue_column(0, 1, 1000)) == partition_numbers(1000)
+
+    def test_a_third_at_4347_reads_no_row(self, monkeypatch):
+        def refuse(p, n):
+            raise AssertionError(f"row {n} computed")
+
+        monkeypatch.setattr("dysonrank.core._half_row", refuse)
+        table = RankTable(4347)
+        assert a_third_exact(table, 4347) == -6535410516613307218660
+        assert residue_count(table, 2, 3, 4347) == residue_count(
+            table, 1, 3, 4347)
+
+    def test_returned_column_cannot_change_later_counts(self):
+        column = residue_column(0, 3, 20)
+        with pytest.raises(TypeError):
+            column[13] += 5  # type: ignore[index]
+        copy = list(column)
+        copy[13] += 5
+        assert residue_column(0, 3, 20)[13] == 37
+        assert residue_count(RankTable(20), 0, 3, 13) == 37
+
+    @pytest.mark.parametrize("r, t, n", [(3, 3, 10), (-1, 3, 10),
+                                         (0, 0, 10), (0, -2, 10),
+                                         (0, 3, -1)])
+    def test_validation(self, r, t, n):
+        with pytest.raises(ValueError):
+            residue_column(r, t, n)
+
+
 class TestAThird:
     def test_small_values(self, table):
         assert a_third_exact(table, 1) == 1
@@ -319,6 +392,31 @@ class TestTableObject:
     def test_build_validation(self):
         with pytest.raises(ValueError):
             build_rank_table(-1)
+        with pytest.raises(ValueError):
+            RankTable(-1)
+
+    def test_rows_computed_on_read_equal_built_rows(self):
+        lazy = RankTable(150)
+        built = build_rank_table(150)
+        assert [lazy.row(n) for n in range(151)] == [
+            built.row(n) for n in range(151)]
+        assert lazy == built
+        assert RankTable(150) == built
+
+    def test_row_is_computed_once(self, monkeypatch):
+        computed = []
+
+        def recording(p, n):
+            computed.append(n)
+            return _half_row(p, n)
+
+        monkeypatch.setattr("dysonrank.core._half_row", recording)
+        table = RankTable(30)
+        assert table.count(0, 13) == 11
+        assert table.row(13)[12] == 11
+        assert decomposition_check(table, 0, 3, 13)
+        assert residue_count(table, 0, 3, 20) == 205
+        assert computed == [13]
 
     def test_tiny_table(self):
         t = build_rank_table(3)

@@ -73,6 +73,20 @@ class TestImportBudget:
     def test_no_command_loads_dataclasses(self, argv):
         assert "dataclasses" not in loaded_modules(*argv)
 
+    @pytest.mark.parametrize("argv, unused", [
+        (("bounds", "--n", "600"), {"dysonrank.convexity"}),
+        (("convexity", "--r", "0", "--max", "40"), set()),
+    ])
+    def test_claims_load_only_the_suites_they_run(self, argv, unused):
+        modules = loaded_modules(*argv)
+        assert "dysonrank.claims" in modules
+        assert not modules & {"dysonrank.maxprod", "dysonrank.reference",
+                              "dysonrank.cache", *unused}
+
+    def test_text_output_loads_no_serializer(self):
+        modules = loaded_modules("count", "--r", "0", "--t", "3", "--n", "13")
+        assert not modules & {"json", "csv"}
+
 
 class TestLazyNamespace:
     def test_import_loads_no_submodule_until_a_name_is_read(self):
