@@ -8,6 +8,8 @@ scan exploits symmetry in (a, b) and reads each count once.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import gt, mul
 from typing import NamedTuple
 
 from .core import RankTable, residue_column, residue_count
@@ -45,7 +47,11 @@ def scan_region(table: RankTable, r: int, t: int, a_min: int, b_max: int,
                 b_min: int | None = None) -> ConvexityReport:
     """Exhaustively check all pairs a_min <= a <= b <= b_max (with
     optional tighter a_max / looser b_min), reading each count once.
-    Violations come out sorted, since a and b both ascend."""
+    Violations come out sorted, since a and b both ascend.
+
+    Each a is one row b = max(a, b_min) .. b_max, tested in a single
+    C-level pass of exact products and comparisons; only a row with a
+    violation is walked pair by pair to list it."""
     a_hi = b_max if a_max is None else a_max
     b_lo = a_min if b_min is None else b_min
     if a_min < 1 or a_min > a_hi or b_lo > b_max:
@@ -59,8 +65,15 @@ def scan_region(table: RankTable, r: int, t: int, a_min: int, b_max: int,
     bad = []
     for a in range(a_min, a_hi + 1):
         ca = counts[a]
-        for b in range(max(a, b_lo), b_max + 1):
-            checked += 1
+        b0 = max(a, b_lo)
+        width = b_max + 1 - b0
+        if width <= 0:  # a > b_max, and so is every later a
+            break
+        checked += width
+        if all(map(gt, map(mul, repeat(ca, width), counts[b0:b_max + 1]),
+                   counts[a + b0:a + b_max + 1])):
+            continue
+        for b in range(b0, b_max + 1):
             lhs = ca * counts[b]
             rhs = counts[a + b]
             if lhs <= rhs:

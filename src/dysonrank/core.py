@@ -7,10 +7,11 @@ n = 0 .. n_max.  A column is a sparse numerator, read off the
 Atkin-Swinnerton-Dyer formula for fixed rank, divided by Euler's
 product (q)_inf; that division is the pentagonal recurrence that also
 gives p(n), and costs O(n^1.5) exact additions with no n x n storage
-(see residue_column).  The rank rows N(m, n), every rank m of one n,
-are computed only where a caller reads them, each from strided slices
-of p (see build_rank_table).  All counts are exact integers; nothing
-here ever passes through a float.
+(see residue_column).  Conjugation negates the rank, so r and t - r
+share one column and one division.  The rank rows N(m, n), every rank
+m of one n, are computed only where a caller reads them, each from
+strided slices of p (see build_rank_table).  All counts are exact
+integers; nothing here ever passes through a float.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ __all__ = [
 
 _pcache = [1]
 # Residue columns by (r, t), each N(r, t; 0 .. len - 1); extended, never
-# recomputed, when a longer one is asked for.
+# recomputed, when a longer one is asked for.  (r, t) and (t - r, t) map
+# to the same list, since N(r, t; n) = N(t - r, t; n).
 _columns: dict[tuple[int, int], list[int]] = {}
 
 
@@ -299,7 +301,9 @@ def _column(r: int, t: int, n_max: int) -> list[int]:
         raise ValueError("residue r must satisfy 0 <= r < t")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    column = _columns.setdefault((r, t), [])
+    column = _columns.get((r, t))
+    if column is None:
+        column = _columns[r, t] = _columns.setdefault((-r % t, t), [])
     if len(column) <= n_max:
         _divide_by_euler(
             column, _residue_numerator(r, t, len(column), n_max), n_max)
@@ -323,9 +327,13 @@ def residue_column(r: int, t: int, n_max: int) -> tuple[int, ...]:
     The numerator has O((n_max / t) log n_max) nonzero terms, each +-1,
     and dividing by (q)_inf is the pentagonal recurrence of p(n).
 
-    Columns are kept per (r, t) for the life of the process: a longer
-    request extends the stored column and never recomputes it.  The
-    tuple returned is a copy, which no caller can change."""
+    Conjugating a partition negates its rank, so N(r, t; n) =
+    N(t - r, t; n) (Dyson 1944); the numerator above is the same for r
+    and t - r, since S lists both progressions.  Columns are kept for
+    the life of the process, one list under both keys (r, t) and
+    (t - r, t), so the two residues share one division: a longer
+    request for either extends the stored column and never recomputes
+    it.  The tuple returned is a copy, which no caller can change."""
     return tuple(_column(r, t, n_max)[:n_max + 1])
 
 
@@ -354,16 +362,23 @@ def decomposition_check(table: RankTable, r: int, t: int, n: int,
 
     Evaluates (1/t) [p(n) + sum_{j=1..t-1} z^(-rj) sum_m N(m,n) z^(jm)]
     with z = e^(2 pi i / t) in complex floats and compares to the exact
-    count within relative tolerance tol.  This ties the residue slices
+    count within relative tolerance tol.  This ties the residue column
     to the full rank row through an identity neither is built from.
+
+    z^(jm) depends on m only through m mod t, so the row is first
+    summed exactly by class, the stride-t slice from each of its first
+    t entries, and only those t sums meet a float.
     """
     exact = residue_count(table, r, t, n)
     row = table._row(n)
     lo = 0 if n == 0 else -(n - 1)
+    sums = [0] * t  # sums[c] = sum of N(m, n) over m = c (mod t)
+    for i in range(min(t, len(row))):
+        sums[(lo + i) % t] += sum(row[i::t])
     acc = complex(partition_number(n))
     for j in range(1, t):
         z = cmath.exp(2j * cmath.pi * j / t)
-        inner = sum(c * z ** (lo + i) for i, c in enumerate(row) if c)
+        inner = sum(s * z ** c for c, s in enumerate(sums))
         acc += cmath.exp(-2j * cmath.pi * r * j / t) * inner
     approx = acc / t
     scale = max(1.0, float(abs(exact)))

@@ -16,6 +16,12 @@ hand-derived values.
 
 from __future__ import annotations
 
+import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +40,7 @@ from dysonrank import (
     residue_column,
     residue_count,
 )
+from dysonrank import core
 from dysonrank.core import _half_row
 
 
@@ -44,6 +51,23 @@ def row_residue_count(table, r, t, n):
     row = table.row(n)
     # row index i holds m = i - (n-1), so i runs over (r + n - 1) mod t steps
     return sum(row[(r + n - 1) % t::t])
+
+
+def entry_decomposition_check(table, r, t, n, tol=1e-6):
+    """decomposition_check with one complex power per row entry: the
+    root-of-unity average of row n against the exact N(r, t; n)."""
+    exact = residue_count(table, r, t, n)
+    row = table.row(n)
+    lo = 0 if n == 0 else -(n - 1)
+    acc = complex(partition_number(n))
+    for j in range(1, t):
+        z = cmath.exp(2j * cmath.pi * j / t)
+        inner = sum(c * z ** (lo + i) for i, c in enumerate(row) if c)
+        acc += cmath.exp(-2j * cmath.pi * r * j / t) * inner
+    approx = acc / t
+    scale = max(1.0, float(abs(exact)))
+    return (abs(approx.real - exact) <= tol * scale
+            and abs(approx.imag) <= tol * scale)
 
 
 def entry_half_row(p, n):
@@ -334,6 +358,57 @@ class TestResidueColumn:
             assert list(whole) == grown == list(steps[-1])
             assert all(whole[:len(s)] == s for s in steps)
 
+    @pytest.mark.parametrize("t", [2, 3, 5, 7])
+    def test_conjugate_residue_shares_the_division(self, monkeypatch, t):
+        # N(r, t; n) = N(t - r, t; n): the second residue reads the
+        # column the first one computed.
+        divide = core._divide_by_euler
+        calls = []
+
+        def counting(series, numerator, n):
+            calls.append(n)
+            divide(series, numerator, n)
+
+        monkeypatch.setattr("dysonrank.core._divide_by_euler", counting)
+        for r in range(1, t):
+            monkeypatch.setattr("dysonrank.core._columns", {})
+            calls.clear()
+            first = residue_column(r, t, 200)
+            assert residue_column(-r % t, t, 200) == first
+            assert calls == [200], r
+
+    def test_shared_column_grown_from_both_keys(self, monkeypatch):
+        monkeypatch.setattr("dysonrank.core._columns", {})
+        table = build_rank_table(300)
+        residue_column(1, 3, 100)
+        residue_column(2, 3, 300)
+        for r in (1, 2):
+            assert list(residue_column(r, 3, 300)) == [
+                row_residue_count(table, r, 3, n) for n in range(301)], r
+        assert core._columns[1, 3] is core._columns[2, 3]
+
+    def test_claims_pass_stores_one_column_per_conjugate_pair(self):
+        # A seed-1 claims-1000 pass of the benchmark reads every residue
+        # modulo 2, 3, 5 and 7; the pairs {r, t - r} leave 2 + 2 + 3 + 4
+        # distinct columns.
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import claims, dysonrank\n"
+            "from dysonrank import core\n"
+            "ctx = {}\n"
+            "for op in claims.build_ops(1, False):\n"
+            "    op.call(dysonrank, ctx)\n"
+            "print(sorted(core._columns))\n"
+            "print(len({id(c) for c in core._columns.values()}))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120).stdout.splitlines()
+        assert out[0] == str(sorted((r, t) for t in (2, 3, 5, 7)
+                                    for r in range(t)))
+        assert out[1] == "11"
+
     def test_modulus_one_is_the_partition_function(self):
         assert list(residue_column(0, 1, 1000)) == partition_numbers(1000)
 
@@ -386,6 +461,36 @@ class TestDecomposition:
 
     def test_zero_n(self, table):
         assert decomposition_check(table, 0, 3, 0)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 7])
+    def test_agrees_with_entry_oracle(self, table, t):
+        for n in (0, 1, 5, 12, 30, 60, 150, 240):
+            for r in range(t):
+                assert decomposition_check(table, r, t, n) is \
+                    entry_decomposition_check(table, r, t, n) is True, (r, n)
+
+    @pytest.mark.parametrize("t", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [12, 60, 150])
+    def test_one_wrong_count_fails_every_residue(self, t, n):
+        # Raising N(m, n) by 1 moves the average for r by (t - 1)/t if
+        # m = r (mod t) and by -1/t otherwise, so every r must see it
+        # once the allowance is well below 1/t in absolute terms.
+        sound = build_rank_table(n)
+        rows = [sound.row(k) for k in range(n + 1)]
+
+        def tol(r):
+            return 1 / (4 * t * residue_count(sound, r, t, n))
+
+        for r in range(t):
+            assert decomposition_check(sound, r, t, n, tol(r)), r
+        for i in range(t):  # row index i holds m = i - (n - 1)
+            bumped = [list(row) for row in rows]
+            bumped[n][i] += 1
+            wrong = RankTable(n, bumped)
+            for r in range(t):
+                assert not decomposition_check(wrong, r, t, n, tol(r)), (i, r)
+                assert not entry_decomposition_check(wrong, r, t, n,
+                                                     tol(r)), (i, r)
 
 
 class TestTableObject:
