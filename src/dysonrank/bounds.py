@@ -14,9 +14,18 @@ ratio functions.
 The six explicit error bounds, their ratio functions against the lower
 envelope, and the tabulated caps form one coherent budget: the sum of
 the six bounds stays below 0.58 of the lower envelope for n >= 500.
-The k-sums inside bounds 2, 3, 4 and 6 do not depend on n, so each is
-kept as a list of running sums, extended on demand and added left to
-right in the order a literal loop would use.  The first error_budget(n)
+
+A call pays only for the terms that depend on n.  Each bound's and each
+ratio's n-independent prefix, such as 0.12 e^(2 pi + pi/24) / sqrt 3, is
+folded once into a module constant, keeping the left-to-right order of
+the literal expression, so every result rounds to the same double.  The
+six error bounds come from one pass that shares sqrt(24n - 1), isqrt(n)
+and isqrt(n) // 3.  The k-sums inside bounds 2, 3, 4 and 6 do not depend
+on n, so each is kept as a list of running sums, extended on demand and
+added left to right in the order a literal loop would use; the first
+bound's factors sqrt(k) and pi/(18k) are kept in running lists too, and
+only its O(sqrt n) sinh terms are evaluated per call, summed by the
+builtin sum() as the literal generator was.  The first error_budget(n)
 in a process therefore costs O(n) once (the sixth bound's double sum);
 later calls cost O(sqrt n), the first bound's n-dependent sum.
 """
@@ -26,7 +35,9 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
+from itertools import repeat
 from math import isqrt
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import RankTable, residue_count
@@ -61,6 +72,32 @@ __all__ = [
 ]
 
 SIN_PI_18 = math.sin(math.pi / 18)
+
+# n-independent factors, each folded in the left-to-right order of the
+# expression it heads, so every result rounds to the double the literal
+# expression gives.
+_PI_6 = math.pi / 6.0
+_PI_18 = math.pi / 18.0
+_PI_36 = math.pi / 36.0
+_SQRT3 = math.sqrt(3.0)
+_SQRT12 = math.sqrt(12.0)
+_PI_SQ_OVER_SQRT3 = math.pi ** 2 / math.sqrt(3.0)
+# Leading factors of the error bounds 2..6.
+_BOUND2 = 0.12 * math.exp(2.0 * math.pi + math.pi / 24.0) / math.sqrt(3.0)
+_BOUND3 = 1.412 * math.sqrt(3.0) * math.exp(2.0 * math.pi)
+_BOUND4 = 2.0 * math.sqrt(3.0) * math.exp(2.0 * math.pi + math.pi / 12.0)
+_BOUND5 = 8.0 * math.pi * math.exp(2.0 * math.pi + math.pi / 24.0)
+_BOUND6 = 2.0 ** 0.25 * (math.e + 1.0 / math.e) * math.exp(2.0 * math.pi)
+# Leading factors and denominator factors of the ratio functions.
+_RATIO1_DEN = math.sqrt(2.0) * SIN_PI_18
+_RATIO2 = 0.01 * math.exp(2.0 * math.pi + math.pi / 24.0)
+_RATIO3 = 2.824 * math.sqrt(3.0) * math.exp(2.0 * math.pi)
+_RATIO4 = math.sqrt(6.0) * math.exp(2.0 * math.pi + math.pi / 12.0)
+_RATIO5 = math.pi * math.exp(2.0 * math.pi + math.pi / 24.0)
+_RATIO6 = 2.0 ** 0.25 * (math.e + 1.0 / math.e) * math.exp(2.0 * math.pi) \
+    * 3.0
+_SIN_PI_18_X8 = 8.0 * SIN_PI_18
+_SIN_PI_18_X24 = 24.0 * SIN_PI_18
 
 # Tabulated caps c1..c6 on the ratio functions at n = 500.  The second
 # entry is 0.00019; the prose deriving it concludes with the looser
@@ -101,20 +138,30 @@ def _check_positive(n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
+def _mu(n: int) -> float:
+    return _PI_6 * math.sqrt(24.0 * n - 1.0)
+
+
 def mu(n: int) -> float:
     """The exponent (pi/6) sqrt(24n - 1) that drives partition growth."""
     _check_positive(n)
-    return math.pi / 6.0 * math.sqrt(24.0 * n - 1.0)
+    return _mu(n)
+
+
+def _lehmer_logs(n: int) -> tuple[float, float, float]:
+    """(log lower, log upper, mu) at n >= 1."""
+    m = _mu(n)
+    base = math.log(_SQRT3 / (12.0 * n))
+    rs = 1.0 / math.sqrt(n)
+    lo = -math.inf if rs >= 1.0 else base + math.log1p(-rs) + m
+    return lo, base + math.log1p(rs) + m, m
 
 
 def lehmer_log_bounds(n: int) -> tuple[float, float]:
     """Natural logs of the strict envelope; finite far past double range."""
     _check_positive(n)
-    m = mu(n)
-    base = math.log(math.sqrt(3.0) / (12.0 * n))
-    rs = 1.0 / math.sqrt(n)
-    lo = -math.inf if rs >= 1.0 else base + math.log1p(-rs) + m
-    return lo, base + math.log1p(rs) + m
+    lo, hi, _ = _lehmer_logs(n)
+    return lo, hi
 
 
 def lehmer_bounds(n: int) -> BoundPair:
@@ -123,13 +170,10 @@ def lehmer_bounds(n: int) -> BoundPair:
     The floats overflow for very large n; lehmer_log_bounds stays finite
     and residue_envelope_check switches to it automatically.
     """
-    lo, hi = lehmer_log_bounds(n)
-    return BoundPair(
-        n=n,
-        lower=0.0 if lo == -math.inf else _exp_or_inf(lo),
-        upper=_exp_or_inf(hi),
-        mu=mu(n),
-    )
+    _check_positive(n)
+    lo, hi, m = _lehmer_logs(n)
+    return BoundPair(n, 0.0 if lo == -math.inf else _exp_or_inf(lo),
+                     _exp_or_inf(hi), m)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -147,11 +191,11 @@ def lehmer_estimate(n: int) -> tuple[float, float]:
       cap   = (pi^2/sqrt 3) (sinh(mu)/mu^3 + 1/6 - 1/mu^2).
     """
     _check_positive(n)
-    m = mu(n)
+    m = _mu(n)
     em = math.exp(m)
-    value = math.sqrt(12.0) / (24.0 * n - 1.0) * (
+    value = _SQRT12 / (24.0 * n - 1.0) * (
         (1.0 - 1.0 / m) * em + (1.0 + 1.0 / m) / em)
-    cap = math.pi ** 2 / math.sqrt(3.0) * (
+    cap = _PI_SQ_OVER_SQRT3 * (
         math.sinh(m) / m ** 3 + 1.0 / 6.0 - 1.0 / m ** 2)
     return value, cap
 
@@ -161,8 +205,8 @@ def main_term(n: int) -> float:
     of unity: -8 sin(pi/18 - 2n pi/3) sinh((pi/18) sqrt(24n-1)) / sqrt(24n-1)."""
     _check_positive(n)
     x = math.sqrt(24.0 * n - 1.0)
-    return -8.0 * math.sin(math.pi / 18.0 - 2.0 * n * math.pi / 3.0) \
-        * math.sinh(math.pi / 18.0 * x) / x
+    return -8.0 * math.sin(_PI_18 - 2.0 * n * math.pi / 3.0) \
+        * math.sinh(_PI_18 * x) / x
 
 
 # Digits carried beyond those of |M(n)|, so that its absolute error
@@ -247,7 +291,7 @@ def envelope(n: int) -> tuple[float, float]:
     """
     _check_positive(n)
     x = math.sqrt(24.0 * n - 1.0)
-    upper = 8.0 * math.sinh(math.pi / 18.0 * x) / x
+    upper = 8.0 * math.sinh(_PI_18 * x) / x
     return upper * SIN_PI_18, upper
 
 
@@ -256,6 +300,10 @@ _sum_inv_sqrt = [0.0]          # 1/sqrt(k), bound 2
 _sum_inv_sqrt_not3 = [0.0]     # 1/sqrt(k) for 3 not dividing k, bound 3
 _sum_sqrt = [0.0]              # sqrt(k), bound 4
 _sum_sixth = [0.0]             # the sixth bound's inner sum over v
+# The first bound's n-independent factors: entry k - 2 is sqrt(k), and
+# pi/(18k), for k = 2, 3, ...; the two lists grow together.
+_sqrt_k: list[float] = []
+_pi_over_18k: list[float] = []
 
 
 def _prefix_sum(cache: list[float], hi: int,
@@ -264,6 +312,14 @@ def _prefix_sum(cache: list[float], hi: int,
     for k in range(len(cache), hi + 1):
         cache.append(cache[-1] + term(k))
     return cache[hi]
+
+
+def _inv_sqrt(k: int) -> float:
+    return 1.0 / math.sqrt(k)
+
+
+def _inv_sqrt_not3(k: int) -> float:
+    return 1.0 / math.sqrt(k) if k % 3 else 0.0
 
 
 def _sixth_term(k: int) -> float:
@@ -286,57 +342,52 @@ def _sixth_term(k: int) -> float:
     return inner / k
 
 
-def error_term_bound(i: int, n: int) -> float:
-    """The i-th explicit error bound, i in 1..6.
+def _error_bounds(n: int) -> tuple[float, float, float, float, float, float]:
+    """The six error bounds at n >= 1, in one pass that shares
+    sqrt(24n - 1), isqrt(n) and isqrt(n) // 3.
 
-    Sum limits take floors; an empty sum is 0.  The first bound's terms
-    depend on n, so its sum runs afresh in O(sqrt n); the fifth is closed
-    form; the others read their k-sums from running sums shared across
-    calls, bit-identical to summing the terms left to right.
+    Sum limits take floors; an empty sum is 0.  The first bound's sinh
+    terms depend on n, so they are summed afresh in O(sqrt n), by sum()
+    over the same terms in the same order as the literal generator; the
+    fifth is closed form; the others read their k-sums from running sums
+    shared across calls, bit-identical to summing the terms left to
+    right.  The bounds are evaluated in order, so a first bound that
+    overflows raises before the sixth's running sum is extended.
     """
+    x = math.sqrt(24.0 * n - 1.0)
+    root = isqrt(n)
+    third = root // 3
+    first = third - 1 if third > 1 else 0  # terms k = 2 .. third
+    if len(_sqrt_k) < first:
+        for k in range(len(_sqrt_k) + 2, third + 1):
+            _sqrt_k.append(math.sqrt(k))
+            _pi_over_18k.append(math.pi / (18.0 * k))
+    return (
+        12.0 / x * sum(map(mul, _sqrt_k[:first], map(
+            math.sinh, map(mul, _pi_over_18k[:first], repeat(x))))),
+        _BOUND2 * _prefix_sum(_sum_inv_sqrt, third, _inv_sqrt),
+        _BOUND3 * _prefix_sum(_sum_inv_sqrt_not3, root, _inv_sqrt_not3),
+        _BOUND4 / math.sqrt(n) * _prefix_sum(_sum_sqrt, third, math.sqrt),
+        _BOUND5 * n ** -0.75 * (third * (third + 1) // 2),
+        _BOUND6 * n ** -0.25 * _prefix_sum(_sum_sixth, root, _sixth_term),
+    )
+
+
+def error_term_bound(i: int, n: int) -> float:
+    """The i-th explicit error bound, i in 1..6: entry i - 1 of the one
+    pass that error_budget reads, so it costs all six."""
     _check_positive(n)
-    if i == 1:
-        x = math.sqrt(24.0 * n - 1.0)
-        hi = isqrt(n) // 3
-        return 12.0 / x * sum(
-            math.sqrt(k) * math.sinh(math.pi / (18.0 * k) * x)
-            for k in range(2, hi + 1))
-    if i == 2:
-        hi = isqrt(n) // 3
-        return 0.12 * math.exp(2.0 * math.pi + math.pi / 24.0) / math.sqrt(3.0) \
-            * _prefix_sum(_sum_inv_sqrt, hi, lambda k: 1.0 / math.sqrt(k))
-    if i == 3:
-        hi = isqrt(n)
-        return 1.412 * math.sqrt(3.0) * math.exp(2.0 * math.pi) \
-            * _prefix_sum(_sum_inv_sqrt_not3, hi,
-                          lambda k: 1.0 / math.sqrt(k) if k % 3 else 0.0)
-    if i == 4:
-        hi = isqrt(n) // 3
-        return 2.0 * math.sqrt(3.0) * math.exp(2.0 * math.pi + math.pi / 12.0) \
-            / math.sqrt(n) * _prefix_sum(_sum_sqrt, hi, math.sqrt)
-    if i == 5:
-        hi = isqrt(n) // 3
-        return 8.0 * math.pi * math.exp(2.0 * math.pi + math.pi / 24.0) \
-            * n ** -0.75 * (hi * (hi + 1) // 2)
-    if i == 6:
-        return 2.0 ** 0.25 * (math.e + 1.0 / math.e) \
-            * math.exp(2.0 * math.pi) * n ** -0.25 \
-            * _prefix_sum(_sum_sixth, isqrt(n), _sixth_term)
-    raise ValueError("error term index must be in 1..6")
+    if not 1 <= i <= 6:
+        raise ValueError("error term index must be in 1..6")
+    return _error_bounds(n)[i - 1]
 
 
 def error_budget(n: int) -> ErrorBudget:
     """All six error bounds at n, their sum, and the envelope context."""
-    terms = tuple(error_term_bound(i, n) for i in range(1, 7))
+    _check_positive(n)
+    terms = _error_bounds(n)
     lower, upper = envelope(n)
-    return ErrorBudget(
-        n=n,
-        terms=terms,  # type: ignore[arg-type]
-        total=math.fsum(terms),
-        main=main_term(n),
-        lower=lower,
-        upper=upper,
-    )
+    return ErrorBudget(n, terms, math.fsum(terms), main_term(n), lower, upper)
 
 
 def exact_gap(a: int, m: float | Decimal) -> Fraction:
@@ -360,27 +411,20 @@ def ratio_bound(i: int, n: int) -> float:
     if n < 500:
         raise ValueError("ratio functions are only defined for n >= 500")
     x = math.sqrt(24.0 * n - 1.0)
-    s = math.sinh(math.pi / 18.0 * x)
-    e2pi = math.exp(2.0 * math.pi)
+    s = math.sinh(_PI_18 * x)
     if i == 1:
-        return math.sqrt(n) * math.sinh(math.pi / 36.0 * x) \
-            / (math.sqrt(2.0) * SIN_PI_18 * s)
+        return math.sqrt(n) * math.sinh(_PI_36 * x) / (_RATIO1_DEN * s)
     if i == 2:
-        return 0.01 * math.exp(2.0 * math.pi + math.pi / 24.0) \
-            * n ** 0.25 * x / (SIN_PI_18 * s)
+        return _RATIO2 * n ** 0.25 * x / (SIN_PI_18 * s)
     if i == 3:
-        return 2.824 * math.sqrt(3.0) * e2pi * n ** 0.25 * x \
-            / (8.0 * SIN_PI_18 * s)
+        return _RATIO3 * n ** 0.25 * x / (_SIN_PI_18_X8 * s)
     if i == 4:
-        return math.sqrt(6.0) * math.exp(2.0 * math.pi + math.pi / 12.0) \
-            * n ** 0.25 * x / (24.0 * SIN_PI_18 * s)
+        return _RATIO4 * n ** 0.25 * x / (_SIN_PI_18_X24 * s)
     if i == 5:
-        return math.pi * math.exp(2.0 * math.pi + math.pi / 24.0) \
-            * n ** 0.25 * x / (8.0 * SIN_PI_18 * s)
+        return _RATIO5 * n ** 0.25 * x / (_SIN_PI_18_X8 * s)
     if i == 6:
-        return 2.0 ** 0.25 * (math.e + 1.0 / math.e) * e2pi \
-            * 3.0 * (n ** 0.75 + 2.0 * n ** 0.25) * x \
-            / (8.0 * SIN_PI_18 * s)
+        return _RATIO6 * (n ** 0.75 + 2.0 * n ** 0.25) * x \
+            / (_SIN_PI_18_X8 * s)
     raise ValueError("ratio index must be in 1..6")
 
 
@@ -422,7 +466,7 @@ def t_gap(x: float, lam: float) -> float:
     The superadditivity gap of mu; positive and growing like sqrt x."""
     if x <= 0.0 or lam <= 0.0:
         raise ValueError("requires x > 0 and lam > 0")
-    return math.pi / 6.0 * (
+    return _PI_6 * (
         math.sqrt(24.0 * x - 1.0) + math.sqrt(24.0 * lam * x - 1.0)
         - math.sqrt(24.0 * (x + lam * x) - 1.0))
 
@@ -438,7 +482,7 @@ def lemma_threshold(x: float, t: int = 3, c: float = 0.01) -> bool:
         raise ValueError("requires 0 < c < 1")
     if t < 1:
         raise ValueError("requires t >= 1")
-    rhs = math.log(4.0 * x * math.sqrt(3.0) * t * (1.0 + c) / (1.0 - c) ** 2) \
+    rhs = math.log(4.0 * x * _SQRT3 * t * (1.0 + c) / (1.0 - c) ** 2) \
         + math.log(s_ratio(x, 1.0))
     return t_gap(x, 1.0) > rhs
 
@@ -447,4 +491,4 @@ def hardy_ramanujan(n: int) -> float:
     """First-order asymptotic e^(pi sqrt(2n/3)) / (4 n sqrt 3) for p(n)."""
     _check_positive(n)
     return math.exp(math.pi * math.sqrt(2.0 * n / 3.0)) \
-        / (4.0 * n * math.sqrt(3.0))
+        / (4.0 * n * _SQRT3)

@@ -6,8 +6,9 @@ a `table_for(need)` callable returning a RankTable with counts up to at
 least `need`, and returns a ClaimRecord.  An `n_max` is only reported
 with the parameters, and a range error names the CLI flag that sets it.
 The per-n inequalities that the `bounds` command shares live here too.
-Each suite imports the `convexity`, `maxprod` and `reference` modules
-it runs, so `dysonrank bounds` loads none of them.
+Each suite and each inequality imports the `bounds`, `convexity`,
+`maxprod` and `reference` modules it runs, so `dysonrank bounds` loads
+none of the last three and `verify tables` or `convexity` no `bounds`.
 """
 
 from __future__ import annotations
@@ -15,22 +16,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .bounds import (
-    BUDGET_CAP,
-    RATIO_CAPS,
-    BoundPair,
-    ErrorBudget,
-    error_budget,
-    exact_gap,
-    lehmer_bounds,
-    lehmer_estimate,
-    lemma_threshold,
-    main_term_decimal,
-)
 from .core import RankTable, a_third_exact, partition_numbers, residue_count
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .bounds import BoundPair, ErrorBudget
 
 __all__ = ["BUDGET_ALLOWANCE", "LEMMA_POINTS", "SCAN_THRESHOLDS",
            "ClaimRecord", "bounds", "budget", "budget_holds", "conjectures",
@@ -83,6 +74,7 @@ def budget_holds(budget: ErrorBudget, gap: Fraction | None = None) -> bool:
     """total (1 + BUDGET_ALLOWANCE) <= 0.58 L(n) and, given the exact
     gap |A(n) - M(n)|, gap <= total (1 - BUDGET_ALLOWANCE): the float
     total is held to each side with room for its own rounding."""
+    from .bounds import BUDGET_CAP
     if budget.total * (1.0 + BUDGET_ALLOWANCE) > BUDGET_CAP * budget.lower:
         return False
     return gap is None or gap <= budget.total * (1.0 - BUDGET_ALLOWANCE)
@@ -90,6 +82,7 @@ def budget_holds(budget: ErrorBudget, gap: Fraction | None = None) -> bool:
 
 def ratio_caps_hold(ratios: list[float]) -> bool:
     """The six ratio functions at one n under their tabulated caps."""
+    from .bounds import RATIO_CAPS
     return all(f <= c for f, c in zip(ratios, RATIO_CAPS))
 
 
@@ -173,6 +166,7 @@ def bounds(table_for: TableFor | None = None, hi: int = 1000) -> ClaimRecord:
     """The Lehmer sandwich for 2 <= n <= hi, the estimate's cap for
     n <= min(hi, 500) and the gap lemma at LEMMA_POINTS.  These read
     p(n) only; table_for is unused."""
+    from .bounds import lehmer_bounds, lehmer_estimate, lemma_threshold
     if hi < 2:
         raise ValueError("--max must be >= 2")
     exact = partition_numbers(hi)
@@ -198,6 +192,7 @@ def budget(table_for: TableFor, lo: int = 500, hi: int = 1000, step: int = 50,
            n_max: int | None = None) -> ClaimRecord:
     """|A(n) - M(n)| <= sum of the six error bounds <= 0.58 L(n) for n in
     range(lo, hi + 1, step), with the exact A(n) and the decimal M(n)."""
+    from .bounds import BUDGET_CAP, error_budget, exact_gap, main_term_decimal
     if lo < 500 or hi < lo or step < 1:
         raise ValueError("need 500 <= --from <= --to and --step >= 1; "
                          "the budget is claimed for n >= 500")

@@ -231,9 +231,12 @@ def build_rank_table(n_max: int) -> RankTable:
     N(-m, n) = N(m, n), so each row is the half m = 0 .. n-1 mirrored.
 
     Every row is computed before this returns; RankTable(n_max) gives
-    the same table with each row computed when it is first read.
+    the same table with each row computed when it is first read.  p is
+    extended to n_max in one division before the first row, not one
+    degree per row.
     """
     table = RankTable(n_max)
+    partition_number(n_max)
     for n in range(n_max + 1):
         table._row(n)
     return table

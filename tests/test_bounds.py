@@ -3,9 +3,11 @@
 The reference numbers were computed independently with 50-digit
 arithmetic and are frozen here; double-precision evaluation must land
 within the stated relative tolerance.  The six error bounds are also
-recomputed inside the tests with separately written code, and the four
-that production reads from running k-sums are compared bit for bit with
-the literal loops they replace.
+recomputed inside the tests with separately written code.  Production
+folds n-independent constants, shares one pass among the six bounds and
+reads k-sums from running lists; the literal expressions it replaces
+are kept below as oracles, and every bound, ratio function and Lehmer
+envelope is compared with them bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 import pytest
@@ -203,12 +206,35 @@ class TestErrorBounds:
             error_term_bound(7, 100)
 
 
+@cache
+def _literal_sixth_sum(root: int) -> float:
+    """The sixth bound's double sum to k = root as a literal loop."""
+    total = 0.0
+    for k in range(1, root + 1):
+        mod = 6 * k
+        inner = 0.0
+        for v in range(1, k + 1):
+            a = (6 * v - 1 + 2 * k) % mod
+            b = (6 * v - 1 - 2 * k) % mod
+            inner += mod / min(a, b)
+        total += inner / k
+    return total
+
+
 def _literal_error_bound(i: int, n: int) -> float:
-    """Bounds 2, 3, 4 and 6 as literal loops over k, summed left to right
-    with a plain += (sum() of floats is compensated from Python 3.12 on,
-    so it would not reproduce the production running sums)."""
+    """The six bounds as literal expressions, constants unfolded.  The
+    first bound's n-dependent sum is the builtin sum() over a generator;
+    the k-sums of bounds 2, 3, 4 and 6 are loops over k summed left to
+    right with a plain += (sum() of floats is compensated from Python
+    3.12 on, so it would not reproduce the production running sums)."""
     root = isqrt(n)
     total = 0.0
+    if i == 1:
+        x = math.sqrt(24.0 * n - 1.0)
+        hi = isqrt(n) // 3
+        return 12.0 / x * sum(
+            math.sqrt(k) * math.sinh(math.pi / (18.0 * k) * x)
+            for k in range(2, hi + 1))
     if i == 2:
         for k in range(1, root // 3 + 1):
             total += 1.0 / math.sqrt(k)
@@ -224,18 +250,125 @@ def _literal_error_bound(i: int, n: int) -> float:
             total += math.sqrt(k)
         return 2.0 * math.sqrt(3.0) \
             * math.exp(2.0 * math.pi + math.pi / 12.0) / math.sqrt(n) * total
+    if i == 5:
+        hi = isqrt(n) // 3
+        return 8.0 * math.pi * math.exp(2.0 * math.pi + math.pi / 24.0) \
+            * n ** -0.75 * (hi * (hi + 1) // 2)
     if i == 6:
-        for k in range(1, root + 1):
-            mod = 6 * k
-            inner = 0.0
-            for v in range(1, k + 1):
-                a = (6 * v - 1 + 2 * k) % mod
-                b = (6 * v - 1 - 2 * k) % mod
-                inner += mod / min(a, b)
-            total += inner / k
         return 2.0 ** 0.25 * (math.e + 1.0 / math.e) \
-            * math.exp(2.0 * math.pi) * n ** -0.25 * total
+            * math.exp(2.0 * math.pi) * n ** -0.25 * _literal_sixth_sum(root)
     raise ValueError(i)
+
+
+def _literal_ratio_bound(i: int, n: int) -> float:
+    """The six ratio functions as literal expressions, constants unfolded."""
+    x = math.sqrt(24.0 * n - 1.0)
+    s = math.sinh(math.pi / 18.0 * x)
+    e2pi = math.exp(2.0 * math.pi)
+    if i == 1:
+        return math.sqrt(n) * math.sinh(math.pi / 36.0 * x) \
+            / (math.sqrt(2.0) * SIN_PI_18 * s)
+    if i == 2:
+        return 0.01 * math.exp(2.0 * math.pi + math.pi / 24.0) \
+            * n ** 0.25 * x / (SIN_PI_18 * s)
+    if i == 3:
+        return 2.824 * math.sqrt(3.0) * e2pi * n ** 0.25 * x \
+            / (8.0 * SIN_PI_18 * s)
+    if i == 4:
+        return math.sqrt(6.0) * math.exp(2.0 * math.pi + math.pi / 12.0) \
+            * n ** 0.25 * x / (24.0 * SIN_PI_18 * s)
+    if i == 5:
+        return math.pi * math.exp(2.0 * math.pi + math.pi / 24.0) \
+            * n ** 0.25 * x / (8.0 * SIN_PI_18 * s)
+    if i == 6:
+        return 2.0 ** 0.25 * (math.e + 1.0 / math.e) * e2pi \
+            * 3.0 * (n ** 0.75 + 2.0 * n ** 0.25) * x \
+            / (8.0 * SIN_PI_18 * s)
+    raise ValueError(i)
+
+
+def _literal_lehmer_logs(n: int) -> tuple[float, float, float]:
+    """(log lower, log upper, mu) of the Lehmer envelope as literal
+    expressions."""
+    m = math.pi / 6.0 * math.sqrt(24.0 * n - 1.0)
+    base = math.log(math.sqrt(3.0) / (12.0 * n))
+    rs = 1.0 / math.sqrt(n)
+    lo = -math.inf if rs >= 1.0 else base + math.log1p(-rs) + m
+    return lo, base + math.log1p(rs) + m, m
+
+
+def _literal_lehmer_bounds(n: int) -> tuple[int, float, float, float]:
+    """(n, lower, upper, mu) of the Lehmer envelope as literal expressions."""
+    lo, hi, m = _literal_lehmer_logs(n)
+
+    def exp_or_inf(v: float) -> float:
+        try:
+            return math.exp(v)
+        except OverflowError:
+            return math.inf
+
+    return n, 0.0 if lo == -math.inf else exp_or_inf(lo), exp_or_inf(hi), m
+
+
+def _literal_lehmer_estimate(n: int) -> tuple[float, float]:
+    """lehmer_estimate as literal expressions, constants unfolded."""
+    m = math.pi / 6.0 * math.sqrt(24.0 * n - 1.0)
+    em = math.exp(m)
+    value = math.sqrt(12.0) / (24.0 * n - 1.0) * (
+        (1.0 - 1.0 / m) * em + (1.0 + 1.0 / m) / em)
+    cap = math.pi ** 2 / math.sqrt(3.0) * (
+        math.sinh(m) / m ** 3 + 1.0 / 6.0 - 1.0 / m ** 2)
+    return value, cap
+
+
+# Spot n past the dense ranges, up to the CLI's largest --n.
+SPOT_N = (4347, 10000, 20000, 50000, 76567)
+
+
+class TestLiteralOracles:
+    """Bit-for-bit equality with the literal expressions: == on every
+    float, not a tolerance."""
+
+    def test_error_bounds_at_every_n(self):
+        for n in (*range(1, 3001), *SPOT_N):
+            want = tuple(_literal_error_bound(i, n) for i in range(1, 7))
+            assert error_budget(n).terms == want, n
+
+    def test_single_bound_is_the_budget_entry(self):
+        for n in (*range(1, 3001, 7), *SPOT_N):
+            terms = error_budget(n).terms
+            assert tuple(error_term_bound(i, n) for i in range(1, 7)) \
+                == terms, n
+
+    def test_bounds_past_the_envelope(self):
+        # L(n) overflows a double here, so only single bounds exist.
+        n = 10 ** 6
+        for i in range(1, 7):
+            assert error_term_bound(i, n) == _literal_error_bound(i, n), i
+        # The first bound's sinh overflows by n = 10^7, as the literal
+        # one does; every bound comes from the same pass, so all raise.
+        with pytest.raises(OverflowError):
+            _literal_error_bound(1, 10 ** 7)
+        for i in range(1, 7):
+            with pytest.raises(OverflowError):
+                error_term_bound(i, 10 ** 7)
+
+    def test_ratio_functions_at_every_n(self):
+        for n in (*range(500, 10001), *SPOT_N):
+            for i in range(1, 7):
+                assert ratio_bound(i, n) == _literal_ratio_bound(i, n), (i, n)
+
+    def test_lehmer_bounds_at_every_n(self):
+        for n in (*range(1, 3001), *SPOT_N, 10 ** 6, 10 ** 7):
+            assert tuple(lehmer_bounds(n)) == _literal_lehmer_bounds(n), n
+            assert (*lehmer_log_bounds(n), mu(n)) \
+                == _literal_lehmer_logs(n), n
+        assert lehmer_bounds(10 ** 6).upper == math.inf
+        assert lehmer_bounds(10 ** 7).upper == math.inf
+
+    def test_lehmer_estimate_at_every_n(self):
+        for n in (*range(1, 3001), *SPOT_N):
+            assert lehmer_estimate(n) == _literal_lehmer_estimate(n), n
 
 
 class TestRunningSums:
@@ -249,8 +382,10 @@ class TestRunningSums:
         for name in ("_sum_inv_sqrt", "_sum_inv_sqrt_not3", "_sum_sqrt",
                      "_sum_sixth"):
             monkeypatch.setattr(bounds, name, [0.0])
+        for name in ("_sqrt_k", "_pi_over_18k"):
+            monkeypatch.setattr(bounds, name, [])
         for n in order:
-            for i in (2, 3, 4, 6):
+            for i in range(1, 7):
                 assert error_term_bound(i, n) == _literal_error_bound(i, n), \
                     (i, n)
 

@@ -523,6 +523,23 @@ class TestTableObject:
         assert residue_count(table, 0, 3, 20) == 205
         assert computed == [13]
 
+    def test_build_extends_p_once(self, monkeypatch):
+        # From an empty p cache, the whole table takes one division to
+        # n_max, not one per row.
+        divide = core._divide_by_euler
+        calls = []
+
+        def counting(series, numerator, n):
+            calls.append(n)
+            divide(series, numerator, n)
+
+        monkeypatch.setattr("dysonrank.core._pcache", [1])
+        monkeypatch.setattr("dysonrank.core._divide_by_euler", counting)
+        table = build_rank_table(300)
+        assert calls == [300]
+        half = entry_half_row(core._pcache, 300)
+        assert table.row(300) == half[:0:-1] + half
+
     def test_tiny_table(self):
         t = build_rank_table(3)
         assert t.n_max == 3

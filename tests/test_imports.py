@@ -83,6 +83,15 @@ class TestImportBudget:
         assert not modules & {"dysonrank.maxprod", "dysonrank.reference",
                               "dysonrank.cache", *unused}
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "tables"),
+        ("convexity", "--r", "0", "--max", "40"),
+    ])
+    def test_table_claims_load_no_bounds(self, argv):
+        modules = loaded_modules(*argv)
+        assert "dysonrank.claims" in modules
+        assert "dysonrank.bounds" not in modules
+
     def test_text_output_loads_no_serializer(self):
         modules = loaded_modules("count", "--r", "0", "--t", "3", "--n", "13")
         assert not modules & {"json", "csv"}
