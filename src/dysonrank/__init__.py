@@ -30,10 +30,10 @@ _EXPORTS = {
         "ConvexityReport", "check_pair", "scan_region", "sharpness_frontier",
     ),
     "core": (
-        "RankTable", "a_third_exact", "brute_rank_counts", "build_rank_table",
+        "MAX_TABLE_ROWS", "RankTable", "a_third_exact", "brute_rank_counts", "build_rank_table",
         "decomposition_check", "enumerate_partitions", "partition_number",
         "partition_numbers", "rank", "rank_count", "residue_column",
-        "residue_count",
+        "residue_count", "table_for",
     ),
     "maxprod": (
         "MaxProductEntry", "VerificationReport", "brute_max", "closed_form",

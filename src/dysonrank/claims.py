@@ -2,21 +2,22 @@
 
 `dysonrank verify SUITE` and the acceptance tests run the same function
 here, one per suite.  It takes its ranges, defaulting to the CLI's, and
-a `table_for(need)` callable returning a RankTable with counts up to at
-least `need`, and returns a ClaimRecord.  An `n_max` is only reported
-with the parameters, and a range error names the CLI flag that sets it.
-The per-n inequalities that the `bounds` command shares live here too.
-Each suite and each inequality imports the `bounds`, `convexity`,
-`maxprod` and `reference` modules it runs, so `dysonrank bounds` loads
-none of the last three and `verify tables` or `convexity` no `bounds`.
+an `n_max`, the CLI's --n-max, and returns a ClaimRecord.  Each claim
+asks `core.table_for` for a table without rows sized to what it reads,
+so the --n-max and MAX_TABLE_ROWS refusals, and the flags they name,
+are the CLI's; no claim reads or writes the table cache.  The per-n
+inequalities that the `bounds` command shares live here too.  Each
+suite and each inequality imports the `bounds`, `convexity`, `maxprod`
+and `reference` modules it runs, so `dysonrank bounds` loads none of
+the last three and `verify tables` or `convexity` no `bounds`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .core import RankTable, a_third_exact, partition_numbers, residue_count
+from .core import (MAX_TABLE_ROWS, RankTable, _validate_rt, a_third_exact,
+                   partition_numbers, residue_count, table_for)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -27,8 +28,6 @@ __all__ = ["BUDGET_ALLOWANCE", "LEMMA_POINTS", "SCAN_THRESHOLDS",
            "ClaimRecord", "bounds", "budget", "budget_holds", "conjectures",
            "convexity", "estimate_holds", "ratio_caps_hold", "sandwich_holds",
            "tables", "theorem2"]
-
-TableFor = Callable[[int], RankTable]
 
 # Smallest a from which N(r,t;a) N(r,t;b) > N(r,t;a+b) for all b >= a,
 # keyed by (t, r); t = 3 is proven, t = 2 conjectured.  Other (t, r)
@@ -97,11 +96,11 @@ def _scan(table: RankTable, r: int, t: int, a_min: int,
             "violations": [list(v) for v in report.violations[:20]]}
 
 
-def tables(table_for: TableFor, n_max: int | None = None) -> ClaimRecord:
+def tables(n_max: int | None = None) -> ClaimRecord:
     """The golden small-n count columns and max-product tables, t = 3."""
     from .maxprod import verify_small_tables
     from .reference import counts_column
-    table = table_for(32)
+    table = table_for(32, n_max)
     rows = []
     for r in (0, 1, 2):
         column = counts_column(r)
@@ -116,17 +115,17 @@ def tables(table_for: TableFor, n_max: int | None = None) -> ClaimRecord:
     return ClaimRecord({"n_max": n_max}, {"rows": rows}, bad)
 
 
-def convexity(table_for: TableFor, t: int = 3, r: int | None = None,
-              a_min: int | None = None, b_max: int = 500,
-              n_max: int | None = None) -> ClaimRecord:
+def convexity(t: int = 3, r: int | None = None, a_min: int | None = None,
+              b_max: int = 500, n_max: int | None = None) -> ClaimRecord:
     """The product inequality on a_min <= a <= b <= b_max for residue r
-    (all residues of t when None), from SCAN_THRESHOLDS when a_min is
-    None."""
-    if t < 1:
-        raise ValueError("modulus t must be positive")
-    if r is not None and not 0 <= r < t:
-        raise ValueError("residue r must satisfy 0 <= r < t")
-    table = table_for(2 * b_max)
+    (all residues of t when None, for t up to MAX_TABLE_ROWS), from
+    SCAN_THRESHOLDS when a_min is None."""
+    _validate_rt(0 if r is None else r, t)  # 0 is a residue of any t >= 1
+    if r is None and t > MAX_TABLE_ROWS:
+        # Each residue is one more column and one more scan.
+        raise ValueError(f"without --r the scan covers all {t} residues of "
+                         f"--t; pass --r or --t <= {MAX_TABLE_ROWS}")
+    table = table_for(2 * b_max, n_max)
     rows = []
     for target in range(t) if r is None else (r,):
         lo = SCAN_THRESHOLDS.get((t, target), 1) if a_min is None else a_min
@@ -140,8 +139,7 @@ def convexity(table_for: TableFor, t: int = 3, r: int | None = None,
     return ClaimRecord(params, {"rows": rows}, bad)
 
 
-def theorem2(table_for: TableFor, hi: int = 500,
-             n_max: int | None = None) -> ClaimRecord:
+def theorem2(hi: int = 500, n_max: int | None = None) -> ClaimRecord:
     """Theorem 2: the closed forms are the unique optima up to hi, and
     the replacement rules they rest on raise the product."""
     from .maxprod import (replacement_rules, verify_closed_forms,
@@ -149,7 +147,7 @@ def theorem2(table_for: TableFor, hi: int = 500,
     # The replacement rules read their parts whatever hi is.
     rule_top = max(part for r in (0, 1, 2) for rule in replacement_rules(r)
                    for parts in rule for part in parts)
-    table = table_for(max(hi, rule_top))
+    table = table_for(max(hi, rule_top), n_max)
     rows = []
     for r in (0, 1, 2):
         closed = verify_closed_forms(table, r, hi)
@@ -162,10 +160,10 @@ def theorem2(table_for: TableFor, hi: int = 500,
     return ClaimRecord({"max": hi, "n_max": n_max}, {"rows": rows}, bad)
 
 
-def bounds(table_for: TableFor | None = None, hi: int = 1000) -> ClaimRecord:
+def bounds(hi: int = 1000) -> ClaimRecord:
     """The Lehmer sandwich for 2 <= n <= hi, the estimate's cap for
     n <= min(hi, 500) and the gap lemma at LEMMA_POINTS.  These read
-    p(n) only; table_for is unused."""
+    p(n) only."""
     from .bounds import lehmer_bounds, lehmer_estimate, lemma_threshold
     if hi < 2:
         raise ValueError("--max must be >= 2")
@@ -188,7 +186,7 @@ def bounds(table_for: TableFor | None = None, hi: int = 1000) -> ClaimRecord:
     return ClaimRecord({"max": hi}, results, bad)
 
 
-def budget(table_for: TableFor, lo: int = 500, hi: int = 1000, step: int = 50,
+def budget(lo: int = 500, hi: int = 1000, step: int = 50,
            n_max: int | None = None) -> ClaimRecord:
     """|A(n) - M(n)| <= sum of the six error bounds <= 0.58 L(n) for n in
     range(lo, hi + 1, step), with the exact A(n) and the decimal M(n)."""
@@ -196,7 +194,7 @@ def budget(table_for: TableFor, lo: int = 500, hi: int = 1000, step: int = 50,
     if lo < 500 or hi < lo or step < 1:
         raise ValueError("need 500 <= --from <= --to and --step >= 1; "
                          "the budget is claimed for n >= 500")
-    table = table_for(hi)
+    table = table_for(hi, n_max)
     rows = []
     for n in range(lo, hi + 1, step):
         a = a_third_exact(table, n)
@@ -211,12 +209,12 @@ def budget(table_for: TableFor, lo: int = 500, hi: int = 1000, step: int = 50,
                        {"rows": rows, "failures": bad}, bad)
 
 
-def conjectures(table_for: TableFor, scan_max: int = 300, forms_hi: int = 200,
+def conjectures(scan_max: int = 300, forms_hi: int = 200,
                 n_max: int | None = None) -> ClaimRecord:
     """The t = 2 analogues: product scans to scan_max from
     SCAN_THRESHOLDS, and closed forms with their optima to forms_hi."""
     from .maxprod import conjecture_max_mod2
-    table = table_for(max(2 * scan_max, forms_hi))
+    table = table_for(max(2 * scan_max, forms_hi), n_max)
     rows = [{"kind": "product-scan", "r": r, "t": 2,
              **_scan(table, r, 2, SCAN_THRESHOLDS[(2, r)], scan_max)}
             for r in (0, 1)]

@@ -6,10 +6,10 @@ output is deterministic: stable key order, big integers as decimal
 strings.
 
 Residue counts come from residue columns, so a command that reports
-counts gets a table without rows and computes none.  Only `rank-table
---from/--to` and `count --show-row` print rank rows; they compute the
-rows they print, or read them from --table-cache, which no other
-command reads or writes.
+counts gets a table without rows from `core.table_for`, which holds the
+--n-max policy; the claims behind `convexity` and `verify` take --n-max
+and call it themselves.  Only `rank-table --from/--to` and `count
+--show-row` print rank rows, and only they touch --table-cache.
 
 Exit codes: 0 success (including conjecture mismatches, which are
 reported but never gate), 1 a verified claim failed, 2 usage error,
@@ -39,7 +39,8 @@ import sys
 from typing import TYPE_CHECKING, Any, Iterator
 
 from . import __version__
-from .core import RankTable, build_rank_table, partition_number, residue_count
+from .core import (MAX_TABLE_ROWS, RankTable, build_rank_table,
+                   partition_number, residue_count, table_for)
 
 if TYPE_CHECKING:
     from .claims import ClaimRecord
@@ -54,16 +55,9 @@ _INT_RE = re.compile(r"-?[0-9]+\Z")
 
 _EXIT_BY_STATUS = {"ok": 0, "violation-found": 1, "conjecture-mismatch": 0}
 
-# The largest n a call may read: the length of a residue column, and the
-# size of a table that --table-cache builds.  A full table's memory
-# grows as n^2: on a 2-vCPU host with Python 3.11, 2000 rows took 0.54 s
-# and a 131 MiB peak RSS and 3000 rows 1.6 s and 288 MiB, so 5000 rows
-# is about 0.8 GB.
-MAX_TABLE_ROWS = 5000
-
 
 class UsageError(Exception):
-    """Invalid flag combination or a request the table cannot serve."""
+    """Invalid flag combination, or a table cache that cannot be used."""
 
 
 def _plain(value: Any) -> Any:
@@ -118,8 +112,10 @@ def _encode(value: Any) -> Any:
 
 
 def _decode(value: Any) -> Any:
+    # Only _encode's big integers; a path such as "123" stays a string.
     if isinstance(value, str) and _INT_RE.match(value):
-        return int(value)
+        number = int(value)
+        return number if abs(number) >= _BIG else value
     if isinstance(value, list):
         return [_decode(v) for v in value]
     if isinstance(value, dict):
@@ -201,31 +197,18 @@ def render(record: OutputRecord, fmt: str) -> str:
 # ---------------------------------------------------------------- table
 
 
-def _table_for(args: argparse.Namespace, need: int,
-               rows: bool = False) -> RankTable:
-    """A table holding counts up to at least `need`; --n-max only caps
-    what a call may read.  Without a cache the table is sized to `need`
-    and holds no rows: residue counts come from columns, and a row is
-    computed when it is read.  A command that prints rows (`rows`) and
-    names a cache is served by the cached table when it is big enough;
-    otherwise one is built at --n-max and saved, since filling the cache
-    is the point of naming one.  Other commands ignore the cache.  A
-    cache path that cannot be read or written, or a table past
-    MAX_TABLE_ROWS, is a usage error."""
-    if need > args.n_max:
-        raise UsageError(
-            f"this command requires --n-max >= {need} (got {args.n_max})")
-    path = args.table_cache if rows else None
-    # A negative need reads nothing; a negative --n-max still fails in
-    # RankTable.
-    size = args.n_max if path else min(max(need, 0), args.n_max)
-    if size > MAX_TABLE_ROWS:
-        raise UsageError(
-            f"a rank table to n = {size} is past the ceiling of "
-            f"{MAX_TABLE_ROWS} rows; its memory grows as n^2")
-    if not path:
-        return RankTable(size)
+def _row_table(args: argparse.Namespace, need: int) -> RankTable:
+    """The table for a command that prints rank rows, holding counts up
+    to at least `need`.  With --table-cache the cached table serves when
+    it is big enough; otherwise one is built at --n-max and saved, since
+    filling the cache is the point of naming one.  A cache path that
+    cannot be read or written is a usage error."""
+    if not args.table_cache:
+        return table_for(need, args.n_max)
+    # Refuse before touching the cache, at the size a cache is built at.
+    table_for(max(need, args.n_max), args.n_max)
     from .cache import CacheFormatError, load_table, save_table
+    path = args.table_cache
     try:
         if os.path.exists(path):
             cached = load_table(path)
@@ -244,7 +227,8 @@ def _table_for(args: argparse.Namespace, need: int,
 def _cmd_count(args: argparse.Namespace) -> OutputRecord:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
-    table = _table_for(args, args.n, rows=args.show_row)
+    table = (_row_table(args, args.n) if args.show_row
+             else table_for(args.n, args.n_max))
     value = residue_count(table, args.r, args.t, args.n)
     params = {"r": args.r, "t": args.t, "n": args.n, "n_max": args.n_max}
     results: dict[str, Any] = {"count": value}
@@ -263,8 +247,7 @@ def _cmd_rank_table(args: argparse.Namespace) -> OutputRecord:
         raise UsageError("row range must satisfy 0 <= --from <= --to")
     # The summary reports --n-max and p(--n-max), not the size of the
     # table, since a cached table may hold more rows than the call asks.
-    table = _table_for(args, max(args.n_max, 0 if hi is None else hi),
-                       rows=True)
+    table = _row_table(args, max(args.n_max, 0 if hi is None else hi))
     params: dict[str, Any] = {"n_max": args.n_max}
     results: dict[str, Any] = {"n_max": args.n_max,
                                "partitions_of_n_max": partition_number(
@@ -297,7 +280,7 @@ def _cmd_maxn(args: argparse.Namespace) -> OutputRecord:
     if lo < 0 or hi < lo:
         raise UsageError("range must satisfy 0 <= from <= to")
     from .maxprod import CLOSED_FORM_START, closed_form, max_table
-    table = _table_for(args, hi)
+    table = table_for(hi, args.n_max)
     entries = max_table(table, args.r, args.t, hi)
     closed_start = (CLOSED_FORM_START[args.r]
                     if args.t == 3 and args.r in (0, 1, 2) else None)
@@ -420,8 +403,7 @@ def _run_claim(args: argparse.Namespace, suite: str) -> ClaimRecord:
     given = {keyword: getattr(args, dest)
              for dest, keyword in _VERIFY[suite].items()
              if getattr(args, dest) is not None}
-    return getattr(claims, suite)(lambda need: _table_for(args, need),
-                                  **given)
+    return getattr(claims, suite)(**given)
 
 
 def _cmd_verify(args: argparse.Namespace) -> OutputRecord:

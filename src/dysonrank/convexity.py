@@ -56,9 +56,7 @@ def scan_region(table: RankTable, r: int, t: int, a_min: int, b_max: int,
     b_lo = a_min if b_min is None else b_min
     if a_min < 1 or a_min > a_hi or b_lo > b_max:
         raise ValueError("empty or invalid scan region")
-    if a_hi + b_max > table.n_max:
-        raise ValueError(
-            f"scan needs counts up to {a_hi + b_max} but table holds {table.n_max}")
+    table._check_n(a_hi + b_max)
     counts = residue_column(r, t, a_hi + b_max)
 
     checked = 0

@@ -22,7 +22,8 @@ from collections.abc import Iterator, Sequence
 from itertools import islice
 from typing import NamedTuple
 
-from .core import RankTable, enumerate_partitions, residue_column, residue_count
+from .core import (RankTable, _validate_rt, enumerate_partitions,
+                   residue_column, residue_count)
 from .reference import counts_column, max_column
 
 __all__ = [
@@ -64,13 +65,6 @@ class VerificationReport(NamedTuple):
         return not self.mismatches
 
 
-def _validate_rt(r: int, t: int) -> None:
-    if t < 1:
-        raise ValueError("modulus t must be positive")
-    if not 0 <= r < t:
-        raise ValueError("residue r must satisfy 0 <= r < t")
-
-
 def product_over_partition(table: RankTable, r: int, t: int,
                            parts: Sequence[int]) -> int:
     """prod over the parts of N(r, t; part); empty product is 1."""
@@ -83,18 +77,10 @@ def product_over_partition(table: RankTable, r: int, t: int,
     return out
 
 
-def _check_n_max(table: RankTable, n_max: int) -> None:
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max > table.n_max:
-        raise ValueError(
-            f"needs counts up to {n_max} but table holds {table.n_max}")
-
-
 def _count_row(table: RankTable, r: int, t: int, n_max: int) -> list[int]:
     """f[j] = N(r, t; j) for 1 <= j <= n_max, the score of a part j;
     f[0] = 0, since no part is 0."""
-    _check_n_max(table, n_max)
+    table._check_n(n_max, "n_max")
     return [0, *residue_column(r, t, n_max)[1:]]
 
 

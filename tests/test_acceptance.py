@@ -27,7 +27,7 @@ from dysonrank import claims
 
 def test_criterion_01_small_table_reproduction(criterion):
     table = build_rank_table(64)
-    claim = claims.tables(lambda need: table)
+    claim = claims.tables()
     checked = [row["counts_checked"] for row in claim.results["rows"]]
     ok = claim.failures == 0 and checked == [32, 21, 21]
     ok = ok and residue_count(table, 0, 3, 13) == 37
@@ -73,7 +73,7 @@ def test_criterion_03_global_identities(big_table, criterion):
 
 def test_criterion_04_product_inequality_scan(big_table, criterion):
     table = big_table.table
-    claim = claims.convexity(lambda need: table)
+    claim = claims.convexity()
     ok = claim.failures == 0
     for row in claim.results["rows"]:
         a = row["min"]
@@ -97,8 +97,8 @@ def test_criterion_05_lehmer_sandwich(criterion):
                  "within its cap for n <= 500", ok)
 
 
-def test_criterion_06_error_budget(big_table, criterion):
-    claim = claims.budget(lambda need: big_table.table, hi=2000)
+def test_criterion_06_error_budget(criterion):
+    claim = claims.budget(hi=2000)
     rows = claim.results["rows"]
     ok = claim.failures == 0 and len(rows) == 31
     a_third = {row["n"]: row["a_third"] for row in rows}
@@ -136,9 +136,9 @@ def test_criterion_08_threshold_inequality(criterion):
 
 def test_criterion_09_closed_form_equivalence(big_table, criterion):
     table = big_table.table
-    theorem = claims.theorem2(lambda need: table)
+    theorem = claims.theorem2()
     ok = theorem.failures == 0
-    ok = ok and claims.tables(lambda need: table).failures == 0
+    ok = ok and claims.tables().failures == 0
     checked = [row["closed_checked"] for row in theorem.results["rows"]]
     ok = ok and checked == [468, 479, 479]
     e16 = max_table(table, 0, 3, 16)[16]
@@ -166,7 +166,7 @@ def test_criterion_10_dp_equals_brute_force(big_table, criterion):
 
 def test_criterion_11_conjecture_suites(big_table, criterion):
     table = big_table.table
-    ok = claims.conjectures(lambda need: table).status == "ok"
+    ok = claims.conjectures().status == "ok"
     example = max_table(table, 1, 2, 8, optima_cap=None)[8]
     ok = ok and example.value == 16
     ok = ok and example.optima == ((2, 2, 2, 2), (4, 2, 2), (4, 4), (6, 2))

@@ -17,7 +17,7 @@ import pytest
 
 import dysonrank
 from dysonrank import build_rank_table, load_table
-from dysonrank.core import _half_row
+from dysonrank.core import _half_row, table_for
 from dysonrank.cli import (
     MAX_TABLE_ROWS,
     OutputRecord,
@@ -234,7 +234,7 @@ class TestVerifySuites:
         assert "rows[2]" not in out
 
     def test_convexity_rejects_t_0_before_building(self, monkeypatch):
-        monkeypatch.setattr("dysonrank.cli._table_for", None)
+        monkeypatch.setattr("dysonrank.claims.table_for", None)
         assert run("verify", "convexity", "--t", "0", "--max", "40",
                    "--n-max", "80") == (
             2, "", "error: modulus t must be positive\n")
@@ -244,12 +244,34 @@ class TestVerifySuites:
     @pytest.mark.parametrize("r", ["5", "-1"])
     def test_convexity_rejects_r_before_building(self, monkeypatch, command,
                                                  r):
-        def refuse(args, need, rows=False):
+        def refuse(need, n_max=None):
             raise AssertionError(f"table to {need} asked for")
 
-        monkeypatch.setattr("dysonrank.cli._table_for", refuse)
+        monkeypatch.setattr("dysonrank.claims.table_for", refuse)
         assert run(*command, "--t", "2", "--r", r, "--max", "500") == (
             2, "", "error: residue r must satisfy 0 <= r < t\n")
+
+    def test_convexity_without_r_refuses_t_past_the_ceiling(self,
+                                                             monkeypatch):
+        # Every residue of t is one column and one scan, so time, memory
+        # and output all grow with t.
+        def refuse(series, numerator, n):
+            raise AssertionError("a column was computed")
+
+        monkeypatch.setattr("dysonrank.core._divide_by_euler", refuse)
+        t = MAX_TABLE_ROWS + 1
+        for fmt in ("text", "json"):
+            assert run("verify", "convexity", "--t", str(t), "--max", "40",
+                       "--format", fmt) == (
+                2, "", f"error: without --r the scan covers all {t} "
+                       f"residues of --t; pass --r or --t <= "
+                       f"{MAX_TABLE_ROWS}\n")
+
+    def test_convexity_with_r_takes_any_t(self):
+        code, out, err = run("verify", "convexity", "--t", "100000", "--r",
+                             "0", "--max", "40", "--n-max", "80")
+        assert (code, err) == (1, "")
+        assert "result.rows[0].pairs_checked = 820\n" in out
 
     def test_theorem2(self):
         code, out, _ = run("verify", "theorem2", "--max", "60", "--n-max",
@@ -282,7 +304,7 @@ class TestVerifySuites:
 
     def test_budget_below_500_is_a_usage_error(self, monkeypatch):
         # The paper claims the budget for n >= 500 only.
-        monkeypatch.setattr("dysonrank.cli._table_for", None)
+        monkeypatch.setattr("dysonrank.claims.table_for", None)
         code, out, err = run("verify", "budget", "--from", "10", "--to",
                              "40", "--step", "7", "--n-max", "64")
         assert (code, out) == (2, "")
@@ -420,17 +442,17 @@ class TestTablePolicy:
 
     @pytest.fixture()
     def sized(self, monkeypatch):
-        """n_max of every table a command is handed."""
-        from dysonrank import cli
+        """n_max of every table `core.table_for` hands the CLI or a
+        claim."""
         sizes = []
-        table_for = cli._table_for
 
-        def recording(args, need, rows=False):
-            table = table_for(args, need, rows)
+        def recording(need, n_max=None):
+            table = table_for(need, n_max)
             sizes.append(table.n_max)
             return table
 
-        monkeypatch.setattr(cli, "_table_for", recording)
+        monkeypatch.setattr("dysonrank.cli.table_for", recording)
+        monkeypatch.setattr("dysonrank.claims.table_for", recording)
         return sizes
 
     @pytest.fixture()
@@ -581,6 +603,21 @@ class TestSerialization:
         assert raw["results"]["negative"] == str(-(2 ** 77))
         assert raw["results"]["small"] == 5
         assert record_from_json(record_to_json(record)) == record
+
+    def test_digit_strings_stay_strings(self):
+        # Only integers of 2**53 and beyond are written as strings, so
+        # only those are read back as integers.
+        record = OutputRecord("rank-table", {},
+                              {"cache": "123", "negative": "-7",
+                               "edge": str(2 ** 53 - 1)})
+        assert record_from_json(record_to_json(record)) == record
+
+    def test_digit_cache_path_round_trips(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run("rank-table", "--n-max", "12", "--table-cache",
+                           "123", "--format", "json")
+        assert code == 0
+        assert record_from_json(out).results["cache"] == "123"
 
     def test_tuples_normalize_to_lists(self):
         record = OutputRecord("probe", {}, {"optima": ((7, 7), (14,))})

@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dysonrank import (
+    MAX_TABLE_ROWS,
     RankTable,
     a_third_exact,
     brute_rank_counts,
@@ -39,6 +40,7 @@ from dysonrank import (
     rank_count,
     residue_column,
     residue_count,
+    table_for,
 )
 from dysonrank import core
 from dysonrank.core import _half_row
@@ -570,3 +572,49 @@ class TestTableObject:
 
     def test_repr(self, table):
         assert "240" in repr(table)
+
+    def test_range_errors_name_the_bound(self, table):
+        # One check serves rows, residue counts, scans and the knapsack.
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            residue_count(table, 0, 3, -1)
+        with pytest.raises(ValueError, match="^needs counts up to 241 but "
+                                             "table holds 240$"):
+            residue_count(table, 0, 3, 241)
+        with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+            table._check_n(-1, "n_max")
+
+
+class TestTableFor:
+    """The one policy for what a call may read: sized to its need,
+    capped by n_max and by MAX_TABLE_ROWS, and never a row computed."""
+
+    def test_sized_to_the_need_without_rows(self, monkeypatch):
+        monkeypatch.setattr("dysonrank.core._half_row", None)
+        for n_max in (None, 100, MAX_TABLE_ROWS):
+            table = table_for(40, n_max)
+            assert table.n_max == 40
+            assert residue_count(table, 0, 3, 13) == 37
+        assert table_for(MAX_TABLE_ROWS).n_max == MAX_TABLE_ROWS
+
+    def test_need_past_n_max(self):
+        with pytest.raises(ValueError, match=r"^this command requires "
+                                             r"--n-max >= 41 \(got 40\)$"):
+            table_for(41, 40)
+
+    def test_need_past_the_ceiling(self):
+        message = (f"^a rank table to n = {MAX_TABLE_ROWS + 1} is past the "
+                   f"ceiling of {MAX_TABLE_ROWS} rows; its memory grows as "
+                   r"n\^2$")
+        for n_max in (None, MAX_TABLE_ROWS + 1, 10 ** 9):
+            with pytest.raises(ValueError, match=message):
+                table_for(MAX_TABLE_ROWS + 1, n_max)
+
+    def test_negative_need_reads_nothing(self):
+        assert table_for(-30).n_max == 0
+        assert table_for(-30, 64).n_max == 0
+
+    def test_negative_n_max(self):
+        with pytest.raises(ValueError, match=r"--n-max >= 0 \(got -3\)"):
+            table_for(0, -3)
+        with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+            table_for(-30, -20)

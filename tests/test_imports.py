@@ -153,8 +153,8 @@ class TestReportsAreImmutable:
         with pytest.raises(AttributeError):
             report.checked = 0
 
-    def test_claim_record(self, table):
-        record = claims.tables(lambda need: table)
+    def test_claim_record(self):
+        record = claims.tables()
         with pytest.raises(AttributeError):
             record.failures = 0
 
