@@ -383,11 +383,19 @@ def error_term_bound(i: int, n: int) -> float:
 
 
 def error_budget(n: int) -> ErrorBudget:
-    """All six error bounds at n, their sum, and the envelope context."""
+    """All six error bounds at n, their sum, and the envelope context.
+
+    The main term and the envelope share one sqrt(24n - 1) and one
+    sinh, in the association of main_term and envelope, so every float
+    equals theirs."""
     _check_positive(n)
     terms = _error_bounds(n)
-    lower, upper = envelope(n)
-    return ErrorBudget(n, terms, math.fsum(terms), main_term(n), lower, upper)
+    x = math.sqrt(24.0 * n - 1.0)
+    s = math.sinh(_PI_18 * x)
+    upper = 8.0 * s / x
+    main = -8.0 * math.sin(_PI_18 - 2.0 * n * math.pi / 3.0) * s / x
+    return ErrorBudget(n, terms, math.fsum(terms), main, upper * SIN_PI_18,
+                       upper)
 
 
 def exact_gap(a: int, m: float | Decimal) -> Fraction:

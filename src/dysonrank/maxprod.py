@@ -13,6 +13,18 @@ partitions of s that attain it and the smallest largest part among
 them, in O(n) memory.  Theorem 2 and the t = 2 conjectures are checked
 by counting, not by listing: an expected optimum set is confirmed by
 its value and its size.
+
+The knapsack runs a pass only for a part that can join an optimum.
+Scores are nonnegative, f >= 0.  Let B[s] be the best product over the
+partitions of s into parts < c.  Joining optima gives
+B[c + j] >= B[c] * B[j] (supermultiplicativity, the property behind
+Bessenrodt and Ono's maximal products).  So if f[c] < B[c], and
+B[c + z] > 0 at every z >= 1 with B[z] = 0 (the zero-position
+condition), every candidate f[c] * B[j] of part c's pass is strictly
+below B[c + j].  That pass changes nothing and is skipped, and part c
+leads no optimum.  With U the set of parts whose pass runs, the
+knapsack makes O(|U| * n) products and the optima walk tries only the
+parts in U.  The cost is O(n^2) again only while zero products persist.
 """
 
 from __future__ import annotations
@@ -84,27 +96,31 @@ def _count_row(table: RankTable, r: int, t: int, n_max: int) -> list[int]:
     return [0, *residue_column(r, t, n_max)[1:]]
 
 
-def _walk_optima(best: list[int], top: list[int], f: list[int],
-                 n: int) -> Iterator[tuple[int, ...]]:
+def _walk_optima(best: list[int], top: list[int], below: list[int],
+                 f: list[int], n: int) -> Iterator[tuple[int, ...]]:
     """Yield every partition of n attaining best[n] > 0, in reverse
     lexicographic order, each exactly once.
 
     No part of such an optimum has f = 0, so dropping its largest part c
     leaves an optimum of n - c: c leads an optimum of s with parts <= k
     iff c <= k, f[c] * best[s - c] == best[s] and top[s - c] <= c.
-    A state (s, c) is resumed only while c >= top[s], so some optimum of
-    s has parts <= c and no branch dead-ends.  Depth first, the larger
-    leading part first; the parts taken so far live in one shared path
-    list, a stack entry (s, c, depth) resumes at path[:depth], and only
-    a finished partition is copied into a tuple."""
+    Only a part whose knapsack pass ran can lead: if part c's pass was
+    skipped and top[s - c] <= c, best[s - c] was final before that pass,
+    so f[c] * best[s - c] < best[s].  The walk therefore tries the parts
+    below[c], below[c - 1], ..., where below[k] is the largest part <= k
+    whose pass ran, and yields what a walk over every part would, in the
+    same order.  A state (s, c) is resumed only while c >= top[s], so
+    some optimum of s has parts <= c and no branch dead-ends.  Depth
+    first, the larger leading part first; the parts taken so far live in
+    one shared path list, a stack entry (s, c, depth) resumes at
+    path[:depth], and only a finished partition is copied into a tuple."""
     path: list[int] = []
     stack: list[tuple[int, int, int]] = [(n, n, 0)]
     while stack:
         s, c, depth = stack.pop()
         del path[depth:]
         while s:
-            if c > s:
-                c = s
+            c = below[c if c < s else s]
             if f[c] * best[s - c] == best[s] and top[s - c] <= c:
                 if c > top[s]:
                     stack.append((s, c - 1, len(path)))
@@ -116,10 +132,11 @@ def _walk_optima(best: list[int], top: list[int], f: list[int],
 
 
 def _best_and_count(f: list[int], n_max: int
-                    ) -> tuple[list[int], list[int], list[int]]:
+                    ) -> tuple[list[int], list[int], list[int], list[int]]:
     """best[s], the largest product of f over the parts of a partition
-    of s, cnt[s], how many partitions of s attain it, and top[s], the
-    smallest largest part among them, for s = 0 .. n_max.
+    of s, cnt[s], how many partitions of s attain it, top[s], the
+    smallest largest part among them, and below[s], the largest part
+    <= s whose pass ran (0 if none), for s = 0 .. n_max; f >= 0.
 
     A knapsack over the parts c = 1 .. n_max: after part c, best[s] and
     cnt[s] cover the partitions of s with parts <= c.  A candidate
@@ -127,12 +144,30 @@ def _best_and_count(f: list[int], n_max: int
     top[s] = c; one that ties adds its count.  The last c that beat
     best[s] is the first with which best[s] is reached, hence top.  cnt[s]
     is exact whenever best[s] > 0 (a zero product could also be reached
-    through sub-partitions that are not optimal themselves)."""
+    through sub-partitions that are not optimal themselves).
+
+    Before part c's pass best[c] covers the parts < c, and
+    best[c + j] >= best[c] * best[j].  So the pass is skipped when
+    f[c] < best[c] and best[c + z] > 0 at every zero position z >= 1
+    (best[z] = 0): no candidate then reaches best[c + j], and best, cnt
+    and top are what the pass would leave.  The zero positions only
+    shrink, and are refiltered after each pass that runs, so a skipped
+    pass costs one comparison plus one read per zero position.  The
+    first pass always runs (best[1] = -1 < f[1]).  Products: O(|U| * n)
+    for the set U of parts whose pass runs, 9 to 21 parts for t = 3;
+    O(n^2) again only while zero products persist."""
     best = [1] + [-1] * n_max
     cnt = [1] * (n_max + 1)
     top = [0] * (n_max + 1)
+    below = [0] * (n_max + 1)
+    zeros: Sequence[int] = range(1, n_max + 1)  # where best[z] <= 0
+    last = 0
     for c in range(1, n_max + 1):
         fc = f[c]
+        if fc < best[c] and all(best[c + z] > 0 for z in zeros
+                                if z <= n_max - c):
+            below[c] = last
+            continue
         for s in range(c, n_max + 1):
             cand = fc * best[s - c]
             if cand > best[s]:
@@ -141,26 +176,28 @@ def _best_and_count(f: list[int], n_max: int
                 top[s] = c
             elif cand == best[s]:
                 cnt[s] += cnt[s - c]
-    return best, cnt, top
+        zeros = [z for z in zeros if best[z] <= 0]
+        below[c] = last = c
+    return best, cnt, top, below
 
 
 def max_table(table: RankTable, r: int, t: int, n_max: int,
               optima_cap: int | None = DEFAULT_OPTIMA_CAP) -> list[MaxProductEntry]:
     """Entries for n = 0 .. n_max: values from the knapsack, optima
-    walked over its best and top lists.  optima_cap bounds the stored
-    set per n (None means unbounded); overflow is flagged, never
+    walked over its best, top and below lists.  optima_cap bounds the
+    stored set per n (None means unbounded); overflow is flagged, never
     silent.  The walk stops once optima_cap + 1 are found, so a
     truncated set is always the same prefix of the reverse
     lexicographic order."""
     _validate_rt(r, t)
     f = _count_row(table, r, t, n_max)
-    best, _, top = _best_and_count(f, n_max)
+    best, _, top, below = _best_and_count(f, n_max)
     limit = None if optima_cap is None else optima_cap + 1
     entries = [MaxProductEntry(0, 1, ((),))]
     for n in range(1, n_max + 1):
         # When best[n] == 0 every partition of n is optimal.
         walk = (enumerate_partitions(n) if best[n] == 0
-                else _walk_optima(best, top, f, n))
+                else _walk_optima(best, top, below, f, n))
         optima = sorted(islice(walk, limit))
         truncated = limit is not None and len(optima) == limit
         entries.append(MaxProductEntry(n, best[n], tuple(optima[:optima_cap]),
@@ -242,7 +279,7 @@ def verify_closed_forms(table: RankTable, r: int, n_hi: int,
         raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
     lo = CLOSED_FORM_START[r] if n_lo is None else n_lo
     f = _count_row(table, r, 3, n_hi)
-    best, cnt, _ = _best_and_count(f, n_hi)
+    best, cnt, _, _ = _best_and_count(f, n_hi)
     checked, mismatches = 0, []
     for n in range(lo, n_hi + 1):
         value, parts = closed_form(r, n)
@@ -367,7 +404,7 @@ def conjecture_max_mod2(table: RankTable, r: int, n_hi: int,
     lo = CONJECTURE_MOD2_START[r] if n_lo is None else n_lo
     lo = max(lo, CONJECTURE_MOD2_START[r])
     f = _count_row(table, r, 2, n_hi)
-    best, cnt, _ = _best_and_count(f, n_hi)
+    best, cnt, _, _ = _best_and_count(f, n_hi)
     checked, mismatches = 0, []
     for n in range(lo, n_hi + 1):
         swaps_keep_value = True

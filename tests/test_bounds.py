@@ -334,6 +334,13 @@ class TestLiteralOracles:
             want = tuple(_literal_error_bound(i, n) for i in range(1, 7))
             assert error_budget(n).terms == want, n
 
+    def test_budget_main_term_and_envelope(self):
+        # error_budget shares one sqrt and one sinh between the two.
+        for n in (*range(1, 3001), *SPOT_N):
+            budget = error_budget(n)
+            assert budget.main == main_term(n), n
+            assert (budget.lower, budget.upper) == envelope(n), n
+
     def test_single_bound_is_the_budget_entry(self):
         for n in (*range(1, 3001, 7), *SPOT_N):
             terms = error_budget(n).terms

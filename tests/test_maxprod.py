@@ -4,7 +4,9 @@ and the exploratory modulus-2 analogues."""
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -26,7 +28,9 @@ from dysonrank.maxprod import (
     _best_and_count,
     _closure_size_mod2,
     _count_row,
+    _walk_optima,
 )
+from dysonrank.core import residue_column
 from dysonrank.reference import SMALL_TABLE, counts_column, max_column
 
 
@@ -35,7 +39,50 @@ from dysonrank.reference import SMALL_TABLE, counts_column, max_column
 # replaced, kept unchanged as oracles for the part-count closure and the
 # knapsack's optima walk.  The part-count closure and the listing
 # conjecture check after them are in turn what the counting knapsack
-# replaced, kept as its oracles.
+# replaced, kept as its oracles.  The knapsack with a pass for every
+# part and the walk that tries every part are what the skipping
+# knapsack and walk replaced, kept as their oracles.
+
+def full_best_and_count(f: list[int], n_max: int
+                        ) -> tuple[list[int], list[int], list[int]]:
+    """best, cnt and top from one knapsack pass per part 1 .. n_max."""
+    best = [1] + [-1] * n_max
+    cnt = [1] * (n_max + 1)
+    top = [0] * (n_max + 1)
+    for c in range(1, n_max + 1):
+        fc = f[c]
+        for s in range(c, n_max + 1):
+            cand = fc * best[s - c]
+            if cand > best[s]:
+                best[s] = cand
+                cnt[s] = cnt[s - c]
+                top[s] = c
+            elif cand == best[s]:
+                cnt[s] += cnt[s - c]
+    return best, cnt, top
+
+
+def full_walk_optima(best: list[int], top: list[int], f: list[int],
+                     n: int):
+    """Every optimum of n in reverse lexicographic order, trying every
+    part from n downwards."""
+    path: list[int] = []
+    stack: list[tuple[int, int, int]] = [(n, n, 0)]
+    while stack:
+        s, c, depth = stack.pop()
+        del path[depth:]
+        while s:
+            if c > s:
+                c = s
+            if f[c] * best[s - c] == best[s] and top[s - c] <= c:
+                if c > top[s]:
+                    stack.append((s, c - 1, len(path)))
+                path.append(c)
+                s -= c
+            else:
+                c -= 1
+        yield tuple(path)
+
 
 def counter_closure_mod2(start: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Closure of a partition under swapping (2,2) <-> (4) and
@@ -411,7 +458,8 @@ class TestBestAndCount:
                                       (0, 2), (0, 5), (1, 7), (0, 1)])
     def test_matches_listed_optima(self, table, r, t):
         entries = max_table(table, r, t, 120, optima_cap=None)
-        best, cnt, _ = _best_and_count(_count_row(table, r, t, 120), 120)
+        best, cnt, _, _ = _best_and_count(_count_row(table, r, t, 120),
+                                          120)
         assert best == [e.value for e in entries]
         assert cnt == [len(e.optima) for e in entries]
 
@@ -420,7 +468,7 @@ class TestBestAndCount:
     def test_top_is_smallest_largest_part(self, table, r, t):
         # (3, 7) has best = 0 at n <= 3, where every partition is optimal.
         f = _count_row(table, r, t, 120)
-        _, _, top = _best_and_count(f, 120)
+        _, _, top, _ = _best_and_count(f, 120)
         V = _value_table(f, 120)
         assert top[0] == 0
         for n in range(1, 121):
@@ -445,3 +493,75 @@ class TestOptimaWalk:
                 optima, truncated = prefix_collect_optima(V, f, n, cap)
                 want = MaxProductEntry(n, V[n][n], tuple(optima), truncated)
                 assert entries[n] == want, (r, t, cap, n)
+
+
+def _assert_matches_full(f: list[int], n_max: int, label) -> None:
+    """The skipping knapsack equals the full one, and the walk over it
+    yields the full walk's first 200 optima in the same order, at every
+    n with a positive best product."""
+    best, cnt, top, below = _best_and_count(f, n_max)
+    assert (best, cnt, top) == full_best_and_count(f, n_max), label
+    for n in range(1, n_max + 1):
+        if best[n] > 0:
+            got = list(islice(_walk_optima(best, top, below, f, n), 200))
+            want = list(islice(full_walk_optima(best, top, f, n), 200))
+            assert got == want, (label, n)
+
+
+class CountingInt(int):
+    """An int whose products, taken with it on the left, are counted."""
+    products = 0
+
+    def __mul__(self, other):
+        CountingInt.products += 1
+        return int.__mul__(self, other)
+
+
+class TestSkippedParts:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 7, 11, 20])
+    def test_residue_columns_match_full_knapsack_and_walk(self, table, t):
+        for r in range(t):
+            _assert_matches_full(_count_row(table, r, t, 120), 120, (r, t))
+
+    def test_zero_best_everywhere_matches(self, table):
+        # N(50, 100; n) = 0 for n < 50, so zero products persist.
+        _assert_matches_full(_count_row(table, 50, 100, 60), 60, (50, 100))
+
+    def test_zero_position_condition(self):
+        # f[4] = 0 < best[4] = 1, from (2, 2), but best[1] = 0 and
+        # best[4 + 1] = 0: part 4's pass ties at n = 5 through (4, 1), so
+        # it runs.  Skipped, cnt[5] would read 5.
+        f = [0, 0, 1, 0, 0, 0]
+        best, cnt, top, below = _best_and_count(f, 5)
+        assert (best, cnt, top) == full_best_and_count(f, 5)
+        assert below[4] == 4
+        assert cnt[5] == 6
+
+    def test_random_scores_with_many_zeros(self):
+        rng = random.Random(20161)
+        for draw in range(3000):
+            n_max = rng.randint(1, 30)
+            f = [0] + [rng.choice((0, 0, 0, 1, 1, 2, 3, 4, 6, 9))
+                       for _ in range(n_max)]
+            _assert_matches_full(f, n_max, (draw, f))
+
+    def test_passes_that_run(self, table):
+        runs = {}
+        for r, t in ((0, 3), (1, 3), (2, 3), (0, 2), (1, 2)):
+            below = _best_and_count(_count_row(table, r, t, 240), 240)[3]
+            runs[r, t] = len(set(below) - {0})
+        assert runs == {(0, 3): 9, (1, 3): 21, (2, 3): 21, (0, 2): 4,
+                        (1, 2): 8}
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_products_to_2000(self, r):
+        # One pass per part makes about 2 * 10^6 products.
+        n = 2000
+        f = [CountingInt(v) for v in (0, *residue_column(r, 3, n)[1:])]
+        CountingInt.products = 0
+        best, _, top, below = _best_and_count(f, n)
+        assert CountingInt.products <= 25 * (n + 1)
+        CountingInt.products = 0
+        optima = list(_walk_optima(best, top, below, f, n))
+        assert len(optima) == 1
+        assert CountingInt.products < n
