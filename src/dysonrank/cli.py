@@ -14,7 +14,9 @@ and call it themselves.  Only `rank-table --from/--to` and `count
 Exit codes: 0 success (including conjecture mismatches, which are
 reported but never gate), 1 a verified claim failed, 2 usage error,
 including a table cache that cannot be read, written or trusted and
-arithmetic out of range, such as a float overflow.
+arithmetic out of range, such as a float overflow, and an internal
+consistency check of the package that failed (an AssertionError, such
+as a closed-form case table that does not add up).
 
 Start-up imports only `core` and the standard library; each handler
 imports what it runs, so a fresh process compiles no more than its
@@ -279,15 +281,14 @@ def _cmd_maxn(args: argparse.Namespace) -> OutputRecord:
         hi = args.hi
     if lo < 0 or hi < lo:
         raise UsageError("range must satisfy 0 <= from <= to")
-    from .maxprod import CLOSED_FORM_START, closed_form, max_table
+    from .maxprod import CLOSED_FORM_START, _max_entries, closed_form
     table = table_for(hi, args.n_max)
-    entries = max_table(table, args.r, args.t, hi)
     closed_start = (CLOSED_FORM_START[args.r]
                     if args.t == 3 and args.r in (0, 1, 2) else None)
     rows = []
     disagreements = 0
-    for n in range(lo, hi + 1):
-        entry = entries[n]
+    for entry in _max_entries(table, args.r, args.t, lo, hi):
+        n = entry.n
         row: dict[str, Any] = {"n": n, "value": entry.value}
         if closed_start is not None and n >= closed_start:
             cf_value, cf_parts = closed_form(args.r, n)
@@ -501,6 +502,9 @@ def main(argv: list[str] | None = None) -> int:
         record = args.handler(args)
     except (UsageError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 2
     try:
         print(render(record, args.format))

@@ -10,8 +10,10 @@ gives p(n), and costs O(n^1.5) exact additions with no n x n storage
 (see residue_column).  Conjugation negates the rank, so r and t - r
 share one column and one division.  The rank rows N(m, n), every rank
 m of one n, are computed only where a caller reads them, each from
-strided slices of p (see build_rank_table).  All counts are exact
-integers; nothing here ever passes through a float.
+strided slices of d_k(j) = p(j) - p(j - k), the partitions of j with no
+part k, which are kept beside p once a row needs them (see
+build_rank_table).  All counts are exact integers; nothing here ever
+passes through a float.
 """
 
 from __future__ import annotations
@@ -40,13 +42,18 @@ __all__ = [
 
 # The largest n a call may read: the length of a residue column, and the
 # size of a table that --table-cache builds.  A full table's memory
-# grows as n^2: on a 2-vCPU host with Python 3.11, 2000 rows took 0.54 s
-# and a 131 MiB peak RSS and 3000 rows 1.6 s and 288 MiB, so 5000 rows
-# is about 0.8 GB.
+# grows as n^2: on a 2-vCPU host with Python 3.11, in a fresh process
+# with its import, 2000 rows took 0.56 s and a 107 MiB peak RSS and
+# 3000 rows 1.3-1.6 s and 227 MiB, so 5000 rows is about 0.6 GB.
 MAX_TABLE_ROWS = 5000
 
 
 _pcache = [1]
+# d_k(j) = p(j) - p(j - k), the number of partitions of j with no part k,
+# for the rank rows: _dcache[k - 1] holds d_k(0 .. n - g_k), g_k =
+# k(3k-1)/2, for every k with g_k <= n, where n is the largest row
+# extended to so far.  Extended with p, never recomputed.
+_dcache: list[list[int]] = []
 # Residue columns by (r, t), each N(r, t; 0 .. len - 1); extended, never
 # recomputed, when a longer one is asked for.  (r, t) and (t - r, t) map
 # to the same list, since N(r, t; n) = N(t - r, t; n).
@@ -185,8 +192,7 @@ class RankTable:
             if n == 0:
                 row = [1]
             else:
-                partition_number(n)  # extends _pcache to n
-                half = _half_row(_pcache, n)
+                half = _half_row(n)
                 row = half[:0:-1] + half
             self._rows[n] = row
         return row
@@ -246,44 +252,77 @@ def build_rank_table(n_max: int) -> RankTable:
         sum_n N(m, n) q^n
             = (1/(q)_inf) sum_{k>=1} (-1)^(k-1) q^(k(3k-1)/2 + mk) (1 - q^k).
 
-    Since q^(k(3k-1)/2 + mk) q^k = q^(k(3k-1)/2 + (m+1)k), the sum over
-    ranks >= m telescopes: F(m, n), the number of partitions of n with
-    rank >= m, is
+    The coefficient of q^j in (1 - q^k)/(q)_inf is d_k(j) = p(j) - p(j - k),
+    the number of partitions of j with no part k, so
 
-        F(m, n) = sum_{k>=1} (-1)^(k-1) p(n - g_k - mk),   g_k = k(3k-1)/2,
+        N(m, n) = sum_{k>=1} (-1)^(k-1) d_k(n - g_k - mk),   g_k = k(3k-1)/2,
 
-    over the k with g_k <= n, with p zero at negative arguments, and
-    N(m, n) = F(m, n) - F(m+1, n).  For fixed k the terms over
-    m = 0, 1, ... are the stride -k slice p[n - g_k :: -k], so each k
-    adds or subtracts one slice into F.  Rows are symmetric,
-    N(-m, n) = N(m, n), so each row is the half m = 0 .. n-1 mirrored.
+    over the k with g_k <= n, with d_k zero at negative arguments.  For
+    fixed k the terms over m = 0, 1, ... are the stride -k slice
+    d_k[n - g_k :: -k], so each k adds or subtracts one slice into the
+    row.  Rows are symmetric, N(-m, n) = N(m, n), so each row is the
+    half m = 0 .. n-1 mirrored.
+
+    The lists d_k are kept for the life of the process beside p, each
+    only as far as a row reads it, d_k(0 .. n_max - g_k), and extended,
+    never recomputed.  With K ~ sqrt(2 n_max / 3) the number of k with
+    g_k <= n_max, filling them costs about (2/3) K n_max big-integer
+    subtractions once per process, one list-wide pass per k like a
+    row's, and holds as many integers: 36 lists, 4.8 * 10^4 integers
+    and about 2 MiB at n_max = 2000; 57 lists, 1.9 * 10^5 integers and
+    about 10 MiB at 5000, where p itself is 0.3 MiB.  In return a row
+    costs one slice addition per k and no pass of differences.
 
     Every row is computed before this returns; RankTable(n_max) gives
-    the same table with each row computed when it is first read.  p is
-    extended to n_max in one division before the first row, not one
+    the same table with each row computed when it is first read.  p and
+    every d_k are extended to n_max before the first row, not one
     degree per row.
     """
     table = RankTable(n_max)
     partition_number(n_max)
+    _no_part_counts(n_max)
     for n in range(n_max + 1):
         table._row(n)
     return table
 
 
-def _half_row(p: Sequence[int], n: int) -> list[int]:
-    """N(m, n) for m = 0 .. n-1 by the formula above, given p at least
-    to n; n >= 1."""
-    # k = 1 gives F(m, n) = p(n - 1 - m); no partition of n has rank n.
-    f = [*p[n - 1::-1], 0]
+def _no_part_counts(n: int) -> list[list[int]]:
+    """_dcache, with each d_k that row n reads extended to n - g_k; p
+    too is extended to n."""
+    if _dcache and len(_dcache[0]) >= n:  # d_1 reaches n - 1
+        return _dcache
+    if n >= len(_pcache):
+        _extend_pcache(n)
+    p = _pcache
+    k, g = 1, 1
+    while g <= n:
+        if k > len(_dcache):
+            _dcache.append([])
+        d = _dcache[k - 1]
+        hi = n - g + 1  # d_k(0 .. hi - 1)
+        if len(d) < k:  # no part k fits below k: d_k(j) = p(j)
+            d += p[len(d):min(k, hi)]
+        lo = len(d)
+        d += map(sub, p[lo:hi], p[lo - k:hi - k])
+        g += 3 * k + 1  # g_(k+1) - g_k
+        k += 1
+    return _dcache
+
+
+def _half_row(n: int) -> list[int]:
+    """N(m, n) for m = 0 .. n-1 by the formula above; n >= 1."""
+    d = _no_part_counts(n)
+    # k = 1 gives N(m, n) = d_1(n - 1 - m).
+    half = d[0][n - 1::-1]
     k = 2
     g = 5  # g_k
     while g <= n:
-        seg = p[n - g::-k]
+        seg = d[k - 1][n - g::-k]
         width = len(seg)
-        f[:width] = map(add if k & 1 else sub, f[:width], seg)
+        half[:width] = map(add if k & 1 else sub, half[:width], seg)
         g += 3 * k + 1  # g_(k+1) - g_k
         k += 1
-    return list(map(sub, f, f[1:]))
+    return half
 
 
 def rank_count(table: RankTable, m: int, n: int) -> int:

@@ -25,6 +25,10 @@ below B[c + j].  That pass changes nothing and is skipped, and part c
 leads no optimum.  With U the set of parts whose pass runs, the
 knapsack makes O(|U| * n) products and the optima walk tries only the
 parts in U.  The cost is O(n^2) again only while zero products persist.
+The closed-form sweep adds two products per n, since each closed form
+is that of n - base with one more base part, and the optima are walked
+only for the n a caller asks for (max_table's 0 .. n_max, or a CLI
+range), so neither is quadratic in n.
 """
 
 from __future__ import annotations
@@ -189,12 +193,23 @@ def max_table(table: RankTable, r: int, t: int, n_max: int,
     silent.  The walk stops once optima_cap + 1 are found, so a
     truncated set is always the same prefix of the reverse
     lexicographic order."""
+    return _max_entries(table, r, t, 0, n_max, optima_cap)
+
+
+def _max_entries(table: RankTable, r: int, t: int, lo: int, hi: int,
+                 optima_cap: int | None = DEFAULT_OPTIMA_CAP
+                 ) -> list[MaxProductEntry]:
+    """max_table's entries for n = lo .. hi only: the knapsack runs to
+    hi, but the optima of n < lo are neither walked nor stored."""
     _validate_rt(r, t)
-    f = _count_row(table, r, t, n_max)
-    best, _, top, below = _best_and_count(f, n_max)
+    f = _count_row(table, r, t, hi)
+    best, _, top, below = _best_and_count(f, hi)
     limit = None if optima_cap is None else optima_cap + 1
-    entries = [MaxProductEntry(0, 1, ((),))]
-    for n in range(1, n_max + 1):
+    entries = []
+    for n in range(lo, hi + 1):
+        if n == 0:
+            entries.append(MaxProductEntry(0, 1, ((),)))
+            continue
         # When best[n] == 0 every partition of n is optimal.
         walk = (enumerate_partitions(n) if best[n] == 0
                 else _walk_optima(best, top, below, f, n))
@@ -240,6 +255,7 @@ _HEADS_R12 = {0: (), 1: (15,), 2: (15, 15), 3: (17,), 4: (17, 15),
               9: (12, 11), 10: (12, 12), 11: (11,), 12: (12,), 13: (15, 12)}
 
 CLOSED_FORM_START = {0: 33, 1: 22, 2: 22}
+_BASE_PART = {0: 7, 1: 14, 2: 14}
 
 
 def closed_form(r: int, n: int) -> tuple[int, tuple[int, ...]]:
@@ -254,8 +270,8 @@ def closed_form(r: int, n: int) -> tuple[int, tuple[int, ...]]:
     if n < CLOSED_FORM_START[r]:
         raise ValueError(
             f"closed form for r={r} applies from n={CLOSED_FORM_START[r]}")
-    base, heads = (7, _HEADS_R0) if r == 0 else (14, _HEADS_R12)
-    head = heads[n % base]
+    base = _BASE_PART[r]
+    head = (_HEADS_R0 if r == 0 else _HEADS_R12)[n % base]
     reps, rem = divmod(n - sum(head), base)
     if rem:  # head sums are chosen per residue class; cannot happen
         raise AssertionError(f"case table broken at r={r}, n={n}")
@@ -263,6 +279,28 @@ def closed_form(r: int, n: int) -> tuple[int, tuple[int, ...]]:
     value = math.prod(counts[part] for part in head) * counts[base] ** reps
     parts = tuple(sorted(head + (base,) * reps, reverse=True))
     return value, parts
+
+
+def _carried_closed_forms(r: int, f: list[int], lo: int, hi: int
+                          ) -> Iterator[tuple[int, int, int]]:
+    """(n, value, product) for n = lo .. hi: closed_form(r, n)'s value
+    and the product of f over its parts.  Past the first base values,
+    the closed form of n is that of n - base plus one base part, so both
+    are carried from n - base with one multiplication each, by the
+    frozen base count and by f[base]; closed_form itself is called only
+    to seed each residue class modulo base."""
+    base = _BASE_PART[r]
+    base_count = counts_column(r)[base]
+    last: list[tuple[int, int] | None] = [None] * base  # by n mod base
+    for n in range(lo, hi + 1):
+        prev = last[n % base]
+        if prev is None:
+            value, parts = closed_form(r, n)
+            product = math.prod(f[part] for part in parts)
+        else:
+            value, product = prev[0] * base_count, prev[1] * f[base]
+        last[n % base] = value, product
+        yield n, value, product
 
 
 def verify_closed_forms(table: RankTable, r: int, n_hi: int,
@@ -274,18 +312,20 @@ def verify_closed_forms(table: RankTable, r: int, n_hi: int,
     closed-form value, the table's counts over the closed-form parts
     must multiply to that value, and exactly one partition may attain
     it: together, the closed form is the unique optimum.  A mismatch is
-    recorded as (n, value, parts, best, count)."""
+    recorded as (n, value, parts, best, count).  The values and products
+    are carried along each residue class modulo the base part (see
+    _carried_closed_forms), one multiplication per n each, so the sweep
+    costs O(n_hi) products beside the knapsack."""
     if r not in CLOSED_FORM_START:
         raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
     lo = CLOSED_FORM_START[r] if n_lo is None else n_lo
     f = _count_row(table, r, 3, n_hi)
     best, cnt, _, _ = _best_and_count(f, n_hi)
     checked, mismatches = 0, []
-    for n in range(lo, n_hi + 1):
-        value, parts = closed_form(r, n)
-        product = math.prod(f[part] for part in parts)
+    for n, value, product in _carried_closed_forms(r, f, lo, n_hi):
         if best[n] != value or product != value or cnt[n] != 1:
-            mismatches.append((n, value, parts, best[n], cnt[n]))
+            mismatches.append(
+                (n, value, closed_form(r, n)[1], best[n], cnt[n]))
         checked += 1
     return VerificationReport(f"closed-forms r={r}", checked, mismatches)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from dysonrank import RankTable, build_rank_table, partition_numbers
+from dysonrank import RankTable, build_rank_table
 from dysonrank.core import _half_row
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -29,7 +29,7 @@ def a_third_from_row():
     def a_third(n: int) -> int:
         by_residue = [0, 0, 0]
         # rows are symmetric, N(-m, n) = N(m, n)
-        for m, count in enumerate(_half_row(partition_numbers(n), n)):
+        for m, count in enumerate(_half_row(n)):
             by_residue[m % 3] += count
             if m:
                 by_residue[-m % 3] += count

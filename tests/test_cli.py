@@ -153,6 +153,46 @@ class TestMaxn:
         assert code == 2
         assert "not both" in err
 
+    @pytest.mark.parametrize("r, t, argv", [
+        (0, 3, ("--from", "30", "--to", "45")),
+        (0, 3, ("--n", "80")),
+        (0, 3, ("--n", "0")),
+        (1, 3, ("--from", "0", "--to", "24")),
+        (2, 3, ("--from", "60", "--to", "80")),
+        (1, 2, ("--n", "60")),  # 91 optima, truncated at 64
+        (0, 5, ("--from", "9", "--to", "14")),
+    ])
+    def test_rows_equal_max_table_entries(self, r, t, argv):
+        from dysonrank.maxprod import max_table
+        entries = max_table(table_for(80), r, t, 80)
+        code, out, _ = run("maxn", "--r", str(r), "--t", str(t), *argv,
+                           "--n-max", "80", "--show-partitions",
+                           "--format", "json")
+        assert code == 0
+        rows = record_from_json(out).results["rows"]
+        lo = int(argv[1])
+        hi = lo if argv[0] == "--n" else int(argv[3])
+        assert [row["n"] for row in rows] == list(range(lo, hi + 1))
+        for row in rows:
+            entry = entries[row["n"]]
+            assert row["value"] == entry.value
+            assert row["optima"] == [list(p) for p in entry.optima]
+            assert row.get("optima_truncated", False) is entry.truncated
+        if (r, t) == (1, 2):
+            assert rows[0]["optima_truncated"] is True
+
+    def test_broken_case_table_exits_2_without_traceback(self, monkeypatch):
+        # Heads of n = 1 (mod 7) that sum to 37 leave a remainder of 6.
+        from dysonrank import maxprod
+        monkeypatch.setitem(maxprod._HEADS_R0, 1, (13, 13, 11))
+        for argv in (("maxn", "--r", "0", "--n", "36", "--n-max", "64"),
+                     ("verify", "theorem2", "--max", "60", "--n-max", "60")):
+            code, out, err = run(*argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err == ("error: internal check failed: case table broken "
+                           "at r=0, n=36\n"), argv
+
 
 class TestConvexity:
     def test_violations_exit_one(self):
@@ -460,9 +500,9 @@ class TestTablePolicy:
         """Every n whose rank row is computed."""
         rows = []
 
-        def recording(p, n):
+        def recording(n):
             rows.append(n)
-            return _half_row(p, n)
+            return _half_row(n)
 
         monkeypatch.setattr("dysonrank.core._half_row", recording)
         return rows

@@ -10,8 +10,10 @@ measures its rank.  The series oracle below expands the two-variable
 rank generating function, a different algorithm that reaches much
 larger n.  A third oracle, entry_half_row, evaluates the same formula
 one count at a time, with no telescoping and no slices, and reaches
-single rows past any table.  Small rows are also checked against
-hand-derived values.
+single rows past any table.  A fourth, strided_half_row, is the row
+kernel the production one replaced: strided slices of p summed into the
+counts F(m, n) of rank >= m, then differenced, so it reads no cached
+d_k.  Small rows are also checked against hand-derived values.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import cmath
 import os
 import subprocess
 import sys
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -88,6 +91,34 @@ def entry_half_row(p, n):
             k += 1
         half.append(total)
     return half
+
+
+def strided_half_row(p, n):
+    """N(m, n) for m = 0 .. n-1 from F(m, n), the partitions of n with
+    rank >= m, as sum_k (-1)^(k-1) p(n - g_k - mk), one strided slice of
+    p per k, then N(m, n) = F(m, n) - F(m+1, n); given p at least to n,
+    n >= 1."""
+    # k = 1 gives F(m, n) = p(n - 1 - m); no partition of n has rank n.
+    f = [*p[n - 1::-1], 0]
+    k = 2
+    g = 5  # g_k
+    while g <= n:
+        seg = p[n - g::-k]
+        width = len(seg)
+        f[:width] = map(add if k & 1 else sub, f[:width], seg)
+        g += 3 * k + 1  # g_(k+1) - g_k
+        k += 1
+    return list(map(sub, f, f[1:]))
+
+
+def coin_partition_numbers(n_max):
+    """p(0 .. n_max) by the knapsack over parts, one pass per part: a
+    different algorithm from the pentagonal recurrence."""
+    p = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        for s in range(part, n_max + 1):
+            p[s] += p[s - part]
+    return p
 
 
 def series_rank_rows(n_max: int) -> list[list[int]]:
@@ -233,14 +264,19 @@ class TestTableAgainstOracle:
     @pytest.mark.parametrize("n", [1000, 2000, 4347])
     def test_large_half_rows_equal_entry_formula(self, n):
         p = partition_numbers(n)
-        assert _half_row(p, n) == entry_half_row(p, n)
+        assert _half_row(n) == entry_half_row(p, n)
 
     @pytest.mark.parametrize("g", [5, 12, 22, 35, 51, 70])
     def test_rows_where_a_stride_enters(self, g):
         # g = k(3k-1)/2 is the first n whose row reads stride -k.
         for n in (g - 1, g):
             p = partition_numbers(n)
-            assert _half_row(p, n) == entry_half_row(p, n), n
+            assert _half_row(n) == entry_half_row(p, n), n
+
+    def test_half_rows_equal_strided_differences(self):
+        p = partition_numbers(2000)
+        for n in [*range(1, 601), 1000, 2000]:
+            assert _half_row(n) == strided_half_row(p, n), n
 
     def test_hand_derived_rows(self, table):
         assert table.row(0) == [1]
@@ -277,6 +313,43 @@ class TestTableAgainstOracle:
             assert table.count(1 - n, n) == 1
             assert table.count(n, n) == 0
             assert table.count(-n, n) == 0
+
+
+class TestNoPartCounts:
+    """The cached d_k(j) = p(j) - p(j - k) that rows are summed from."""
+
+    @pytest.fixture()
+    def cold(self, monkeypatch):
+        """Empty p and d_k caches for the test, restored after it."""
+        monkeypatch.setattr("dysonrank.core._pcache", [1])
+        monkeypatch.setattr("dysonrank.core._dcache", [])
+
+    def test_lists_equal_differences_of_p(self, cold):
+        n = 300
+        build_rank_table(n)
+        p = coin_partition_numbers(n)
+        k, g = 1, 1
+        while g <= n:
+            assert core._dcache[k - 1] == [
+                p[j] - (p[j - k] if j >= k else 0)
+                for j in range(n - g + 1)], k
+            g += 3 * k + 1
+            k += 1
+        assert len(core._dcache) == k - 1
+
+    def test_rows_read_lazily_in_any_order(self, cold):
+        lazy = RankTable(300)
+        order = [40, 7, 300, 41, 1, 0, 6, 5, 299, 12, 11, 150]
+        rows = {n: lazy.row(n) for n in order}
+        lengths = [len(d) for d in core._dcache]
+        built = build_rank_table(300)
+        assert [len(d) for d in core._dcache] == lengths
+        for n in order:
+            assert rows[n] == built.row(n), n
+        p = partition_numbers(300)
+        for n in filter(None, order):
+            half = strided_half_row(p, n)
+            assert rows[n] == half[:0:-1] + half, n
 
 
 class TestResidueCounts:
@@ -415,7 +488,7 @@ class TestResidueColumn:
         assert list(residue_column(0, 1, 1000)) == partition_numbers(1000)
 
     def test_a_third_at_4347_reads_no_row(self, monkeypatch):
-        def refuse(p, n):
+        def refuse(n):
             raise AssertionError(f"row {n} computed")
 
         monkeypatch.setattr("dysonrank.core._half_row", refuse)
@@ -513,9 +586,9 @@ class TestTableObject:
     def test_row_is_computed_once(self, monkeypatch):
         computed = []
 
-        def recording(p, n):
+        def recording(n):
             computed.append(n)
-            return _half_row(p, n)
+            return _half_row(n)
 
         monkeypatch.setattr("dysonrank.core._half_row", recording)
         table = RankTable(30)

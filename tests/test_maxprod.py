@@ -4,6 +4,7 @@ and the exploratory modulus-2 analogues."""
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from itertools import islice
@@ -22,15 +23,18 @@ from dysonrank import (
     verify_replacement_rules,
     verify_small_tables,
 )
+from dysonrank import maxprod
 from dysonrank.maxprod import (
     CLOSED_FORM_START,
     CONJECTURE_MOD2_START,
+    _BASE_PART,
     _best_and_count,
+    _carried_closed_forms,
     _closure_size_mod2,
     _count_row,
     _walk_optima,
 )
-from dysonrank.core import residue_column
+from dysonrank.core import RankTable, residue_column
 from dysonrank.reference import SMALL_TABLE, counts_column, max_column
 
 
@@ -41,7 +45,9 @@ from dysonrank.reference import SMALL_TABLE, counts_column, max_column
 # conjecture check after them are in turn what the counting knapsack
 # replaced, kept as its oracles.  The knapsack with a pass for every
 # part and the walk that tries every part are what the skipping
-# knapsack and walk replaced, kept as their oracles.
+# knapsack and walk replaced, kept as their oracles.  The closed-form
+# sweep that builds and multiplies out every closed form is what the
+# carried sweep replaced, kept as its oracle.
 
 def full_best_and_count(f: list[int], n_max: int
                         ) -> tuple[list[int], list[int], list[int]]:
@@ -217,6 +223,26 @@ def listing_conjecture_max_mod2(table, r: int, n_hi: int
     return checked, mismatches
 
 
+def per_n_verify_closed_forms(table, r: int, n_hi: int,
+                              n_lo: int | None = None):
+    """verify_closed_forms with closed_form called, and f multiplied
+    over its parts, at every n."""
+    if r not in CLOSED_FORM_START:
+        raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
+    lo = CLOSED_FORM_START[r] if n_lo is None else n_lo
+    f = _count_row(table, r, 3, n_hi)
+    best, cnt, _, _ = _best_and_count(f, n_hi)
+    checked, mismatches = 0, []
+    for n in range(lo, n_hi + 1):
+        value, parts = maxprod.closed_form(r, n)
+        product = math.prod(f[part] for part in parts)
+        if best[n] != value or product != value or cnt[n] != 1:
+            mismatches.append((n, value, parts, best[n], cnt[n]))
+        checked += 1
+    return maxprod.VerificationReport(f"closed-forms r={r}", checked,
+                                      mismatches)
+
+
 def _canonical_mod2(n: int) -> tuple[int, ...]:
     if n % 2 == 0:
         return (2,) * (n // 2)
@@ -352,6 +378,74 @@ class TestClosedForm:
         report = verify_closed_forms(table, 0, 33)
         assert report.checked == 1
         assert report.mismatches == [(33, 9583, (33,), 9583, 1)]
+
+    def test_carry_equals_closed_form_to_2000(self):
+        table = RankTable(2000)
+        for r in (0, 1, 2):
+            f = _count_row(table, r, 3, 2000)
+            start = CLOSED_FORM_START[r]
+            carried = list(_carried_closed_forms(r, f, start, 2000))
+            assert [n for n, _, _ in carried] == list(range(start, 2001))
+            for n, value, product in carried:
+                cf_value, parts = closed_form(r, n)
+                assert value == cf_value, (r, n)
+                assert product == math.prod(f[part] for part in parts), (r, n)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_carried_sweep_equals_per_n_sweep(self, r):
+        # Every n_hi across the seeds and the first carries of each
+        # residue class, then long ranges; starts other than the default.
+        base, start = _BASE_PART[r], CLOSED_FORM_START[r]
+        table = RankTable(2000)
+        for n_hi in [*range(base - 1, start + 3 * base + 1), 240, 1000, 2000]:
+            for n_lo in (None, start + 1, start + base, start + base + 5,
+                         n_hi):
+                if n_hi == 2000 and n_lo not in (None, start + base + 5):
+                    continue
+                if n_lo is not None and n_lo < start and n_lo <= n_hi:
+                    for sweep in (verify_closed_forms,
+                                  per_n_verify_closed_forms):
+                        with pytest.raises(ValueError, match="applies from"):
+                            sweep(table, r, n_hi, n_lo)
+                    continue
+                assert verify_closed_forms(table, r, n_hi, n_lo) == \
+                    per_n_verify_closed_forms(table, r, n_hi, n_lo), (
+                        n_hi, n_lo)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_carried_mismatches_equal_per_n_mismatches(self, r, monkeypatch):
+        # A frozen count off by one breaks the values of every closed
+        # form with that part; a column count off by one breaks the
+        # products and the knapsack.  Both sweeps must report alike.
+        frozen = counts_column(r)
+        part = 13 if r == 0 else 15
+        monkeypatch.setattr(maxprod, "counts_column", lambda r: {
+            **frozen, part: frozen[part] + 1})
+        table = RankTable(240)
+        for n_lo in (None, CLOSED_FORM_START[r] + 5):
+            report = verify_closed_forms(table, r, 240, n_lo)
+            assert report.mismatches
+            assert report == per_n_verify_closed_forms(table, r, 240, n_lo)
+        monkeypatch.undo()
+
+        def bumped(r, t, n_max):
+            counts = list(residue_column(r, t, n_max))
+            counts[_BASE_PART[r]] += 1
+            return tuple(counts)
+
+        monkeypatch.setattr(maxprod, "residue_column", bumped)
+        report = verify_closed_forms(table, r, 240)
+        assert report.mismatches
+        assert report == per_n_verify_closed_forms(table, r, 240)
+
+    def test_short_ranges_read_no_carry(self):
+        # Below one period nothing is carried, so f[base] is never read.
+        for r in (0, 1, 2):
+            start = CLOSED_FORM_START[r]
+            for n_hi in (_BASE_PART[r] - 1, start - 1, start):
+                report = verify_closed_forms(RankTable(n_hi), r, n_hi)
+                assert report.checked == max(0, n_hi - start + 1)
+                assert report.ok
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
