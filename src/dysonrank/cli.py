@@ -281,24 +281,18 @@ def _cmd_maxn(args: argparse.Namespace) -> OutputRecord:
         hi = args.hi
     if lo < 0 or hi < lo:
         raise UsageError("range must satisfy 0 <= from <= to")
-    from .maxprod import CLOSED_FORM_START, _max_entries, closed_form
+    from .maxprod import _maxn_rows
     table = table_for(hi, args.n_max)
-    closed_start = (CLOSED_FORM_START[args.r]
-                    if args.t == 3 and args.r in (0, 1, 2) else None)
     rows = []
     disagreements = 0
-    for entry in _max_entries(table, args.r, args.t, lo, hi):
-        n = entry.n
-        row: dict[str, Any] = {"n": n, "value": entry.value}
-        if closed_start is not None and n >= closed_start:
-            cf_value, cf_parts = closed_form(args.r, n)
-            agrees = (cf_value == entry.value and not entry.truncated
-                      and entry.optima == (cf_parts,))
-            row["closed_form"] = cf_value
-            row["closed_form_agrees"] = agrees
-            if not agrees:
+    for n, value, closed, entry in _maxn_rows(table, args.r, args.t, lo, hi,
+                                              args.show_partitions):
+        row: dict[str, Any] = {"n": n, "value": value}
+        if closed is not None:
+            row["closed_form"], row["closed_form_agrees"] = closed
+            if not closed[1]:
                 disagreements += 1
-        if args.show_partitions:
+        if entry is not None:
             row["optima"] = [list(p) for p in entry.optima]
             if entry.truncated:
                 row["optima_truncated"] = True

@@ -28,7 +28,7 @@ parts in U.  The cost is O(n^2) again only while zero products persist.
 The closed-form sweep adds two products per n, since each closed form
 is that of n - base with one more base part, and the optima are walked
 only for the n a caller asks for (max_table's 0 .. n_max, or a CLI
-range), so neither is quadratic in n.
+range with --show-partitions), so neither is quadratic in n.
 """
 
 from __future__ import annotations
@@ -193,31 +193,52 @@ def max_table(table: RankTable, r: int, t: int, n_max: int,
     silent.  The walk stops once optima_cap + 1 are found, so a
     truncated set is always the same prefix of the reverse
     lexicographic order."""
-    return _max_entries(table, r, t, 0, n_max, optima_cap)
+    _validate_rt(r, t)
+    f = _count_row(table, r, t, n_max)
+    best, _, top, below = _best_and_count(f, n_max)
+    return [_entry(best, top, below, f, n, optima_cap)
+            for n in range(n_max + 1)]
 
 
-def _max_entries(table: RankTable, r: int, t: int, lo: int, hi: int,
-                 optima_cap: int | None = DEFAULT_OPTIMA_CAP
-                 ) -> list[MaxProductEntry]:
-    """max_table's entries for n = lo .. hi only: the knapsack runs to
-    hi, but the optima of n < lo are neither walked nor stored."""
+def _entry(best: list[int], top: list[int], below: list[int], f: list[int],
+           n: int, optima_cap: int | None) -> MaxProductEntry:
+    """max_table's entry for n, from the knapsack's lists."""
+    if n == 0:
+        return MaxProductEntry(0, 1, ((),))
+    limit = None if optima_cap is None else optima_cap + 1
+    # When best[n] == 0 every partition of n is optimal.
+    walk = (enumerate_partitions(n) if best[n] == 0
+            else _walk_optima(best, top, below, f, n))
+    optima = sorted(islice(walk, limit))
+    truncated = limit is not None and len(optima) == limit
+    return MaxProductEntry(n, best[n], tuple(optima[:optima_cap]), truncated)
+
+
+def _maxn_rows(table: RankTable, r: int, t: int, lo: int, hi: int,
+               walk: bool) -> list[tuple[int, int, tuple[int, bool] | None,
+                                         MaxProductEntry | None]]:
+    """(n, value, closed, entry) for n = lo .. hi, the rows of the CLI's
+    maxn.  value is the best product.  closed is (closed_form(r, n)'s
+    value, whether it is the unique optimum) for t = 3 from
+    CLOSED_FORM_START[r] on, else None; it is the unique optimum iff
+    best = value = the product over its parts and exactly one
+    partition attains it, verify_closed_forms' verdict, with the values
+    and products carried (see _carried_closed_forms).  entry is
+    max_table's entry for n if walk, else None, so the optima are
+    walked only when they are printed."""
     _validate_rt(r, t)
     f = _count_row(table, r, t, hi)
-    best, _, top, below = _best_and_count(f, hi)
-    limit = None if optima_cap is None else optima_cap + 1
-    entries = []
-    for n in range(lo, hi + 1):
-        if n == 0:
-            entries.append(MaxProductEntry(0, 1, ((),)))
-            continue
-        # When best[n] == 0 every partition of n is optimal.
-        walk = (enumerate_partitions(n) if best[n] == 0
-                else _walk_optima(best, top, below, f, n))
-        optima = sorted(islice(walk, limit))
-        truncated = limit is not None and len(optima) == limit
-        entries.append(MaxProductEntry(n, best[n], tuple(optima[:optima_cap]),
-                                       truncated))
-    return entries
+    best, cnt, top, below = _best_and_count(f, hi)
+    closed = {}
+    if t == 3 and r in CLOSED_FORM_START:
+        start = max(lo, CLOSED_FORM_START[r])
+        closed = {n: (value, best[n] == value == product and cnt[n] == 1)
+                  for n, value, product
+                  in _carried_closed_forms(r, f, start, hi)}
+    return [(n, best[n], closed.get(n),
+             _entry(best, top, below, f, n, DEFAULT_OPTIMA_CAP)
+             if walk else None)
+            for n in range(lo, hi + 1)]
 
 
 def brute_max(table: RankTable, r: int, t: int, n: int,

@@ -39,6 +39,30 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def walking_maxn_rows(r, t, lo, hi, show_partitions):
+    """maxn's rows with every printed n's optima walked and closed_form
+    called per row: a closed form agrees when it is the one stored
+    optimum and the set is not truncated.  The oracle for the verdict
+    maxn takes from the knapsack's count."""
+    from dysonrank.maxprod import CLOSED_FORM_START, closed_form, max_table
+    rows = []
+    for entry in max_table(table_for(hi), r, t, hi)[lo:]:
+        row = {"n": entry.n, "value": entry.value}
+        if (t == 3 and r in CLOSED_FORM_START
+                and entry.n >= CLOSED_FORM_START[r]):
+            cf_value, cf_parts = closed_form(r, entry.n)
+            row["closed_form"] = cf_value
+            row["closed_form_agrees"] = (
+                cf_value == entry.value and not entry.truncated
+                and entry.optima == (cf_parts,))
+        if show_partitions:
+            row["optima"] = [list(p) for p in entry.optima]
+            if entry.truncated:
+                row["optima_truncated"] = True
+        rows.append(row)
+    return rows
+
+
 class TestCount:
     def test_established_counts(self):
         code, out, _ = run("count", "--r", "0", "--t", "3", "--n", "13",
@@ -180,6 +204,71 @@ class TestMaxn:
             assert row.get("optima_truncated", False) is entry.truncated
         if (r, t) == (1, 2):
             assert rows[0]["optima_truncated"] is True
+
+    @pytest.mark.parametrize("r, t, lo, hi", [
+        (0, 3, 0, 120), (1, 3, 10, 90), (2, 3, 40, 75),
+        (0, 2, 0, 60), (1, 2, 30, 70), (0, 5, 0, 40), (2, 5, 25, 45),
+    ])
+    def test_rows_equal_walking_rows(self, r, t, lo, hi):
+        for show in (False, True):
+            code, out, _ = run("maxn", "--r", str(r), "--t", str(t),
+                               "--from", str(lo), "--to", str(hi),
+                               "--n-max", str(hi), "--format", "json",
+                               *(("--show-partitions",) if show else ()))
+            assert code == 0
+            results = record_from_json(out).results
+            expected = walking_maxn_rows(r, t, lo, hi, show)
+            assert results["rows"] == expected, show
+            assert results["closed_form_disagreements"] == sum(
+                row.get("closed_form_agrees") is False for row in expected)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_disagreeing_rows_equal_walking_rows(self, r, monkeypatch):
+        # A frozen count off by one breaks every closed form with that
+        # part, and a column count off by one the knapsack and the
+        # products, as in the closed-form sweep's mismatch test.  Giving
+        # the part 5 * base the value of the closed form base^5 ties the
+        # two at n = 5 * base; lowering the base count as well leaves
+        # the part alone as the optimum, with the closed form's value.
+        from dysonrank import maxprod
+        from dysonrank.maxprod import _BASE_PART
+        from dysonrank.reference import counts_column
+        frozen = counts_column(r)
+        part = 13 if r == 0 else 15
+        base = _BASE_PART[r]
+
+        def bump(counts):
+            counts[base] += 1
+
+        def tie(counts):
+            counts[5 * base] = counts[base] ** 5
+
+        def replace(counts):
+            tie(counts)
+            counts[base] -= 1
+
+        def column(change):
+            def fake(r, t, n_max):
+                counts = list(dysonrank.residue_column(r, t, n_max))
+                change(counts)
+                return tuple(counts)
+            return fake
+
+        for name, fake in (("counts_column", lambda r: {
+                **frozen, part: frozen[part] + 1}),
+                           ("residue_column", column(bump)),
+                           ("residue_column", column(tie)),
+                           ("residue_column", column(replace))):
+            monkeypatch.setattr(maxprod, name, fake)
+            for show in (False, True):
+                code, out, _ = run("maxn", "--r", str(r), "--from", "20",
+                                   "--to", "120", "--n-max", "120",
+                                   "--format", "json",
+                                   *(("--show-partitions",) if show else ()))
+                assert code == 1, name
+                rows = record_from_json(out).results["rows"]
+                assert rows == walking_maxn_rows(r, 3, 20, 120, show), name
+            monkeypatch.undo()
 
     def test_broken_case_table_exits_2_without_traceback(self, monkeypatch):
         # Heads of n = 1 (mod 7) that sum to 37 leave a remainder of 6.

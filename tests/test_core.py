@@ -14,6 +14,8 @@ single rows past any table.  A fourth, strided_half_row, is the row
 kernel the production one replaced: strided slices of p summed into the
 counts F(m, n) of rank >= m, then differenced, so it reads no cached
 d_k.  Small rows are also checked against hand-derived values.
+loop_divide_by_euler, the per-term pentagonal loop, is the oracle for
+the division behind p(n) and every residue column.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import cmath
 import os
 import subprocess
 import sys
-from operator import add, sub
+from operator import add, itemgetter, sub
 from pathlib import Path
 
 import pytest
@@ -121,6 +123,30 @@ def coin_partition_numbers(n_max):
     return p
 
 
+def loop_divide_by_euler(series, numerator, n):
+    """The per-term loop that core._divide_by_euler replaced: c[m] =
+    a[m] + sum_k (-1)^(k-1) (c[m - g_k] + c[m - g_k - k]), one bytecode
+    step per pentagonal term."""
+    steps = []  # (g_k, g_k + k, k odd) for every g_k <= n
+    k, g = 1, 1
+    while g <= n:
+        steps.append((g, g + k, k & 1))
+        g += 3 * k + 1  # g_(k+1) - g_k
+        k += 1
+    lo = len(series)
+    for m in range(lo, n + 1):
+        total = numerator[m - lo]
+        for g, h, odd in steps:
+            if g > m:
+                break
+            v = series[m - g] + series[m - h] if h <= m else series[m - g]
+            if odd:
+                total += v
+            else:
+                total -= v
+        series.append(total)
+
+
 def series_rank_rows(n_max: int) -> list[list[int]]:
     """Rows N(m, n), m = -(n-1) .. n-1, for n <= n_max, by expanding
 
@@ -204,6 +230,72 @@ class TestPartitionFunction:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partition_number(-1)
+
+
+class TestDivideByEuler:
+    """core._divide_by_euler, the gathered pentagonal recurrence, against
+    the per-term loop it replaced."""
+
+    @staticmethod
+    def both(series, numerator, n):
+        expected = list(series)
+        loop_divide_by_euler(expected, numerator, n)
+        core._divide_by_euler(series, numerator, n)
+        assert series == expected
+
+    def test_partition_numbers(self):
+        self.both([1], [0] * 3000, 3000)
+        series = [1]
+        self.both(series, [0] * 10000, 10000)
+        assert partition_number(10000) == series[10000]
+
+    def test_every_column_to_1500(self):
+        for t in range(1, 13):
+            for r in range(t):
+                expected = []
+                loop_divide_by_euler(
+                    expected, core._residue_numerator(r, t, 0, 1500), 1500)
+                assert list(residue_column(r, t, 1500)) == expected, (r, t)
+
+    def test_extension_from_every_start(self):
+        # Offsets enter at 1, 2, 5, 7, 12, 15, 22, 26, 35, 40, 51, 57, so
+        # the starts 0 .. 60 put every one of them at a call's boundary.
+        for numerator in ([1] + [0] * 200,
+                          core._residue_numerator(0, 3, 0, 200)):
+            whole = []
+            loop_divide_by_euler(whole, numerator, 200)
+            for start in range(61):
+                series = whole[:start]
+                core._divide_by_euler(series, numerator[start:], 200)
+                assert series == whole, start
+
+    def test_no_getter_gathers_20_items(self, monkeypatch):
+        # CPython 3.11 never reuses a freed 20-item tuple; every getter
+        # also needs two items, or it would return a scalar.
+        sizes = []
+
+        def recording(*items):
+            sizes.append(len(items))
+            return itemgetter(*items)
+
+        monkeypatch.setattr(core, "itemgetter", recording)
+        for start in range(61):
+            core._divide_by_euler(partition_numbers(200)[:start],
+                                  [0] * (201 - start), 200)
+        core._divide_by_euler([], [1] + [0] * 3000, 3000)
+        assert 20 not in sizes and min(sizes) >= 2
+        assert max(sizes) > 20
+
+    def test_nothing_below_the_stored_length(self):
+        whole = []
+        loop_divide_by_euler(whole, [1] + [0] * 40, 40)
+        for n in (-1, 0, 20, 40):
+            series = list(whole)
+            core._divide_by_euler(series, [7] * 50, n)
+            assert series == whole, n
+        series = []
+        core._divide_by_euler(series, [7] * 50, -1)
+        assert series == []
 
 
 class TestEnumeration:
@@ -316,34 +408,55 @@ class TestTableAgainstOracle:
 
 
 class TestNoPartCounts:
-    """The cached d_k(j) = p(j) - p(j - k) that rows are summed from."""
+    """The cached d_k(j) = p(j) - p(j - k) that rows are summed from,
+    stored by residue class of j modulo k."""
 
     @pytest.fixture()
     def cold(self, monkeypatch):
         """Empty p and d_k caches for the test, restored after it."""
         monkeypatch.setattr("dysonrank.core._pcache", [1])
-        monkeypatch.setattr("dysonrank.core._dcache", [])
+        monkeypatch.setattr("dysonrank.core._dcache", {})
 
     def test_lists_equal_differences_of_p(self, cold):
         n = 300
         build_rank_table(n)
         p = coin_partition_numbers(n)
+        keys = set()
         k, g = 1, 1
         while g <= n:
-            assert core._dcache[k - 1] == [
-                p[j] - (p[j - k] if j >= k else 0)
-                for j in range(n - g + 1)], k
+            for c in range(min(k, n - g + 1)):
+                assert core._dcache[k, c] == [
+                    p[j] - (p[j - k] if j >= k else 0)
+                    for j in range(c, n - g + 1, k)], (k, c)
+                keys.add((k, c))
             g += 3 * k + 1
             k += 1
-        assert len(core._dcache) == k - 1
+        assert set(core._dcache) == keys
+
+    def test_a_row_fills_one_class_per_k(self, cold):
+        for n in (5000, 301, 12):
+            core._dcache.clear()
+            half = _half_row(n)
+            expected = {}
+            k, g = 1, 1
+            while g <= n:
+                i, c = divmod(n - g, k)
+                expected[k, c] = i + 1
+                g += 3 * k + 1
+                k += 1
+            assert {key: len(d) for key, d in core._dcache.items()} == expected
+            if n <= 301:
+                assert half == strided_half_row(partition_numbers(n), n)
 
     def test_rows_read_lazily_in_any_order(self, cold):
         lazy = RankTable(300)
         order = [40, 7, 300, 41, 1, 0, 6, 5, 299, 12, 11, 150]
         rows = {n: lazy.row(n) for n in order}
-        lengths = [len(d) for d in core._dcache]
+        stored = {key: (d, list(d)) for key, d in core._dcache.items()}
         built = build_rank_table(300)
-        assert [len(d) for d in core._dcache] == lengths
+        for key, (d, values) in stored.items():
+            # extended in place, never recomputed
+            assert core._dcache[key] is d and d[:len(values)] == values, key
         for n in order:
             assert rows[n] == built.row(n), n
         p = partition_numbers(300)
