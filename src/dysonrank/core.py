@@ -17,6 +17,10 @@ division.  The rank rows N(m, n), every rank m of one n, are computed
 only where a caller reads them, each from reversed slices of
 d_k(j) = p(j) - p(j - k), the partitions of j with no part k, kept
 beside p by residue class of j modulo k once a row reads them (see
+_half_row).  A full table instead runs the recurrence
+T(m, n) = p(n - 1 - m) - T(m + 3, n - 1 - m) between the rank tails
+T(m, n), the partitions of n with rank >= m, at one subtraction per
+new count, and differences each tails row into its half row (see
 build_rank_table).  All counts are exact integers; nothing here ever
 passes through a float.
 """
@@ -27,7 +31,7 @@ import cmath
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
-from operator import add, itemgetter, sub
+from operator import add, getitem, itemgetter, sub
 
 __all__ = [
     "MAX_TABLE_ROWS",
@@ -49,16 +53,17 @@ __all__ = [
 # The largest n a call may read: the length of a residue column, and the
 # size of a table that --table-cache builds.  A full table's memory
 # grows as n^2: on a 2-vCPU host with Python 3.11, in a fresh process
-# with its import, 2000 rows took 0.56 s and a 107 MiB peak RSS and
-# 3000 rows 1.3-1.6 s and 227 MiB, so 5000 rows is about 0.6 GB.
+# with its import, 2000 rows took 0.40-0.44 s and a 89 MiB peak RSS and
+# 3000 rows 0.90-0.92 s and 187 MiB, so 5000 rows is about 0.5 GB.
 MAX_TABLE_ROWS = 5000
 
 
 _pcache = [1]
 # d_k(j) = p(j) - p(j - k), the number of partitions of j with no part k,
-# for the rank rows, by residue class of j: _dcache[k, c] holds d_k(c),
-# d_k(c + k), d_k(c + 2k), ... for 0 <= c < k, as far as a row has read
-# it.  Extended with p, never recomputed.
+# for the rank rows read one at a time (build_rank_table reads none), by
+# residue class of j: _dcache[k, c] holds d_k(c), d_k(c + k),
+# d_k(c + 2k), ... for 0 <= c < k, as far as a row has read it.
+# Extended with p, never recomputed.
 _dcache: dict[tuple[int, int], list[int]] = {}
 # Residue columns by (r, t), each N(r, t; 0 .. len - 1); extended, never
 # recomputed, when a longer one is asked for.  (r, t) and (t - r, t) map
@@ -292,38 +297,83 @@ def build_rank_table(n_max: int) -> RankTable:
     n - g_k - k, ..., down to j = c = (n - g_k) mod k: one residue class
     of j modulo k.  d_k is stored by class, one list per (k, c) holding
     d_k(c), d_k(c + k), ..., so each k adds or subtracts one reversed
-    slice of one list into the row.  Rows are symmetric,
+    slice of one list into the row (see _half_row).  Rows are symmetric,
     N(-m, n) = N(m, n), so each row is the half m = 0 .. n-1 mirrored.
-
     The lists are kept for the life of the process beside p and
     extended, never recomputed.  A row read extends only the one class
     per k that it reads, about n/k entries, so a lone row of n costs
-    O(n log n) subtractions and that much memory.  A full table fills
-    every class to n_max - g_k: with K ~ sqrt(2 n_max / 3) the number
-    of k with g_k <= n_max, about (2/3) K n_max big-integer
-    subtractions once per process, holding as many integers, about
-    2 MiB at n_max = 2000 and 10 MiB at 5000, where p itself is
-    0.3 MiB.  In return a row costs one slice addition per k and no
-    pass of differences.
+    O(n log n) subtractions and that much memory.
+
+    A full table is not built from those lists.  Summed over every rank
+    >= m, the formula gives the tails T(m, n), the partitions of n with
+    rank >= m:
+
+        T(m, n) = sum_{k>=1} (-1)^(k-1) p(n - g_k - mk),   n >= 1.
+
+    Since g_(k+1) = g_k + 3k + 1, the terms k >= 2 shifted to k - 1 are
+    those of T(m + 3, n - 1 - m) with the opposite sign, so
+
+        T(m, n) = p(n - 1 - m) - T(m + 3, n - 1 - m),   0 <= m <= n - 1,
+
+    and the second term is nonzero only while m + 3 < n - 1 - m, that
+    is for m <= hi = (n - 5) // 2.  Phase 1 makes the tails rows
+    n = 1 .. n_max in order: a reversed slice of p minus one C-level
+    gather of T(m + 3, n - 1 - m) for m <= hi from the rows before it,
+    then references into p for m > hi.  Phase 2 takes n = n_max down to
+    1: the half row is N(m, n) = T(m, n) - T(m + 1, n) for m <= hi,
+    then references into one list of d_1(j) = p(j) - p(j - 1), which is
+    N(m, n) for m > hi; tails row n is dropped as soon as its half row
+    is made, so the next rows reuse its memory.  That is about n/2
+    subtractions per row in each phase, one per new count, against
+    2.4n additions for a row of 1000 from the d_k lists (2.7n at 2000),
+    one per entry of each slice; neither phase reads or fills those
+    lists.
+
+    The tails are one list per row, never one flat buffer of the
+    triangle: such a buffer is a single block of n_max^2 / 2 pointers
+    (4 MB at n_max = 1000), which glibc serves by mmap, and freeing it
+    raises glibc's dynamic mmap threshold to its size, so later blocks
+    below that size stay on the heap.  A flat buffer lifted the peak
+    RSS of the claims-1000 benchmark pass from 82 to 90 MiB, and with
+    the threshold pinned (MALLOC_MMAP_THRESHOLD_) it read 82 again.
 
     Every row is computed before this returns; RankTable(n_max) gives
-    the same table with each row computed when it is first read.  p and
-    every class of every d_k are extended to n_max before the first
-    row, not one degree per row: on the host of the module docstring,
-    1000 rows take 0.15 s and 2000 rows 0.56 s this way, against 0.17
-    and 0.64 s when the rows extend them.
+    the same table with each row computed when it is first read.  On a
+    2-vCPU host with Python 3.11, in a fresh process with the import,
+    1000, 2000 and 3000 rows take 0.13-0.16, 0.40-0.44 and 0.90-0.92 s
+    of CPU and a peak RSS of 32, 89 and 187 MiB, against 0.21-0.22,
+    0.60-0.69 and 1.46-1.48 s and 36, 107 and 227 MiB from the d_k
+    lists.
     """
-    table = RankTable(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     partition_number(n_max)
-    k, g = 1, 1
-    while g <= n_max:
-        for c in range(min(k, n_max - g + 1)):
-            _no_part_counts(k, c, (n_max - g - c) // k + 1)
-        g += 3 * k + 1  # g_(k+1) - g_k
-        k += 1
-    for n in range(n_max + 1):
-        table._row(n)
-    return table
+    p = _pcache
+    # Phase 1: rows[n][m] = T(m, n) for m = 0 .. n-1, and T(m, n) = 0 for
+    # m >= n; row 0 is T(0, 0) = 1, which no tails row reads.
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        hi = max((n - 5) // 2, -1)
+        # p(n - 1 - m) - T(m + 3, n - 1 - m) for m = 0 .. hi, from tails
+        # rows n-1 down to n-1-hi.  No name holds the gather: it stops
+        # one item short of its slice's end, so it would keep those rows
+        # alive through phase 2.
+        row = list(map(sub, p[n - 1:n - 2 - hi:-1],
+                       map(getitem, rows[n - 1:n - 2 - hi:-1],
+                           range(3, hi + 4))))
+        row += p[n - 2 - hi::-1]
+        rows.append(row)
+    # d_1(j) = p(j) - p(j - 1) for j = 0 .. n_max - 1
+    d1 = [1, *map(sub, p[1:n_max], p[:n_max - 1])]
+    # Phase 2: each tails row gives way to the rank row of its n.
+    for n in range(n_max, 0, -1):
+        tails = rows[n]
+        hi = max((n - 5) // 2, -1)
+        # map stops at the end of tails[1:hi + 2]: m = 0 .. hi
+        half = list(map(sub, tails, tails[1:hi + 2]))
+        half += d1[n - 2 - hi::-1]
+        rows[n] = half[:0:-1] + half
+    return RankTable(n_max, rows)
 
 
 def _no_part_counts(k: int, c: int, length: int) -> list[int]:

@@ -1,7 +1,8 @@
 """Exactness of the partition/rank counting core.
 
 Two independent oracles check the production table, which is built by
-the Atkin-Swinnerton-Dyer fixed-rank formula from strided slices of p.
+the rank-tail recurrence T(m, n) = p(n - 1 - m) - T(m + 3, n - 1 - m),
+a rewriting of the Atkin-Swinnerton-Dyer fixed-rank formula.
 The production residue counts come from columns, a different sum of
 the same formula divided by Euler's product; row_residue_count, which
 sums every t-th entry of a table row, is their oracle.
@@ -407,6 +408,34 @@ class TestTableAgainstOracle:
             assert table.count(-n, n) == 0
 
 
+class TestRankTailRecurrence:
+    """build_rank_table's T(m, n) = p(n - 1 - m) - T(m + 3, n - 1 - m),
+    T(m, n) the partitions of n with rank >= m."""
+
+    def test_identity_against_brute_force(self):
+        counts = [brute_rank_counts(n) for n in range(31)]
+
+        def tail(m, n):
+            return sum(c for r, c in counts[n].items() if r >= m)
+
+        p = partition_numbers(30)
+        for n in range(1, 31):
+            for m in range(n):  # m = n - 1 reads T(n + 2, 0) = 0
+                assert tail(m, n) == p[n - 1 - m] - tail(m + 3, n - 1 - m), \
+                    (m, n)
+
+    @pytest.mark.parametrize("n_max", [*range(13), 301])
+    def test_build_equals_lazy_rows(self, n_max):
+        # n_max <= 12 includes every row with hi = (n - 5) // 2 < 0,
+        # where no tails row reads an earlier one.
+        assert build_rank_table(n_max) == RankTable(n_max)
+
+    def test_session_table_ends_like_lazy_rows(self, big_table):
+        lazy = RankTable(2000)
+        for n in (1000, 1999, 2000):
+            assert big_table.table.row(n) == lazy.row(n), n
+
+
 class TestNoPartCounts:
     """The cached d_k(j) = p(j) - p(j - k) that rows are summed from,
     stored by residue class of j modulo k."""
@@ -418,8 +447,12 @@ class TestNoPartCounts:
         monkeypatch.setattr("dysonrank.core._dcache", {})
 
     def test_lists_equal_differences_of_p(self, cold):
+        # Every row read fills one class per k, so the rows together
+        # fill every class that a row of n or less reads.
         n = 300
-        build_rank_table(n)
+        lazy = RankTable(n)
+        for j in range(n + 1):
+            lazy.row(j)
         p = coin_partition_numbers(n)
         keys = set()
         k, g = 1, 1
@@ -448,15 +481,35 @@ class TestNoPartCounts:
             if n <= 301:
                 assert half == strided_half_row(partition_numbers(n), n)
 
+    def test_full_build_reads_no_row_and_no_list(self, cold,
+                                                  monkeypatch):
+        computed = []
+
+        def recording(n):
+            computed.append(n)
+            return _half_row(n)
+
+        monkeypatch.setattr("dysonrank.core._half_row", recording)
+        table = build_rank_table(300)
+        assert core._dcache == {}
+        assert computed == []
+        p = partition_numbers(300)
+        for n in (1, 5, 6, 299, 300):
+            half = strided_half_row(p, n)
+            assert table.row(n) == half[:0:-1] + half, n
+
     def test_rows_read_lazily_in_any_order(self, cold):
         lazy = RankTable(300)
         order = [40, 7, 300, 41, 1, 0, 6, 5, 299, 12, 11, 150]
         rows = {n: lazy.row(n) for n in order}
         stored = {key: (d, list(d)) for key, d in core._dcache.items()}
-        built = build_rank_table(300)
+        full = RankTable(300)
+        for n in range(301):  # extends some lists the rows above filled
+            full.row(n)
         for key, (d, values) in stored.items():
             # extended in place, never recomputed
             assert core._dcache[key] is d and d[:len(values)] == values, key
+        built = build_rank_table(300)
         for n in order:
             assert rows[n] == built.row(n), n
         p = partition_numbers(300)
