@@ -14,9 +14,7 @@ per term (see _divide_by_euler): on a 2-vCPU x86-64 host with Python
 the terms, and p(10^4) in 76-79 ms.
 Conjugation negates the rank, so r and t - r share one column and one
 division.  The rank rows N(m, n), every rank m of one n, are computed
-only where a caller reads them, each from reversed slices of
-d_k(j) = p(j) - p(j - k), the partitions of j with no part k, kept
-beside p by residue class of j modulo k once a row reads them (see
+only where a caller reads them, each from strided slices of p (see
 _half_row).  A full table instead runs the recurrence
 T(m, n) = p(n - 1 - m) - T(m + 3, n - 1 - m) between the rank tails
 T(m, n), the partitions of n with rank >= m, at one subtraction per
@@ -59,12 +57,6 @@ MAX_TABLE_ROWS = 5000
 
 
 _pcache = [1]
-# d_k(j) = p(j) - p(j - k), the number of partitions of j with no part k,
-# for the rank rows read one at a time (build_rank_table reads none), by
-# residue class of j: _dcache[k, c] holds d_k(c), d_k(c + k),
-# d_k(c + 2k), ... for 0 <= c < k, as far as a row has read it.
-# Extended with p, never recomputed.
-_dcache: dict[tuple[int, int], list[int]] = {}
 # Residue columns by (r, t), each N(r, t; 0 .. len - 1); extended, never
 # recomputed, when a longer one is asked for.  (r, t) and (t - r, t) map
 # to the same list, since N(r, t; n) = N(t - r, t; n).
@@ -287,30 +279,22 @@ def build_rank_table(n_max: int) -> RankTable:
         sum_n N(m, n) q^n
             = (1/(q)_inf) sum_{k>=1} (-1)^(k-1) q^(k(3k-1)/2 + mk) (1 - q^k).
 
-    The coefficient of q^j in (1 - q^k)/(q)_inf is d_k(j) = p(j) - p(j - k),
-    the number of partitions of j with no part k, so
+    Summed over every rank >= m, whose powers telescope since
+    q^(g_k + mk) q^k = q^(g_k + (m+1)k), it gives the tails T(m, n), the
+    partitions of n with rank >= m:
 
-        N(m, n) = sum_{k>=1} (-1)^(k-1) d_k(n - g_k - mk),   g_k = k(3k-1)/2,
+        T(m, n) = sum_{k>=1} (-1)^(k-1) p(n - g_k - mk),   n >= 1,
 
-    over the k with g_k <= n, with d_k zero at negative arguments.  For
-    fixed k the terms over m = 0, 1, ... are d_k(j) for j = n - g_k,
-    n - g_k - k, ..., down to j = c = (n - g_k) mod k: one residue class
-    of j modulo k.  d_k is stored by class, one list per (k, c) holding
-    d_k(c), d_k(c + k), ..., so each k adds or subtracts one reversed
-    slice of one list into the row (see _half_row).  Rows are symmetric,
-    N(-m, n) = N(m, n), so each row is the half m = 0 .. n-1 mirrored.
-    The lists are kept for the life of the process beside p and
-    extended, never recomputed.  A row read extends only the one class
-    per k that it reads, about n/k entries, so a lone row of n costs
-    O(n log n) subtractions and that much memory.
+    over the k with g_k = k(3k-1)/2 <= n, with p zero at negative
+    arguments, and N(m, n) = T(m, n) - T(m + 1, n).  Rows are
+    symmetric, N(-m, n) = N(m, n), so each row is the half m = 0 .. n-1
+    mirrored.  A row read alone (see _half_row) takes, for each k, the
+    terms over m = 0, 1, ... as the stride -k slice p[n - g_k :: -k]
+    and adds or subtracts it into the tails: O(n log n) additions, and
+    no memory beyond p and the row.
 
-    A full table is not built from those lists.  Summed over every rank
-    >= m, the formula gives the tails T(m, n), the partitions of n with
-    rank >= m:
-
-        T(m, n) = sum_{k>=1} (-1)^(k-1) p(n - g_k - mk),   n >= 1.
-
-    Since g_(k+1) = g_k + 3k + 1, the terms k >= 2 shifted to k - 1 are
+    A full table runs a recurrence between the tails instead.  Since
+    g_(k+1) = g_k + 3k + 1, the terms k >= 2 shifted to k - 1 are
     those of T(m + 3, n - 1 - m) with the opposite sign, so
 
         T(m, n) = p(n - 1 - m) - T(m + 3, n - 1 - m),   0 <= m <= n - 1,
@@ -325,9 +309,8 @@ def build_rank_table(n_max: int) -> RankTable:
     N(m, n) for m > hi; tails row n is dropped as soon as its half row
     is made, so the next rows reuse its memory.  That is about n/2
     subtractions per row in each phase, one per new count, against
-    2.4n additions for a row of 1000 from the d_k lists (2.7n at 2000),
-    one per entry of each slice; neither phase reads or fills those
-    lists.
+    2.4n additions for a row of 1000 from the slices (2.7n at 2000),
+    one per entry of each slice.
 
     The tails are one list per row, never one flat buffer of the
     triangle: such a buffer is a single block of n_max^2 / 2 pointers
@@ -342,8 +325,8 @@ def build_rank_table(n_max: int) -> RankTable:
     2-vCPU host with Python 3.11, in a fresh process with the import,
     1000, 2000 and 3000 rows take 0.13-0.16, 0.40-0.44 and 0.90-0.92 s
     of CPU and a peak RSS of 32, 89 and 187 MiB, against 0.21-0.22,
-    0.60-0.69 and 1.46-1.48 s and 36, 107 and 227 MiB from the d_k
-    lists.
+    0.60-0.69 and 1.46-1.48 s and 36, 107 and 227 MiB when every row
+    was summed from slices.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -376,40 +359,24 @@ def build_rank_table(n_max: int) -> RankTable:
     return RankTable(n_max, rows)
 
 
-def _no_part_counts(k: int, c: int, length: int) -> list[int]:
-    """The stored d_k(c), d_k(c + k), d_k(c + 2k), ... for 0 <= c < k,
-    extended to at least `length` entries; p too is extended as far as
-    they read."""
-    d = _dcache.setdefault((k, c), [])
-    if len(d) < length:
-        hi = c + (length - 1) * k  # the last j
-        if hi >= len(_pcache):
-            _extend_pcache(hi)
-        p = _pcache
-        if not d:  # no part k fits in c < k: d_k(c) = p(c)
-            d.append(p[c])
-        j = c + len(d) * k
-        d += map(sub, p[j:hi + 1:k], p[j - k:hi + 1 - k:k])
-    return d
-
-
 def _half_row(n: int) -> list[int]:
-    """N(m, n) for m = 0 .. n-1 by the formula above; n >= 1."""
-    # k = 1 gives N(m, n) = d_1(n - 1 - m).
-    half = _no_part_counts(1, 0, n)[n - 1::-1]
+    """N(m, n) for m = 0 .. n-1 from the tails T(m, n) of
+    build_rank_table's docstring, one strided slice of p per k; p is
+    extended to n first.  n >= 1."""
+    if n >= len(_pcache):
+        _extend_pcache(n)
+    p = _pcache
+    # k = 1 gives T(m, n) = p(n - 1 - m); no partition of n has rank n.
+    tails = [*p[n - 1::-1], 0]
     k = 2
     g = 5  # g_k
     while g <= n:
-        i, c = divmod(n - g, k)  # d_k(n - g_k - mk) is entry i - m of (k, c)
-        d = _dcache.get((k, c), ())
-        if len(d) <= i:
-            d = _no_part_counts(k, c, i + 1)
-        # map stops at the end of the slice of d, and the map is consumed
-        # before half is written.
-        half[:i + 1] = map(add if k & 1 else sub, half, d[i::-1])
+        seg = p[n - g::-k]
+        width = len(seg)
+        tails[:width] = map(add if k & 1 else sub, tails[:width], seg)
         g += 3 * k + 1  # g_(k+1) - g_k
         k += 1
-    return half
+    return list(map(sub, tails, tails[1:]))
 
 
 def rank_count(table: RankTable, m: int, n: int) -> int:

@@ -11,10 +11,9 @@ measures its rank.  The series oracle below expands the two-variable
 rank generating function, a different algorithm that reaches much
 larger n.  A third oracle, entry_half_row, evaluates the same formula
 one count at a time, with no telescoping and no slices, and reaches
-single rows past any table.  A fourth, strided_half_row, is the row
-kernel the production one replaced: strided slices of p summed into the
-counts F(m, n) of rank >= m, then differenced, so it reads no cached
-d_k.  Small rows are also checked against hand-derived values.
+single rows past any table; it and the recurrence build check the
+lone-row kernel _half_row, which sums strided slices of p.  Small rows
+are also checked against hand-derived values.
 loop_divide_by_euler, the per-term pentagonal loop, is the oracle for
 the division behind p(n) and every residue column.
 """
@@ -25,7 +24,7 @@ import cmath
 import os
 import subprocess
 import sys
-from operator import add, itemgetter, sub
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -94,24 +93,6 @@ def entry_half_row(p, n):
             k += 1
         half.append(total)
     return half
-
-
-def strided_half_row(p, n):
-    """N(m, n) for m = 0 .. n-1 from F(m, n), the partitions of n with
-    rank >= m, as sum_k (-1)^(k-1) p(n - g_k - mk), one strided slice of
-    p per k, then N(m, n) = F(m, n) - F(m+1, n); given p at least to n,
-    n >= 1."""
-    # k = 1 gives F(m, n) = p(n - 1 - m); no partition of n has rank n.
-    f = [*p[n - 1::-1], 0]
-    k = 2
-    g = 5  # g_k
-    while g <= n:
-        seg = p[n - g::-k]
-        width = len(seg)
-        f[:width] = map(add if k & 1 else sub, f[:width], seg)
-        g += 3 * k + 1  # g_(k+1) - g_k
-        k += 1
-    return list(map(sub, f, f[1:]))
 
 
 def coin_partition_numbers(n_max):
@@ -366,10 +347,11 @@ class TestTableAgainstOracle:
             p = partition_numbers(n)
             assert _half_row(n) == entry_half_row(p, n), n
 
-    def test_half_rows_equal_strided_differences(self):
-        p = partition_numbers(2000)
+    def test_half_rows_equal_strided_differences(self, big_table):
+        # _half_row's strided differences against the rank-tail
+        # recurrence of the session table.
         for n in [*range(1, 601), 1000, 2000]:
-            assert _half_row(n) == strided_half_row(p, n), n
+            assert _half_row(n) == big_table.table.row(n)[n - 1:], n
 
     def test_hand_derived_rows(self, table):
         assert table.row(0) == [1]
@@ -437,52 +419,27 @@ class TestRankTailRecurrence:
 
 
 class TestNoPartCounts:
-    """The cached d_k(j) = p(j) - p(j - k) that rows are summed from,
-    stored by residue class of j modulo k."""
+    """Lone rows, each summed from strided slices of p, whose entries
+    are the no-part-k counts p(j) - p(j - k); they keep nothing but p."""
 
     @pytest.fixture()
     def cold(self, monkeypatch):
-        """Empty p and d_k caches for the test, restored after it."""
+        """An empty p cache for the test, restored after it."""
         monkeypatch.setattr("dysonrank.core._pcache", [1])
-        monkeypatch.setattr("dysonrank.core._dcache", {})
 
     def test_lists_equal_differences_of_p(self, cold):
-        # Every row read fills one class per k, so the rows together
-        # fill every class that a row of n or less reads.
+        # From an empty p, every row equals the formula evaluated one
+        # count at a time on the knapsack's p, which shares no code with
+        # the pentagonal division.
         n = 300
         lazy = RankTable(n)
-        for j in range(n + 1):
-            lazy.row(j)
         p = coin_partition_numbers(n)
-        keys = set()
-        k, g = 1, 1
-        while g <= n:
-            for c in range(min(k, n - g + 1)):
-                assert core._dcache[k, c] == [
-                    p[j] - (p[j - k] if j >= k else 0)
-                    for j in range(c, n - g + 1, k)], (k, c)
-                keys.add((k, c))
-            g += 3 * k + 1
-            k += 1
-        assert set(core._dcache) == keys
+        for j in range(1, n + 1):
+            half = entry_half_row(p, j)
+            assert lazy.row(j) == half[:0:-1] + half, j
+        assert core._pcache == p
 
-    def test_a_row_fills_one_class_per_k(self, cold):
-        for n in (5000, 301, 12):
-            core._dcache.clear()
-            half = _half_row(n)
-            expected = {}
-            k, g = 1, 1
-            while g <= n:
-                i, c = divmod(n - g, k)
-                expected[k, c] = i + 1
-                g += 3 * k + 1
-                k += 1
-            assert {key: len(d) for key, d in core._dcache.items()} == expected
-            if n <= 301:
-                assert half == strided_half_row(partition_numbers(n), n)
-
-    def test_full_build_reads_no_row_and_no_list(self, cold,
-                                                  monkeypatch):
+    def test_full_build_reads_no_row(self, cold, monkeypatch):
         computed = []
 
         def recording(n):
@@ -491,30 +448,30 @@ class TestNoPartCounts:
 
         monkeypatch.setattr("dysonrank.core._half_row", recording)
         table = build_rank_table(300)
-        assert core._dcache == {}
         assert computed == []
         p = partition_numbers(300)
         for n in (1, 5, 6, 299, 300):
-            half = strided_half_row(p, n)
+            half = entry_half_row(p, n)
             assert table.row(n) == half[:0:-1] + half, n
 
     def test_rows_read_lazily_in_any_order(self, cold):
         lazy = RankTable(300)
         order = [40, 7, 300, 41, 1, 0, 6, 5, 299, 12, 11, 150]
-        rows = {n: lazy.row(n) for n in order}
-        stored = {key: (d, list(d)) for key, d in core._dcache.items()}
-        full = RankTable(300)
-        for n in range(301):  # extends some lists the rows above filled
-            full.row(n)
-        for key, (d, values) in stored.items():
-            # extended in place, never recomputed
-            assert core._dcache[key] is d and d[:len(values)] == values, key
+        p = core._pcache
+        rows = {}
+        for n in order:
+            before = list(p)
+            rows[n] = lazy.row(n)
+            # p is extended in place as far as the row reads, never
+            # recomputed
+            assert core._pcache is p and p[:len(before)] == before, n
+            assert len(p) > n, n
         built = build_rank_table(300)
         for n in order:
             assert rows[n] == built.row(n), n
         p = partition_numbers(300)
         for n in filter(None, order):
-            half = strided_half_row(p, n)
+            half = entry_half_row(p, n)
             assert rows[n] == half[:0:-1] + half, n
 
 
