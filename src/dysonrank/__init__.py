@@ -32,7 +32,7 @@ _EXPORTS = {
     "core": (
         "MAX_TABLE_ROWS", "RankTable", "a_third_exact", "brute_rank_counts", "build_rank_table",
         "decomposition_check", "enumerate_partitions", "partition_number",
-        "partition_numbers", "rank", "rank_count", "residue_column",
+        "partition_numbers", "rank", "residue_column",
         "residue_count", "table_for",
     ),
     "maxprod": (

@@ -1,18 +1,19 @@
 """Binary on-disk format for rank tables.
 
 Layout (version 2): magic b"RNKT", then format version and n_max as
-little-endian u32, then the rows in order n = 0 .. n_max.  Ranks are
-symmetric, N(-m, n) = N(m, n), so row n stores only the half
-m = 0 .. n-1 (row 0 stores its single count): a LEB128 byte width
-w >= 1, then max(n, 1) counts, each in w little-endian bytes.  Counts
-are nonnegative, so no sign byte is needed.  Version 1 files, which
-stored every count of the full row with its own length, are rejected.
+little-endian u32, then the rows in order n = 0 .. n_max.  A file holds
+exactly the rows a RankTable stores: ranks are symmetric,
+N(-m, n) = N(m, n), so row n is only the half m = 0 .. n-1 (row 0 is
+its single count), written as a LEB128 byte width w >= 1, then the
+max(n, 1) counts, each in w little-endian bytes.  Counts are
+nonnegative, so no sign byte is needed.  Version 1 files, which stored
+every count of the full row with its own length, are rejected.
 
 Saves go through a temporary file next to the target that is renamed
 into place, so a reader never sees a half-written table.  Loads check
 the magic, the version, that the header, each width and each row are
 complete, that no bytes trail the last row, and that every row sums to
-p(n); symmetry holds by construction.
+p(n), that is 2 * sum(half) - N(0, n); symmetry holds by construction.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def save_table(table: RankTable, path: str | Path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, table.n_max))
             for n in range(table.n_max + 1):
-                half = table.row(n)[max(n - 1, 0):]
+                half = table._row(n)
                 width = max((max(half).bit_length() + 7) // 8, 1)
                 buf = bytearray()
                 _write_varint(buf, width)
@@ -96,12 +97,12 @@ def load_table(path: str | Path) -> RankTable:
         half = [from_bytes(data[i:i + width], "little")
                 for i in range(pos, stop, width)]
         pos = stop
-        rows.append(half[:0:-1] + half)
+        rows.append(half)
     if pos != end:
         raise CacheFormatError(f"{end - pos} trailing bytes")
     # n_max is bounded by the file size here, so p(n_max) is cheap.
     p = partition_numbers(n_max)
-    for n, row in enumerate(rows):
-        if sum(row) != p[n]:
+    for n, half in enumerate(rows):
+        if 2 * sum(half) - half[0] != p[n]:
             raise CacheFormatError(f"row {n} fails the p(n) sum check")
     return RankTable(n_max, rows)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import io
 import os
-import re
 import sys
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -47,13 +46,11 @@ from .core import (MAX_TABLE_ROWS, RankTable, build_rank_table,
 if TYPE_CHECKING:
     from .claims import ClaimRecord
 
-__all__ = ["OutputRecord", "main", "record_from_json", "record_to_json",
-           "render"]
+__all__ = ["OutputRecord", "main", "record_to_json", "render"]
 
 # Integers at or beyond 2**53 lose precision in common JSON readers, so
-# they serialize as decimal strings; the parser restores them.
+# they serialize as decimal strings.
 _BIG = 1 << 53
-_INT_RE = re.compile(r"-?[0-9]+\Z")
 
 _EXIT_BY_STATUS = {"ok": 0, "violation-found": 1, "conjecture-mismatch": 0}
 
@@ -63,8 +60,8 @@ class UsageError(Exception):
 
 
 def _plain(value: Any) -> Any:
-    """Normalize to JSON-shaped data (tuples become lists) so records
-    compare equal after a serialization round trip."""
+    """Normalize to JSON-shaped data: tuples become lists, and dict keys
+    and values of a type JSON lacks become strings."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, (list, tuple)):
@@ -113,31 +110,9 @@ def _encode(value: Any) -> Any:
     return value
 
 
-def _decode(value: Any) -> Any:
-    # Only _encode's big integers; a path such as "123" stays a string.
-    if isinstance(value, str) and _INT_RE.match(value):
-        number = int(value)
-        return number if abs(number) >= _BIG else value
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _decode(v) for k, v in value.items()}
-    return value
-
-
 def record_to_json(record: OutputRecord) -> str:
     import json
     return json.dumps(_encode(record.as_dict()), indent=2)
-
-
-def record_from_json(text: str) -> OutputRecord:
-    import json
-    data = json.loads(text)
-    decoded = {"command": data["command"],
-               "parameters": _decode(data["parameters"]),
-               "results": _decode(data["results"]),
-               "status": data["status"]}
-    return OutputRecord(**decoded)
 
 
 def _is_partition(value: Any) -> bool:

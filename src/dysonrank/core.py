@@ -19,7 +19,9 @@ _half_row).  A full table instead runs the recurrence
 T(m, n) = p(n - 1 - m) - T(m + 3, n - 1 - m) between the rank tails
 T(m, n), the partitions of n with rank >= m, at one subtraction per
 new count, and differences each tails row into its half row (see
-build_rank_table).  All counts are exact integers; nothing here ever
+build_rank_table).  Rows are symmetric, N(-m, n) = N(m, n), so a table
+stores only those halves and RankTable.row mirrors one when it hands
+it out.  All counts are exact integers; nothing here ever
 passes through a float.
 """
 
@@ -42,7 +44,6 @@ __all__ = [
     "partition_number",
     "partition_numbers",
     "rank",
-    "rank_count",
     "residue_column",
     "residue_count",
     "table_for",
@@ -51,8 +52,8 @@ __all__ = [
 # The largest n a call may read: the length of a residue column, and the
 # size of a table that --table-cache builds.  A full table's memory
 # grows as n^2: on a 2-vCPU host with Python 3.11, in a fresh process
-# with its import, 2000 rows took 0.40-0.44 s and a 89 MiB peak RSS and
-# 3000 rows 0.90-0.92 s and 187 MiB, so 5000 rows is about 0.5 GB.
+# with its import, 2000 rows took 0.42-0.43 s and a 74 MiB peak RSS,
+# 3000 rows 0.71-0.84 s and 153 MiB, and 5000 rows 2.4 s and 435 MiB.
 MAX_TABLE_ROWS = 5000
 
 
@@ -194,10 +195,15 @@ class RankTable:
     """Counts N(m, n) for all 0 <= n <= n_max.
 
     Row n covers m in [-(n-1), n-1]; row 0 is the single count 1 for the
-    empty partition.  A table made without rows computes each row the
+    empty partition.  Conjugation negates the rank, so N(-m, n) =
+    N(m, n), and row n is stored once as its half, N(m, n) for
+    m = 0 .. n-1 ([1] for n = 0): the half that build_rank_table and
+    _half_row compute and that a cache file holds.  rows, if given, are
+    such halves, and a row of any other length is refused.  row()
+    mirrors the half into a new list, so a caller that mutates it cannot
+    corrupt the table.  A table made without rows computes each half the
     first time it is read and keeps it; residue counts read columns and
-    never a row.  row() hands out a fresh copy, so a caller that
-    mutates it cannot corrupt the table.
+    never a row.
     """
 
     __slots__ = ("n_max", "_rows")
@@ -209,33 +215,34 @@ class RankTable:
             rows = [None] * (n_max + 1)
         elif len(rows) != n_max + 1:
             raise ValueError("row count does not match n_max")
+        else:
+            for n, half in enumerate(rows):
+                if len(half) != max(n, 1):
+                    raise ValueError(
+                        f"row {n} must hold the {max(n, 1)} counts "
+                        f"N(m, {n}) for m >= 0, not {len(half)}")
         self.n_max = n_max
         self._rows: list[list[int] | None] = rows
 
     def _row(self, n: int) -> list[int]:
-        """The stored row n, computed on first read; n must be in range."""
-        row = self._rows[n]
-        if row is None:
-            if n == 0:
-                row = [1]
-            else:
-                half = _half_row(n)
-                row = half[:0:-1] + half
-            self._rows[n] = row
-        return row
+        """The stored half of row n, computed on first read; n must be in
+        range."""
+        half = self._rows[n]
+        if half is None:
+            half = self._rows[n] = _half_row(n) if n else [1]
+        return half
 
     def row(self, n: int) -> list[int]:
         """Counts for m = -(n-1) .. n-1 in order, as a new list."""
         self._check_n(n)
-        return list(self._row(n))
+        half = self._row(n)
+        return half[:0:-1] + half
 
     def count(self, m: int, n: int) -> int:
+        """N(m, n); zero outside the legal rank range."""
         self._check_n(n)
-        if n == 0:
-            return 1 if m == 0 else 0
-        if m <= -n or m >= n:
-            return 0
-        return self._row(n)[m + n - 1]
+        m = abs(m)
+        return 0 if m >= max(n, 1) else self._row(n)[m]
 
     def _check_n(self, n: int, name: str = "n") -> None:
         """Refuse an n, called `name`, that the table does not hold."""
@@ -287,8 +294,9 @@ def build_rank_table(n_max: int) -> RankTable:
 
     over the k with g_k = k(3k-1)/2 <= n, with p zero at negative
     arguments, and N(m, n) = T(m, n) - T(m + 1, n).  Rows are
-    symmetric, N(-m, n) = N(m, n), so each row is the half m = 0 .. n-1
-    mirrored.  A row read alone (see _half_row) takes, for each k, the
+    symmetric, N(-m, n) = N(m, n), so only the half m = 0 .. n-1 is
+    computed, and the table stores it as it is (see RankTable).  A row
+    read alone (see _half_row) takes, for each k, the
     terms over m = 0, 1, ... as the stride -k slice p[n - g_k :: -k]
     and adds or subtracts it into the tails: O(n log n) additions, and
     no memory beyond p and the row.
@@ -320,13 +328,11 @@ def build_rank_table(n_max: int) -> RankTable:
     RSS of the claims-1000 benchmark pass from 82 to 90 MiB, and with
     the threshold pinned (MALLOC_MMAP_THRESHOLD_) it read 82 again.
 
-    Every row is computed before this returns; RankTable(n_max) gives
-    the same table with each row computed when it is first read.  On a
-    2-vCPU host with Python 3.11, in a fresh process with the import,
-    1000, 2000 and 3000 rows take 0.13-0.16, 0.40-0.44 and 0.90-0.92 s
-    of CPU and a peak RSS of 32, 89 and 187 MiB, against 0.21-0.22,
-    0.60-0.69 and 1.46-1.48 s and 36, 107 and 227 MiB when every row
-    was summed from slices.
+    Every half row is computed before this returns; RankTable(n_max)
+    gives the same table with each row computed when it is first read.
+    On a 2-vCPU host with Python 3.11, a fresh process with the import
+    takes 0.15, 0.42-0.43 and 0.71-0.84 s of CPU and a peak RSS of 28,
+    74 and 153 MiB for 1000, 2000 and 3000 rows.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -355,7 +361,7 @@ def build_rank_table(n_max: int) -> RankTable:
         # map stops at the end of tails[1:hi + 2]: m = 0 .. hi
         half = list(map(sub, tails, tails[1:hi + 2]))
         half += d1[n - 2 - hi::-1]
-        rows[n] = half[:0:-1] + half
+        rows[n] = half
     return RankTable(n_max, rows)
 
 
@@ -377,11 +383,6 @@ def _half_row(n: int) -> list[int]:
         g += 3 * k + 1  # g_(k+1) - g_k
         k += 1
     return list(map(sub, tails, tails[1:]))
-
-
-def rank_count(table: RankTable, m: int, n: int) -> int:
-    """N(m, n) from a built table; zero outside the legal rank range."""
-    return table.count(m, n)
 
 
 def _validate_rt(r: int, t: int) -> None:
@@ -498,15 +499,20 @@ def decomposition_check(table: RankTable, r: int, t: int, n: int,
     to the full rank row through an identity neither is built from.
 
     z^(jm) depends on m only through m mod t, so the row is first
-    summed exactly by class, the stride-t slice from each of its first
-    t entries, and only those t sums meet a float.
+    summed exactly by class, and only those t sums meet a float.  The
+    stored half row is read as it is: the stride-t slice from each of
+    its first t entries, m = i, i + t, ..., adds to class i and, for the
+    mirrored ranks -m, to class -i mod t; N(0, n) is its own mirror and
+    counts once.
     """
     exact = residue_count(table, r, t, n)
-    row = table._row(n)
-    lo = 0 if n == 0 else -(n - 1)
+    half = table._row(n)
     sums = [0] * t  # sums[c] = sum of N(m, n) over m = c (mod t)
-    for i in range(min(t, len(row))):
-        sums[(lo + i) % t] += sum(row[i::t])
+    for i in range(min(t, len(half))):
+        s = sum(half[i::t])
+        sums[i] += s
+        sums[-i % t] += s
+    sums[0] -= half[0]
     acc = complex(partition_number(n))
     for j in range(1, t):
         z = cmath.exp(2j * cmath.pi * j / t)

@@ -4,6 +4,7 @@ table format."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import struct
 
@@ -44,15 +45,23 @@ class TestRoundTrip:
         class FailsMidWrite:
             n_max = bigger.n_max
 
-            def row(self, n):
+            def _row(self, n):
                 if n == 40:
                     raise RuntimeError("simulated write failure")
-                return bigger.row(n)
+                return bigger._row(n)
 
         with pytest.raises(RuntimeError):
             save_table(FailsMidWrite(), path)
         assert load_table(path) == table
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_bytes_are_pinned(self, saved):
+        # The version-2 file of build_rank_table(60), frozen: a different
+        # digest would mean that cache files written before no longer
+        # hold what a save writes now.
+        _, path = saved
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "05f7e2aa495c02286eef4c1631ab5ea5e76fd35fb502ea2b301da2d8edf99a19")
 
     def test_header_fields(self, saved):
         _, path = saved

@@ -42,7 +42,6 @@ from dysonrank import (
     partition_number,
     partition_numbers,
     rank,
-    rank_count,
     residue_column,
     residue_count,
     table_for,
@@ -380,9 +379,10 @@ class TestTableAgainstOracle:
         else:
             expected = 0
         assert table.count(m, n) == expected
-        assert rank_count(table, m, n) == expected
 
     def test_extreme_ranks(self, table):
+        assert [table.count(m, 0) for m in (-1, 0, 1)] == [0, 1, 0]
+        assert [table.count(m, 1) for m in (-1, 0, 1)] == [0, 1, 0]
         for n in range(2, 50):
             assert table.count(n - 1, n) == 1
             assert table.count(1 - n, n) == 1
@@ -418,16 +418,17 @@ class TestRankTailRecurrence:
             assert big_table.table.row(n) == lazy.row(n), n
 
 
-class TestNoPartCounts:
-    """Lone rows, each summed from strided slices of p, whose entries
-    are the no-part-k counts p(j) - p(j - k); they keep nothing but p."""
+class TestLoneRows:
+    """Rows of a table made without rows, each read alone by _half_row,
+    which sums strided slices of p; they keep nothing but p, and a full
+    build reads none of them."""
 
     @pytest.fixture()
     def cold(self, monkeypatch):
         """An empty p cache for the test, restored after it."""
         monkeypatch.setattr("dysonrank.core._pcache", [1])
 
-    def test_lists_equal_differences_of_p(self, cold):
+    def test_rows_from_an_empty_p_equal_entry_formula(self, cold):
         # From an empty p, every row equals the formula evaluated one
         # count at a time on the knapsack's p, which shares no code with
         # the pentagonal division.
@@ -670,19 +671,22 @@ class TestDecomposition:
     @pytest.mark.parametrize("t", [2, 3, 5, 7])
     @pytest.mark.parametrize("n", [12, 60, 150])
     def test_one_wrong_count_fails_every_residue(self, t, n):
-        # Raising N(m, n) by 1 moves the average for r by (t - 1)/t if
-        # m = r (mod t) and by -1/t otherwise, so every r must see it
-        # once the allowance is well below 1/t in absolute terms.
+        # A table stores half rows, so raising half[i] by 1 raises
+        # N(i, n) and N(-i, n) together.  That moves the average for r
+        # by [i = r] + [-i = r] - 2/t (congruences mod t), or by
+        # [r = 0] - 1/t when i = 0, at least 1/t in size for every r, so
+        # every r must see it once the allowance is well below 1/t in
+        # absolute terms.
         sound = build_rank_table(n)
-        rows = [sound.row(k) for k in range(n + 1)]
+        halves = [sound._row(k) for k in range(n + 1)]
 
         def tol(r):
             return 1 / (4 * t * residue_count(sound, r, t, n))
 
         for r in range(t):
             assert decomposition_check(sound, r, t, n, tol(r)), r
-        for i in range(t):  # row index i holds m = i - (n - 1)
-            bumped = [list(row) for row in rows]
+        for i in range(t):  # half[i] holds N(i, n) = N(-i, n)
+            bumped = [list(half) for half in halves]
             bumped[n][i] += 1
             wrong = RankTable(n, bumped)
             for r in range(t):
@@ -697,6 +701,32 @@ class TestTableObject:
             build_rank_table(-1)
         with pytest.raises(ValueError):
             RankTable(-1)
+
+    def test_rows_are_stored_as_halves(self):
+        # Row n is stored as N(m, n) for m = 0 .. n-1 ([1] for n = 0),
+        # whether built or read lazily; only row() mirrors it.
+        built = build_rank_table(40)
+        lazy = RankTable(40)
+        for n in range(41):
+            for table in (built, lazy):
+                assert len(table._row(n)) == max(n, 1), n
+                assert table._row(n) == table.row(n)[max(n - 1, 0):], n
+        assert built._rows == lazy._rows
+
+    def test_rows_of_the_wrong_length_are_refused(self):
+        halves = [build_rank_table(6)._row(n) for n in range(7)]
+        assert RankTable(6, halves) == build_rank_table(6)
+        # A full mirrored row is refused, not misread as wrong counts.
+        full = [build_rank_table(6).row(n) for n in range(7)]
+        with pytest.raises(ValueError, match=r"^row 2 must hold the 2 "
+                                             r"counts N\(m, 2\) for m >= 0, "
+                                             r"not 3$"):
+            RankTable(6, full)
+        for n, length in ((0, 0), (0, 2), (1, 0), (1, 2), (6, 5), (6, 11)):
+            rows = [list(half) for half in halves]
+            rows[n] = [1] * length
+            with pytest.raises(ValueError, match=f"^row {n} must hold"):
+                RankTable(6, rows)
 
     def test_rows_computed_on_read_equal_built_rows(self):
         lazy = RankTable(150)
