@@ -85,6 +85,25 @@ def ratio_caps_hold(ratios: list[float]) -> bool:
     return all(f <= c for f, c in zip(ratios, RATIO_CAPS))
 
 
+def _scan_start(r: int, t: int, a_min: int | None, b_max: int) -> int:
+    """The first a of a scan of residue r to b_max: a_min, or the
+    SCAN_THRESHOLDS start when a_min is None.  An empty region is
+    refused here, naming the flags, before any column is read."""
+    if a_min is not None and a_min < 1:
+        raise ValueError(f"--min must be >= 1 (got {a_min})")
+    start = SCAN_THRESHOLDS.get((t, r), 1) if a_min is None else a_min
+    if start > b_max:
+        if a_min is not None:
+            source = "--min"
+        elif (t, r) in SCAN_THRESHOLDS:
+            source = f"the threshold for r = {r}, t = {t}"
+        else:
+            source = "the default start"
+        raise ValueError(f"empty scan region: --max {b_max} is below the "
+                         f"start {start} ({source})")
+    return start
+
+
 def _scan(table: RankTable, r: int, t: int, a_min: int,
           b_max: int) -> dict[str, Any]:
     """One product-inequality scan as a report row."""
@@ -125,11 +144,11 @@ def convexity(t: int = 3, r: int | None = None, a_min: int | None = None,
         # Each residue is one more column and one more scan.
         raise ValueError(f"without --r the scan covers all {t} residues of "
                          f"--t; pass --r or --t <= {MAX_TABLE_ROWS}")
+    starts = {target: _scan_start(target, t, a_min, b_max)
+              for target in (range(t) if r is None else (r,))}
     table = table_for(2 * b_max, n_max)
-    rows = []
-    for target in range(t) if r is None else (r,):
-        lo = SCAN_THRESHOLDS.get((t, target), 1) if a_min is None else a_min
-        rows.append(_scan(table, target, t, lo, b_max))
+    rows = [_scan(table, target, t, lo, b_max)
+            for target, lo in starts.items()]
     bad = sum(row["violations_found"] for row in rows)
     params: dict[str, Any] = {"t": t, "max": b_max, "n_max": n_max}
     if r is not None:
@@ -214,9 +233,10 @@ def conjectures(scan_max: int = 300, forms_hi: int = 200,
     """The t = 2 analogues: product scans to scan_max from
     SCAN_THRESHOLDS, and closed forms with their optima to forms_hi."""
     from .maxprod import conjecture_max_mod2
+    starts = [_scan_start(r, 2, None, scan_max) for r in (0, 1)]
     table = table_for(max(2 * scan_max, forms_hi), n_max)
     rows = [{"kind": "product-scan", "r": r, "t": 2,
-             **_scan(table, r, 2, SCAN_THRESHOLDS[(2, r)], scan_max)}
+             **_scan(table, r, 2, starts[r], scan_max)}
             for r in (0, 1)]
     mismatched = sum(row["violations_found"] for row in rows)
     for r in (0, 1):

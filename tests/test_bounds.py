@@ -497,6 +497,15 @@ class TestRatioFunctions:
         assert value <= RATIO_CAPS[1]
         assert value <= RATIO_CAP_2_DERIVED
 
+    def test_caps_sum_below_the_budget_cap(self):
+        # The budget's 0.58 L(n) rests on the six caps summing below it,
+        # under either reading of the second cap.
+        derived = (RATIO_CAPS[0], RATIO_CAP_2_DERIVED, *RATIO_CAPS[2:])
+        assert math.fsum(RATIO_CAPS) == pytest.approx(0.57079, abs=1e-12)
+        assert math.fsum(derived) == pytest.approx(0.57250, abs=1e-12)
+        for caps in (RATIO_CAPS, derived):
+            assert math.fsum(caps) < BUDGET_CAP
+
     def test_nonincreasing_on_grid(self):
         grid = list(range(500, 1600, 100))
         for i in range(1, 7):

@@ -301,6 +301,29 @@ class TestConvexity:
         assert code == 0
         assert "param.min = 12" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (("convexity", "--r", "0", "--max", "5"),
+         "--max 5 is below the start 12 (the threshold for r = 0, t = 3)"),
+        (("convexity", "--r", "0", "--min", "0", "--max", "40"),
+         "--min must be >= 1 (got 0)"),
+        (("convexity", "--r", "1", "--t", "7", "--min", "9", "--max", "8"),
+         "--max 8 is below the start 9 (--min)"),
+        (("verify", "convexity", "--max", "5"),
+         "--max 5 is below the start 12 (the threshold for r = 0, t = 3)"),
+        (("verify", "convexity", "--t", "4", "--max", "0"),
+         "--max 0 is below the start 1 (the default start)"),
+        (("verify", "conjectures", "--max", "5"),
+         "--max 5 is below the start 11 (the threshold for r = 0, t = 2)"),
+    ])
+    def test_empty_region_names_its_flags(self, monkeypatch, argv, message):
+        # Refused before any table or column, with the flags and start.
+        tables = []
+        monkeypatch.setattr("dysonrank.claims.table_for",
+                            lambda *args: tables.append(args))
+        code, out, err = run(*argv)
+        assert (code, out, tables) == (2, "", [])
+        assert err.startswith("error: ") and message in err
+
 
 class TestBounds:
     def test_diagnostics_at_500(self):

@@ -15,7 +15,11 @@ single rows past any table; it and the recurrence build check the
 lone-row kernel _half_row, which sums strided slices of p.  Small rows
 are also checked against hand-derived values.
 loop_divide_by_euler, the per-term pentagonal loop, is the oracle for
-the division behind p(n) and every residue column.
+the division behind p(n) and every residue column, and for the columns
+read off p as p minus the other classes of their modulus.
+dyson_a_third expands Dyson's rank generating function at a cube root
+of unity, which shares no formula with the columns, for
+A(n) = N(0,3;n) - N(1,3;n).
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import cmath
 import os
 import subprocess
 import sys
-from operator import itemgetter
+from math import isqrt
+from operator import itemgetter, sub
 from pathlib import Path
 
 import pytest
@@ -47,6 +52,7 @@ from dysonrank import (
     table_for,
 )
 from dysonrank import core
+from dysonrank.cli import main as cli_main
 from dysonrank.core import _half_row
 
 
@@ -128,6 +134,32 @@ def loop_divide_by_euler(series, numerator, n):
         series.append(total)
 
 
+def dyson_a_third(n_max):
+    """A(n) = N(0,3;n) - N(1,3;n) for n = 0 .. n_max from Dyson's rank
+    generating function at z = w = e^(2 pi i / 3),
+
+        R(w; q) = sum_{k>=0} q^(k^2) / prod_{j<=k} (1 + q^j + q^(2j)),
+
+    since (1 - w q^j)(1 - w^(-1) q^j) = 1 + q^j + q^(2j).  In Horner
+    form S_K = 1 and S_(k-1) = 1 + q^(2k-1) S_k / (1 + q^k + q^(2k)) for
+    k = K .. 1 with K^2 <= n_max, and R = S_0: one shift and one
+    trinomial division per k.  It shares no formula with the residue
+    columns: no Atkin-Swinnerton-Dyer numerator, no pentagonal
+    division, no p(n)."""
+    s = [1] + [0] * n_max
+    for k in range(isqrt(n_max), 0, -1):
+        shift = 2 * k - 1
+        c = [0] * shift + s[:n_max + 1 - shift]
+        # c / (1 + q^k + q^(2k)): c[m] -= c[m - k] + c[m - 2k], ascending
+        for m in range(k, min(2 * k, n_max + 1)):
+            c[m] -= c[m - k]
+        for m in range(2 * k, n_max + 1):
+            c[m] -= c[m - k] + c[m - 2 * k]
+        c[0] += 1
+        s = c
+    return s
+
+
 def series_rank_rows(n_max: int) -> list[list[int]]:
     """Rows N(m, n), m = -(n-1) .. n-1, for n <= n_max, by expanding
 
@@ -196,6 +228,23 @@ _P_SMALL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
             231, 297, 385, 490, 627]
 
 
+@pytest.fixture()
+def cold_divisions(monkeypatch):
+    """No p and no column stored, and the n of every pentagonal
+    division from here on."""
+    monkeypatch.setattr("dysonrank.core._pcache", [1])
+    monkeypatch.setattr("dysonrank.core._columns", {})
+    divide = core._divide_by_euler
+    calls = []
+
+    def counting(series, numerator, n):
+        calls.append(n)
+        divide(series, numerator, n)
+
+    monkeypatch.setattr("dysonrank.core._divide_by_euler", counting)
+    return calls
+
+
 class TestPartitionFunction:
     def test_small_values(self):
         assert partition_numbers(20) == _P_SMALL
@@ -230,13 +279,15 @@ class TestDivideByEuler:
         self.both(series, [0] * 10000, 10000)
         assert partition_number(10000) == series[10000]
 
-    def test_every_column_to_1500(self):
+    def test_every_column_to_1500(self, cold_divisions):
+        # With no p stored, no class is read off p: each is a division.
         for t in range(1, 13):
             for r in range(t):
                 expected = []
                 loop_divide_by_euler(
                     expected, core._residue_numerator(r, t, 0, 1500), 1500)
                 assert list(residue_column(r, t, 1500)) == expected, (r, t)
+        assert len(cold_divisions) == sum(t // 2 + 1 for t in range(1, 13))
 
     def test_extension_from_every_start(self):
         # Offsets enter at 1, 2, 5, 7, 12, 15, 22, 26, 35, 40, 51, 57, so
@@ -557,6 +608,14 @@ class TestResidueColumn:
             assert list(whole) == grown == list(steps[-1])
             assert all(whole[:len(s)] == s for s in steps)
 
+    def test_count_extends_a_column_one_short(self, monkeypatch):
+        expected = residue_column(1, 3, 100)
+        monkeypatch.setattr("dysonrank.core._columns", {})
+        residue_column(2, 3, 99)
+        table = RankTable(100)
+        assert [residue_count(table, 1, 3, n)
+                for n in range(100, -1, -1)] == list(expected[::-1])
+
     @pytest.mark.parametrize("t", [2, 3, 5, 7])
     def test_conjugate_residue_shares_the_division(self, monkeypatch, t):
         # N(r, t; n) = N(t - r, t; n): the second residue reads the
@@ -638,11 +697,106 @@ class TestResidueColumn:
             residue_column(r, t, n)
 
 
+class TestDerivedColumns:
+    """With p stored, a class whose every sibling modulo t is stored is
+    p minus the siblings, not a division, where that is cheaper."""
+
+    STEPS = (0, 17, 18, 150, 300)
+
+    @pytest.fixture()
+    def divisions(self, cold_divisions):
+        """p stored to 1000, no column stored, and the n of every later
+        pentagonal division."""
+        partition_numbers(1000)
+        cold_divisions.clear()
+        return cold_divisions
+
+    @staticmethod
+    def divided(r, t, n):
+        column = []
+        loop_divide_by_euler(column, core._residue_numerator(r, t, 0, n), n)
+        return column
+
+    @pytest.mark.parametrize("order", [range, lambda t: range(t - 1, -1, -1)])
+    def test_every_class_equals_the_division(self, divisions, order):
+        # Ascending, the last class derived is t // 2 (doubled for odd t);
+        # descending, it is class 0.  Each step extends every column.
+        derived = 0
+        for t in range(1, 13):
+            core._columns.clear()
+            divisions.clear()
+            for n in self.STEPS:
+                for r in order(t):
+                    residue_column(r, t, n)
+            for r in range(t):
+                assert list(residue_column(r, t, 300)) == self.divided(
+                    r, t, 300), (r, t)
+            derived += len(self.STEPS) * (t // 2 + 1) - len(divisions)
+        assert derived > 0
+
+    def test_divisions_for_every_class_to_1000(self, divisions):
+        for t, want in ((2, 1), (3, 1), (5, 2), (7, 3)):
+            divisions.clear()
+            columns = [residue_column(r, t, 1000) for r in range(t)]
+            assert len(divisions) == want, t
+            assert columns == [tuple(self.divided(r, t, 1000))
+                               for r in range(t)], t
+
+    @pytest.mark.parametrize("p_len", [1, 1000])
+    def test_p_shorter_than_n_max_is_not_extended(self, divisions,
+                                                  monkeypatch, p_len):
+        monkeypatch.setattr("dysonrank.core._pcache",
+                            core._pcache[:p_len])
+        for r in range(3):
+            residue_column(r, 3, 1000)
+        assert divisions == [1000, 1000]
+        assert len(core._pcache) == p_len
+
+    def test_large_modulus_divides(self, divisions):
+        # At n = 40 a division adds 2K = 10 terms per degree; t = 101
+        # would subtract 100 columns.
+        for r in range(101):
+            residue_column(r, 101, 40)
+        assert divisions == [40] * 51
+
+    def test_wrong_sibling_raises(self, divisions):
+        residue_column(0, 3, 300)
+        core._columns[0, 3][200] += 1  # p(200) - N(0,3;200) is now odd
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            residue_column(1, 3, 300)
+        assert core._columns[1, 3] == []
+        code = cli_main(["count", "--r", "1", "--t", "3", "--n", "250",
+                         "--n-max", "250"])
+        assert code == 2
+
+    def test_negative_class_raises(self, divisions):
+        residue_column(1, 3, 300)
+        core._columns[1, 3][200] += partition_number(200)
+        with pytest.raises(ArithmeticError, match="negative"):
+            residue_column(0, 3, 300)
+        assert core._columns[0, 3] == []
+
+
 class TestAThird:
     def test_small_values(self, table):
         assert a_third_exact(table, 1) == 1
         assert a_third_exact(table, 2) == -1
         assert a_third_exact(table, 7) == 3
+
+    @pytest.mark.parametrize("p_first", [True, False])
+    def test_equals_dyson_series_to_3000(self, cold_divisions, p_first):
+        # With p stored, (1, 3) is p minus (0, 3); from empty caches
+        # both columns are divided and p is never computed.
+        if p_first:
+            partition_numbers(3000)
+            cold_divisions.clear()
+        expected = dyson_a_third(3000)
+        table = RankTable(3000)
+        assert [a_third_exact(table, n) for n in range(3001)] == expected
+        assert list(map(sub, residue_column(0, 3, 3000),
+                        residue_column(1, 3, 3000))) == expected
+        assert cold_divisions == [3000] * (1 if p_first else 2)
+        assert len(core._pcache) == (3001 if p_first else 1)
 
     def test_consistent_with_residue_counts(self, table):
         for n in (1, 6, 50, 240):
