@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them.
 _EXPORTS = {
     "bounds": (
-        "BUDGET_CAP", "RATIO_CAP_2_DERIVED", "RATIO_CAPS", "BoundPair",
-        "ErrorBudget", "envelope", "error_budget", "error_term_bound",
-        "exact_gap", "hardy_ramanujan", "lehmer_bounds", "lehmer_estimate",
+        "BUDGET_CAP", "ENVELOPE_C", "RATIO_CAP_2_DERIVED", "RATIO_CAPS",
+        "BoundPair", "ErrorBudget", "envelope", "error_budget", "exact_gap",
+        "hardy_ramanujan", "lehmer_bounds", "lehmer_estimate",
         "lehmer_log_bounds", "lemma_threshold", "main_term",
         "main_term_decimal", "mu", "ratio_bound", "residue_envelope_check",
         "s_ratio", "t_gap",

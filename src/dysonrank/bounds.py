@@ -53,9 +53,9 @@ __all__ = [
     "RATIO_CAPS",
     "RATIO_CAP_2_DERIVED",
     "BUDGET_CAP",
+    "ENVELOPE_C",
     "envelope",
     "error_budget",
-    "error_term_bound",
     "exact_gap",
     "hardy_ramanujan",
     "lehmer_bounds",
@@ -107,6 +107,11 @@ _SIN_PI_18_X24 = 24.0 * SIN_PI_18
 RATIO_CAPS = (0.0065, 0.00019, 0.0098, 0.0071, 0.0072, 0.54)
 RATIO_CAP_2_DERIVED = 0.0019
 BUDGET_CAP = 0.58
+
+# The relative slack c of the residue envelope: each N(r, 3; n) lies
+# strictly between (1 - c)/3 and (1 + c)/3 times Lehmer's envelope of
+# p(n), and the gap lemma pays for it with log((1 + c)/(1 - c)^2).
+ENVELOPE_C = 0.01
 
 # The largest n at which lehmer_estimate is finite: its e^mu overflows
 # a double once mu(n) = (pi/6) sqrt(24n - 1) passes log(DBL_MAX).  The
@@ -373,15 +378,6 @@ def _error_bounds(n: int) -> tuple[float, float, float, float, float, float]:
     )
 
 
-def error_term_bound(i: int, n: int) -> float:
-    """The i-th explicit error bound, i in 1..6: entry i - 1 of the one
-    pass that error_budget reads, so it costs all six."""
-    _check_positive(n)
-    if not 1 <= i <= 6:
-        raise ValueError("error term index must be in 1..6")
-    return _error_bounds(n)[i - 1]
-
-
 def error_budget(n: int) -> ErrorBudget:
     """All six error bounds at n, their sum, and the envelope context.
 
@@ -436,20 +432,19 @@ def ratio_bound(i: int, n: int) -> float:
     raise ValueError("ratio index must be in 1..6")
 
 
-def residue_envelope_check(table: RankTable, n: int,
-                           slack: float = 0.01) -> bool:
-    """Strict sandwich (1/3)(1-slack) p_lower < N(r,3;n) < (1/3)(1+slack) p_upper
-    for every residue r in {0, 1, 2}.  Falls back to log-space comparison
-    when the envelope overflows a double."""
+def residue_envelope_check(table: RankTable, n: int) -> bool:
+    """Strict sandwich (1/3)(1-c) p_lower < N(r,3;n) < (1/3)(1+c) p_upper
+    for every residue r in {0, 1, 2}, with c = ENVELOPE_C.  Falls back
+    to log-space comparison when the envelope overflows a double."""
     pair = lehmer_bounds(n)
     if math.isfinite(pair.upper):
-        lo = (1.0 - slack) / 3.0 * pair.lower
-        hi = (1.0 + slack) / 3.0 * pair.upper
+        lo = (1.0 - ENVELOPE_C) / 3.0 * pair.lower
+        hi = (1.0 + ENVELOPE_C) / 3.0 * pair.upper
         return all(
             lo < residue_count(table, r, 3, n) < hi for r in range(3))
     log_lo, log_hi = lehmer_log_bounds(n)
-    log_lo += math.log((1.0 - slack) / 3.0)
-    log_hi += math.log((1.0 + slack) / 3.0)
+    log_lo += math.log((1.0 - ENVELOPE_C) / 3.0)
+    log_hi += math.log((1.0 + ENVELOPE_C) / 3.0)
     for r in range(3):
         c = residue_count(table, r, 3, n)
         if c <= 0:
@@ -479,18 +474,18 @@ def t_gap(x: float, lam: float) -> float:
         - math.sqrt(24.0 * (x + lam * x) - 1.0))
 
 
-def lemma_threshold(x: float, t: int = 3, c: float = 0.01) -> bool:
+def lemma_threshold(x: float, t: int = 3) -> bool:
     """Whether the exponential gap beats the polynomial losses at lambda = 1:
 
-        T_x(1) > log(4 x sqrt 3 t (1+c)/(1-c)^2) + log(S_x(1)).
+        T_x(1) > log(4 x sqrt 3 t (1+c)/(1-c)^2) + log(S_x(1)),
 
-    True from moderate x on (in particular all x >= 500 at the default
-    t = 3, c = 0.01); false for small x such as 10."""
-    if not 0.0 < c < 1.0:
-        raise ValueError("requires 0 < c < 1")
+    with c = ENVELOPE_C, the residue envelope's slack.  True from
+    moderate x on (in particular all x >= 500 at the default t = 3);
+    false for small x such as 10."""
     if t < 1:
         raise ValueError("requires t >= 1")
-    rhs = math.log(4.0 * x * _SQRT3 * t * (1.0 + c) / (1.0 - c) ** 2) \
+    rhs = math.log(4.0 * x * _SQRT3 * t * (1.0 + ENVELOPE_C)
+                   / (1.0 - ENVELOPE_C) ** 2) \
         + math.log(s_ratio(x, 1.0))
     return t_gap(x, 1.0) > rhs
 

@@ -354,9 +354,12 @@ def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
 
 # ---------------------------------------------------------- verify suites
 
+# The range flags of `verify`, as {dest: flag}.
+_RANGE_FLAGS = {"r": "--r", "t": "--t", "min": "--min", "max": "--max",
+                "lo": "--from", "hi": "--to", "step": "--step"}
 # Each verify suite runs the `claims` function of its name, with the
-# flags it reads, as {dest: keyword}; a flag left unset keeps the
-# claim's default.
+# range flags it reads, as {dest: keyword}; a flag left unset keeps the
+# claim's default, and a range flag the suite does not read is refused.
 _VERIFY = {
     "tables": {"n_max": "n_max"},
     "convexity": {"t": "t", "r": "r", "min": "a_min", "max": "b_max",
@@ -377,6 +380,9 @@ def _run_claim(args: argparse.Namespace, suite: str) -> ClaimRecord:
 
 
 def _cmd_verify(args: argparse.Namespace) -> OutputRecord:
+    for dest, flag in _RANGE_FLAGS.items():
+        if getattr(args, dest) is not None and dest not in _VERIFY[args.suite]:
+            raise UsageError(f"verify {args.suite} does not read {flag}")
     record = _run_claim(args, args.suite)
     return OutputRecord("verify", {"suite": args.suite, **record.params},
                         record.results, record.status)
@@ -452,13 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification suite")
     p.add_argument("suite", choices=sorted(_VERIFY))
-    p.add_argument("--r", type=int)
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--min", type=int)
-    p.add_argument("--max", type=int)
-    p.add_argument("--from", dest="lo", type=int)
-    p.add_argument("--to", dest="hi", type=int)
-    p.add_argument("--step", type=int)
+    for dest, flag in _RANGE_FLAGS.items():
+        p.add_argument(flag, dest=dest, type=int)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

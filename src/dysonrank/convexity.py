@@ -51,8 +51,10 @@ __all__ = ["ConvexityReport", "check_pair", "scan_region", "sharpness_frontier"]
 
 
 class ConvexityReport(NamedTuple):
-    """Result of one region scan.  Violations are (a, b, lhs, rhs) with
-    a <= b, sorted; empty means the inequality held everywhere."""
+    """Result of one region scan a_min <= a <= b <= b_max, so a_range
+    and b_range are both (a_min, b_max).  Violations are (a, b, lhs,
+    rhs) with a <= b, sorted; empty means the inequality held
+    everywhere."""
     r: int
     t: int
     a_range: tuple[int, int]
@@ -89,43 +91,36 @@ def _concave_start(counts: Sequence[int]) -> int:
     return low
 
 
-def scan_region(table: RankTable, r: int, t: int, a_min: int, b_max: int,
-                a_max: int | None = None,
-                b_min: int | None = None) -> ConvexityReport:
-    """Exhaustively decide all pairs a_min <= a <= b <= b_max (with
-    optional tighter a_max / looser b_min), reading each count once.
-    Violations come out sorted, since a and b both ascend.
+def scan_region(table: RankTable, r: int, t: int, a_min: int,
+                b_max: int) -> ConvexityReport:
+    """Exhaustively decide all pairs a_min <= a <= b <= b_max, reading
+    each count once.  Violations come out sorted, since a and b both
+    ascend.
 
-    With L = _concave_start of the column to a_max + b_max, each row a
-    has two parts.  Its pairs with b < L are tested in a single C-level
-    pass of exact products and comparisons, and walked pair by pair
-    only when that pass finds a violation.  Its pairs with b >= L are
-    walked from the first one, each violation recorded, up to the
-    first pair that holds: by the lemma in the module docstring every
-    later pair of the row holds too.  That costs
+    With L = _concave_start of the column to 2 b_max, each row a has two
+    parts.  Its pairs with b < L are tested in a single C-level pass of
+    exact products and comparisons, and walked pair by pair only when
+    that pass finds a violation.  Its pairs with b >= L are walked from
+    the first one, each violation recorded, up to the first pair that
+    holds: by the lemma in the module docstring every later pair of the
+    row holds too.  That costs
     O(top + rows + violations + pairs below L) exact products, against
     one per pair in the region."""
-    a_hi = b_max if a_max is None else a_max
-    b_lo = a_min if b_min is None else b_min
-    if a_min < 1 or a_min > a_hi or b_lo > b_max:
+    if a_min < 1 or a_min > b_max:
         raise ValueError("empty or invalid scan region")
-    table._check_n(a_hi + b_max)
-    counts = residue_column(r, t, a_hi + b_max)
+    table._check_n(2 * b_max)
+    counts = residue_column(r, t, 2 * b_max)
     low = _concave_start(counts)
 
     checked = 0
     bad = []
-    for a in range(a_min, a_hi + 1):
+    for a in range(a_min, b_max + 1):
         ca = counts[a]
-        b0 = max(a, b_lo)
-        width = b_max + 1 - b0
-        if width <= 0:  # a > b_max, and so is every later a
-            break
-        checked += width
-        b1 = min(max(b0, low), b_max + 1)  # the first b >= L
-        if not all(map(gt, map(mul, repeat(ca, b1 - b0), counts[b0:b1]),
-                       counts[a + b0:a + b1])):
-            for b in range(b0, b1):
+        checked += b_max + 1 - a
+        b1 = min(max(a, low), b_max + 1)  # the first b >= L
+        if not all(map(gt, map(mul, repeat(ca, b1 - a), counts[a:b1]),
+                       counts[2 * a:a + b1])):
+            for b in range(a, b1):
                 lhs = ca * counts[b]
                 rhs = counts[a + b]
                 if lhs <= rhs:
@@ -136,8 +131,8 @@ def scan_region(table: RankTable, r: int, t: int, a_min: int, b_max: int,
             if lhs > rhs:  # and so does every later pair of the row
                 break
             bad.append((a, b, lhs, rhs))
-    return ConvexityReport(r=r, t=t, a_range=(a_min, a_hi),
-                           b_range=(b_lo, b_max), pairs_checked=checked,
+    return ConvexityReport(r=r, t=t, a_range=(a_min, b_max),
+                           b_range=(a_min, b_max), pairs_checked=checked,
                            violations=bad)
 
 

@@ -546,13 +546,12 @@ def a_third_exact(table: RankTable, n: int) -> int:
     return residue_count(table, 0, 3, n) - residue_count(table, 1, 3, n)
 
 
-def decomposition_check(table: RankTable, r: int, t: int, n: int,
-                        tol: float = 1e-6) -> bool:
+def decomposition_check(table: RankTable, r: int, t: int, n: int) -> bool:
     """Cross-check N(r, t; n) against the root-of-unity average.
 
     Evaluates (1/t) [p(n) + sum_{j=1..t-1} z^(-rj) sum_m N(m,n) z^(jm)]
     with z = e^(2 pi i / t) in complex floats and compares to the exact
-    count within relative tolerance tol.  This ties the residue column
+    count within relative tolerance 1e-6.  This ties the residue column
     to the full rank row through an identity neither is built from.
 
     z^(jm) depends on m only through m mod t, so the row is first
@@ -576,6 +575,6 @@ def decomposition_check(table: RankTable, r: int, t: int, n: int,
         inner = sum(s * z ** c for c, s in enumerate(sums))
         acc += cmath.exp(-2j * cmath.pi * r * j / t) * inner
     approx = acc / t
-    scale = max(1.0, float(abs(exact)))
-    return (abs(approx.real - exact) <= tol * scale
-            and abs(approx.imag) <= tol * scale)
+    allowance = 1e-6 * max(1.0, float(abs(exact)))
+    return (abs(approx.real - exact) <= allowance
+            and abs(approx.imag) <= allowance)

@@ -34,7 +34,7 @@ range with --show-partitions), so neither is quadratic in n.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from typing import NamedTuple
 
@@ -63,7 +63,8 @@ class MaxProductEntry(NamedTuple):
     """Best product for one n, with every attaining partition.
 
     optima is sorted ascending; truncated means the set was cut at the
-    cap and only a prefix is stored."""
+    cap, and then the optima stored are the first cap in reverse
+    lexicographic order, (n) first (see _capped)."""
     n: int
     value: int
     optima: tuple[tuple[int, ...], ...]
@@ -190,9 +191,9 @@ def max_table(table: RankTable, r: int, t: int, n_max: int,
     """Entries for n = 0 .. n_max: values from the knapsack, optima
     walked over its best, top and below lists.  optima_cap bounds the
     stored set per n (None means unbounded); overflow is flagged, never
-    silent.  The walk stops once optima_cap + 1 are found, so a
-    truncated set is always the same prefix of the reverse
-    lexicographic order."""
+    silent.  The walk yields the optima in reverse lexicographic order
+    and stops once optima_cap + 1 are found, so a truncated set is the
+    first optima_cap of that order, the set brute_max keeps."""
     _validate_rt(r, t)
     f = _count_row(table, r, t, n_max)
     best, _, top, below = _best_and_count(f, n_max)
@@ -205,13 +206,22 @@ def _entry(best: list[int], top: list[int], below: list[int], f: list[int],
     """max_table's entry for n, from the knapsack's lists."""
     if n == 0:
         return MaxProductEntry(0, 1, ((),))
-    limit = None if optima_cap is None else optima_cap + 1
     # When best[n] == 0 every partition of n is optimal.
     walk = (enumerate_partitions(n) if best[n] == 0
             else _walk_optima(best, top, below, f, n))
-    optima = sorted(islice(walk, limit))
-    truncated = limit is not None and len(optima) == limit
-    return MaxProductEntry(n, best[n], tuple(optima[:optima_cap]), truncated)
+    return MaxProductEntry(n, best[n], *_capped(walk, optima_cap))
+
+
+def _capped(optima: Iterable[tuple[int, ...]], optima_cap: int | None
+            ) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """(stored, truncated) for optima given in reverse lexicographic
+    order: the first optima_cap of them (all when None), sorted
+    ascending, and whether any was left out.  Reads at most
+    optima_cap + 1 optima."""
+    if optima_cap is None:
+        return tuple(sorted(optima)), False
+    first = list(islice(optima, optima_cap + 1))
+    return tuple(sorted(first[:optima_cap])), len(first) > optima_cap
 
 
 def _maxn_rows(table: RankTable, r: int, t: int, lo: int, hi: int,
@@ -244,7 +254,9 @@ def _maxn_rows(table: RankTable, r: int, t: int, lo: int, hi: int,
 def brute_max(table: RankTable, r: int, t: int, n: int,
               optima_cap: int | None = DEFAULT_OPTIMA_CAP) -> MaxProductEntry:
     """Same entry by scoring every partition of n.  The oracle for
-    max_table; exponential, keep n modest."""
+    max_table; exponential, keep n modest.  Partitions come in reverse
+    lexicographic order, so the optima list keeps that order and is
+    capped by the rule max_table uses."""
     _validate_rt(r, t)
     f = _count_row(table, r, t, n)
     best = -1
@@ -258,11 +270,7 @@ def brute_max(table: RankTable, r: int, t: int, n: int,
             optima = [parts]
         elif v == best:
             optima.append(parts)
-    optima.sort()
-    truncated = optima_cap is not None and len(optima) > optima_cap
-    if truncated:
-        optima = optima[:optima_cap]
-    return MaxProductEntry(n, best, tuple(optima), truncated)
+    return MaxProductEntry(n, best, *_capped(optima, optima_cap))
 
 
 # Periodic closed forms above the stabilization threshold.  Heads are
@@ -324,10 +332,10 @@ def _carried_closed_forms(r: int, f: list[int], lo: int, hi: int
         yield n, value, product
 
 
-def verify_closed_forms(table: RankTable, r: int, n_hi: int,
-                        n_lo: int | None = None) -> VerificationReport:
+def verify_closed_forms(table: RankTable, r: int,
+                        n_hi: int) -> VerificationReport:
     """Closed form == dynamic program, value and unique optimum, over
-    [n_lo, n_hi] (n_lo defaults to the stabilization threshold).
+    CLOSED_FORM_START[r] <= n <= n_hi.
 
     At each n the best product over partitions of n must equal the
     closed-form value, the table's counts over the closed-form parts
@@ -339,11 +347,11 @@ def verify_closed_forms(table: RankTable, r: int, n_hi: int,
     costs O(n_hi) products beside the knapsack."""
     if r not in CLOSED_FORM_START:
         raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
-    lo = CLOSED_FORM_START[r] if n_lo is None else n_lo
     f = _count_row(table, r, 3, n_hi)
     best, cnt, _, _ = _best_and_count(f, n_hi)
     checked, mismatches = 0, []
-    for n, value, product in _carried_closed_forms(r, f, lo, n_hi):
+    for n, value, product in _carried_closed_forms(
+            r, f, CLOSED_FORM_START[r], n_hi):
         if best[n] != value or product != value or cnt[n] != 1:
             mismatches.append(
                 (n, value, closed_form(r, n)[1], best[n], cnt[n]))
@@ -445,10 +453,11 @@ def _closure_size_mod2(h: int) -> int:
 CONJECTURE_MOD2_START = {0: 6, 1: 8}
 
 
-def conjecture_max_mod2(table: RankTable, r: int, n_hi: int,
-                        n_lo: int | None = None) -> VerificationReport:
-    """Exploratory t = 2 analogue of the closed forms; never raises on
-    a mismatch, only reports it.
+def conjecture_max_mod2(table: RankTable, r: int,
+                        n_hi: int) -> VerificationReport:
+    """Exploratory t = 2 analogue of the closed forms over
+    CONJECTURE_MOD2_START[r] <= n <= n_hi; never raises on a mismatch,
+    only reports it.
 
     r = 0: period-3 forms with unique optima built from parts
     {3, 5, 7}: the best product must equal the form's value and be
@@ -462,12 +471,10 @@ def conjecture_max_mod2(table: RankTable, r: int, n_hi: int,
     count)."""
     if r not in (0, 1):
         raise ValueError("the t = 2 conjectures cover r in {0, 1}")
-    lo = CONJECTURE_MOD2_START[r] if n_lo is None else n_lo
-    lo = max(lo, CONJECTURE_MOD2_START[r])
     f = _count_row(table, r, 2, n_hi)
     best, cnt, _, _ = _best_and_count(f, n_hi)
     checked, mismatches = 0, []
-    for n in range(lo, n_hi + 1):
+    for n in range(CONJECTURE_MOD2_START[r], n_hi + 1):
         swaps_keep_value = True
         if r == 0:
             m = n % 3

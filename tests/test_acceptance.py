@@ -131,7 +131,7 @@ def test_criterion_08_threshold_inequality(criterion):
     ok = ok and results["threshold_failures"] == []
     criterion(8, "gap inequality holds for x in [500, 600] and "
                  "{1000, 2000, 5000}", ok)
-    assert not lemma_threshold(10, 3, 0.01)
+    assert not lemma_threshold(10, 3)
 
 
 def test_criterion_09_closed_form_equivalence(big_table, criterion):

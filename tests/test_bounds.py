@@ -29,7 +29,6 @@ from dysonrank import (
     RATIO_CAPS,
     envelope,
     error_budget,
-    error_term_bound,
     exact_gap,
     hardy_ramanujan,
     lehmer_bounds,
@@ -42,6 +41,7 @@ from dysonrank import (
     partition_number,
     partition_numbers,
     ratio_bound,
+    residue_column,
     residue_envelope_check,
     s_ratio,
     t_gap,
@@ -186,9 +186,9 @@ class TestErrorBounds:
     def test_matches_independent_rewrite(self):
         for n in (100, 500, 1300):
             independent = _independent_error_bounds(n)
-            for i in range(1, 7):
-                assert error_term_bound(i, n) == pytest.approx(
-                    independent[i - 1], rel=1e-9), (i, n)
+            for i, term in enumerate(error_budget(n).terms, start=1):
+                assert term == pytest.approx(independent[i - 1],
+                                             rel=1e-9), (i, n)
 
     def test_budget_total_is_exact_sum(self):
         budget = error_budget(777)
@@ -196,14 +196,7 @@ class TestErrorBounds:
 
     def test_empty_sums_below_thresholds(self):
         # isqrt(n)//3 is 0 for n < 9, so the first bound's sum is empty.
-        assert error_term_bound(1, 8) == 0.0
-        assert error_term_bound(2, 8) == 0.0
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            error_term_bound(0, 100)
-        with pytest.raises(ValueError):
-            error_term_bound(7, 100)
+        assert error_budget(8).terms[:2] == (0.0, 0.0)
 
 
 @cache
@@ -341,24 +334,20 @@ class TestLiteralOracles:
             assert budget.main == main_term(n), n
             assert (budget.lower, budget.upper) == envelope(n), n
 
-    def test_single_bound_is_the_budget_entry(self):
-        for n in (*range(1, 3001, 7), *SPOT_N):
-            terms = error_budget(n).terms
-            assert tuple(error_term_bound(i, n) for i in range(1, 7)) \
-                == terms, n
-
     def test_bounds_past_the_envelope(self):
-        # L(n) overflows a double here, so only single bounds exist.
+        # L(n) overflows a double here, so error_budget raises, but the
+        # pass behind it still gives the six bounds.
         n = 10 ** 6
-        for i in range(1, 7):
-            assert error_term_bound(i, n) == _literal_error_bound(i, n), i
+        with pytest.raises(OverflowError):
+            error_budget(n)
+        assert bounds._error_bounds(n) == tuple(
+            _literal_error_bound(i, n) for i in range(1, 7))
         # The first bound's sinh overflows by n = 10^7, as the literal
-        # one does; every bound comes from the same pass, so all raise.
+        # one does; every bound comes from the same pass, so it raises.
         with pytest.raises(OverflowError):
             _literal_error_bound(1, 10 ** 7)
-        for i in range(1, 7):
-            with pytest.raises(OverflowError):
-                error_term_bound(i, 10 ** 7)
+        with pytest.raises(OverflowError):
+            bounds._error_bounds(10 ** 7)
 
     def test_ratio_functions_at_every_n(self):
         for n in (*range(500, 10001), *SPOT_N):
@@ -392,14 +381,13 @@ class TestRunningSums:
         for name in ("_sqrt_k", "_pi_over_18k"):
             monkeypatch.setattr(bounds, name, [])
         for n in order:
-            for i in range(1, 7):
-                assert error_term_bound(i, n) == _literal_error_bound(i, n), \
-                    (i, n)
+            assert bounds._error_bounds(n) == tuple(
+                _literal_error_bound(i, n) for i in range(1, 7)), n
 
     def test_cache_length_is_root_plus_one(self, monkeypatch):
         monkeypatch.setattr(bounds, "_sum_sixth", [0.0])
-        error_term_bound(6, 10000)
-        error_term_bound(6, 500)
+        bounds._error_bounds(10000)
+        bounds._error_bounds(500)
         assert len(bounds._sum_sixth) == 101
 
 
@@ -526,6 +514,40 @@ class TestResidueEnvelope:
         for n in (60, 100, 200, 240):
             assert residue_envelope_check(table, n)
 
+    def test_log_space_branch_equals_float_branch(self, monkeypatch):
+        # The log-space comparison runs only once Lehmer's upper bound
+        # overflows, near n = 79000; an infinite upper forces it here.
+        # Counts scaled to just inside and just outside the envelope
+        # must get the same verdicts from both branches.
+        table = RankTable(3000)
+        lo_c, hi_c = (1 - bounds.ENVELOPE_C) / 3, (1 + bounds.ENVELOPE_C) / 3
+        column = {r: residue_column(r, 3, 3000) for r in range(3)}
+
+        def verdicts(count):
+            monkeypatch.setattr(bounds, "residue_count",
+                                lambda table, r, t, n: count(r, n))
+            return [residue_envelope_check(table, n)
+                    for n in range(500, 3001)]
+
+        def scaled(side, factor):
+            def count(r, n):
+                if r != n % 3:
+                    return column[r][n]
+                pair = lehmer_bounds(n)
+                edge = lo_c * pair.lower if side < 0 else hi_c * pair.upper
+                return int(edge * factor)
+            return count
+
+        counts = [lambda r, n: column[r][n], scaled(-1, 0.999),
+                  scaled(-1, 1.001), scaled(1, 0.999), scaled(1, 1.001)]
+        floats = [verdicts(count) for count in counts]
+        monkeypatch.setattr(bounds, "lehmer_bounds", lambda n: lehmer_bounds(
+            n)._replace(upper=math.inf))
+        for count, want in zip(counts, floats):
+            assert verdicts(count) == want
+        assert [set(v) for v in floats] == [{True}, {False}, {True}, {True},
+                                            {False}]
+
 
 class TestLemmaThreshold:
     def test_frozen_s_and_t(self):
@@ -542,8 +564,6 @@ class TestLemmaThreshold:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             lemma_threshold(500, t=0)
-        with pytest.raises(ValueError):
-            lemma_threshold(500, c=1.0)
         with pytest.raises(ValueError):
             s_ratio(1.0, 1.0)
         with pytest.raises(ValueError):

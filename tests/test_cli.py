@@ -27,6 +27,18 @@ from dysonrank.cli import (
 )
 
 
+# The range flags each verify suite reads, with the claims keyword each
+# becomes; --n-max, --table-cache and --format are read by all.
+VERIFY_READS = {"tables": {},
+                "convexity": {"--t": "t", "--r": "r", "--min": "a_min",
+                              "--max": "b_max"},
+                "theorem2": {"--max": "hi"},
+                "bounds": {"--max": "hi"},
+                "budget": {"--from": "lo", "--to": "hi", "--step": "step"},
+                "conjectures": {"--max": "scan_max", "--to": "forms_hi"}}
+RANGE_FLAGS = ("--r", "--t", "--min", "--max", "--from", "--to", "--step")
+
+
 def run(*argv):
     """(exit_code, stdout, stderr) for one in-process invocation."""
     out, err = io.StringIO(), io.StringIO()
@@ -481,6 +493,35 @@ class TestVerifySuites:
     def test_unknown_suite_is_usage_error(self):
         code, _, _ = run("verify", "everything")
         assert code == 2
+
+    @pytest.mark.parametrize("suite, flag", [
+        (suite, flag) for suite, reads in VERIFY_READS.items()
+        for flag in RANGE_FLAGS if flag not in reads])
+    def test_unread_flag_is_refused(self, monkeypatch, suite, flag):
+        # Refused before the claim runs, naming the flag.
+        monkeypatch.setattr(f"dysonrank.claims.{suite}", None)
+        code, out, err = run("verify", suite, flag, "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {suite} does not read {flag}\n"
+
+    @pytest.mark.parametrize("suite", sorted(VERIFY_READS))
+    def test_read_flags_reach_the_claim(self, monkeypatch, suite):
+        from dysonrank.claims import ClaimRecord
+        calls = []
+
+        def claim(**given):
+            calls.append(given)
+            return ClaimRecord({}, {}, 0)
+
+        monkeypatch.setattr(f"dysonrank.claims.{suite}", claim)
+        argv = [arg for i, flag in enumerate(VERIFY_READS[suite], start=2)
+                for arg in (flag, str(i))]
+        code, _, _ = run("verify", suite, *argv, "--n-max", "99")
+        want = {keyword: i for i, keyword in
+                enumerate(VERIFY_READS[suite].values(), start=2)}
+        if suite != "bounds":  # the one suite that reads no table
+            want["n_max"] = 99
+        assert (code, calls) == (0, [want])
 
 
 class TestTableCache:

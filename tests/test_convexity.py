@@ -26,17 +26,14 @@ from dysonrank import convexity
 from dysonrank.convexity import _concave_start
 
 
-def pairwise_scan(r, t, a_min, b_max, a_max=None, b_min=None,
-                  column=residue_column):
+def pairwise_scan(r, t, a_min, b_max, column=residue_column):
     """(pairs_checked, violations) of scan_region, pair by pair."""
-    a_hi = b_max if a_max is None else a_max
-    b_lo = a_min if b_min is None else b_min
-    counts = column(r, t, a_hi + b_max)
+    counts = column(r, t, 2 * b_max)
     checked = 0
     bad = []
-    for a in range(a_min, a_hi + 1):
+    for a in range(a_min, b_max + 1):
         ca = counts[a]
-        for b in range(max(a, b_lo), b_max + 1):
+        for b in range(a, b_max + 1):
             checked += 1
             lhs = ca * counts[b]
             rhs = counts[a + b]
@@ -45,28 +42,22 @@ def pairwise_scan(r, t, a_min, b_max, a_max=None, b_min=None,
     return checked, bad
 
 
-def row_pass_scan(r, t, a_min, b_max, a_max=None, b_min=None,
-                  column=residue_column):
+def row_pass_scan(r, t, a_min, b_max, column=residue_column):
     """(pairs_checked, violations) of scan_region, each row tested in one
     C-level pass and walked pair by pair only when it holds a
     violation."""
-    a_hi = b_max if a_max is None else a_max
-    b_lo = a_min if b_min is None else b_min
-    counts = column(r, t, a_hi + b_max)
+    counts = column(r, t, 2 * b_max)
 
     checked = 0
     bad = []
-    for a in range(a_min, a_hi + 1):
+    for a in range(a_min, b_max + 1):
         ca = counts[a]
-        b0 = max(a, b_lo)
-        width = b_max + 1 - b0
-        if width <= 0:  # a > b_max, and so is every later a
-            break
+        width = b_max + 1 - a
         checked += width
-        if all(map(gt, map(mul, repeat(ca, width), counts[b0:b_max + 1]),
-                   counts[a + b0:a + b_max + 1])):
+        if all(map(gt, map(mul, repeat(ca, width), counts[a:b_max + 1]),
+                   counts[2 * a:a + b_max + 1])):
             continue
-        for b in range(b0, b_max + 1):
+        for b in range(a, b_max + 1):
             lhs = ca * counts[b]
             rhs = counts[a + b]
             if lhs <= rhs:
@@ -131,12 +122,6 @@ class TestScanRegion:
         assert (11, 11, 256, 340) in report.violations
         assert report.violations == sorted(report.violations)
 
-    def test_asymmetric_box(self, table):
-        report = scan_region(table, 0, 3, 12, 100, a_max=20)
-        assert report.a_range == (12, 20)
-        assert report.b_range == (12, 100)
-        assert report.ok
-
     def test_region_validation(self, table):
         with pytest.raises(ValueError):
             scan_region(table, 0, 3, 0, 50)
@@ -145,27 +130,25 @@ class TestScanRegion:
 
     @pytest.mark.parametrize("t", [2, 3, 5, 7])
     def test_equals_pairwise_oracle(self, table, t):
-        # (a_min, b_max, a_max, b_min): whole triangles, a narrow and a
-        # wide a range, a b range starting below and above a_min, and
-        # rows that start past b_max.
-        regions = [(1, 120, None, None), (11, 120, None, None),
-                   (5, 60, 8, None), (3, 40, 90, None),
-                   (10, 50, 30, 2), (2, 30, None, 25),
-                   (20, 40, 60, 35), (40, 40, None, None)]
+        # (a_min, b_max): whole triangles from 1, from the threshold
+        # and from further in, down to a single pair.
+        regions = [(1, 120), (11, 120), (5, 60), (3, 40), (10, 50), (2, 30),
+                   (20, 40), (40, 40)]
         for r in range(t):
-            for a_min, b_max, a_max, b_min in regions:
-                report = scan_region(table, r, t, a_min, b_max, a_max, b_min)
+            for a_min, b_max in regions:
+                report = scan_region(table, r, t, a_min, b_max)
+                assert report.a_range == report.b_range == (a_min, b_max)
                 assert (report.pairs_checked, report.violations) == \
-                    pairwise_scan(r, t, a_min, b_max, a_max, b_min), \
-                    (r, a_min, b_max, a_max, b_min)
+                    pairwise_scan(r, t, a_min, b_max), (r, a_min, b_max)
 
     @pytest.mark.parametrize("t", [2, 3, 5, 7])
     def test_every_row_end_equals_pairwise_oracle(self, table, t):
-        # Every b_max and every b_min up to 40, so that each violation
-        # is, in some region, the last or the first pair of its row.
+        # Every b_max and every a_min up to 40, so that each violation
+        # is, in some region, the last pair of its row, and each with
+        # a = b the first pair of the first row.
         for r in range(t):
             for edge in range(1, 41):
-                for region in ((1, edge, None, None), (1, 40, 40, edge)):
+                for region in ((1, edge), (edge, 40)):
                     report = scan_region(table, r, t, *region)
                     assert (report.pairs_checked, report.violations) == \
                         pairwise_scan(r, t, *region), (r, region)
@@ -236,10 +219,9 @@ class TestLogConcaveTail:
                 pairwise_scan(r, t, 1, 400), r
             thr = max(min(a, b) for a, b, _, _ in whole[1]) + 1
             low = _concave_start(residue_column(r, t, 800))
-            regions = [(thr, 400, None, None),  # from the threshold
-                       (1, 400, 450, low - 3),  # b_min below L
-                       (thr, 400, 600, low + 4),  # b_min above L
-                       (low + 2, 400, None, 2)]  # every row past L
+            regions = [(thr, 400),  # from the threshold
+                       (low - 3, 400),  # the first rows start below L
+                       (low + 2, 400)]  # every row past L
             for region in regions:
                 assert scan(table, r, t, *region) == \
                     row_pass_scan(r, t, *region), (r, region)
@@ -267,8 +249,7 @@ class TestLogConcaveTail:
         column = self._doctored(monkeypatch, dip)
         assert _concave_start(column(0, 3, 800)) == 300
         table = RankTable(1000)
-        for region in [(12, 400, None, None), (1, 300, None, None),
-                       (1, 301, 500, 290), (12, 299, None, None)]:
+        for region in [(12, 400), (1, 300), (290, 301), (12, 299)]:
             found = scan(table, 0, 3, *region)
             assert found == row_pass_scan(0, 3, *region, column=column) \
                 == pairwise_scan(0, 3, *region, column=column), region
@@ -288,7 +269,7 @@ class TestLogConcaveTail:
                    for n in range(48, 800))
         assert _concave_start(counts) == 302
         table = RankTable(1000)
-        for region in [(12, 400, None, None), (1, 301, 500, 290)]:
+        for region in [(290, 301), (12, 400)]:
             found = scan(table, 0, 3, *region)
             assert found == row_pass_scan(0, 3, *region, column=column) \
                 == pairwise_scan(0, 3, *region, column=column), region
@@ -303,7 +284,7 @@ class TestLogConcaveTail:
         column = self._doctored(monkeypatch, spike)
         assert _concave_start(column(0, 3, 800)) == 351
         table = RankTable(1000)
-        for region in [(12, 400, None, None), (12, 200, 30, 150)]:
+        for region in [(12, 400), (140, 200)]:
             found = scan(table, 0, 3, *region)
             assert found == row_pass_scan(0, 3, *region, column=column) \
                 == pairwise_scan(0, 3, *region, column=column), region

@@ -65,9 +65,10 @@ def row_residue_count(table, r, t, n):
     return sum(row[(r + n - 1) % t::t])
 
 
-def entry_decomposition_check(table, r, t, n, tol=1e-6):
+def entry_decomposition_check(table, r, t, n):
     """decomposition_check with one complex power per row entry: the
-    root-of-unity average of row n against the exact N(r, t; n)."""
+    root-of-unity average of row n against the exact N(r, t; n), within
+    the same relative tolerance 1e-6."""
     exact = residue_count(table, r, t, n)
     row = table.row(n)
     lo = 0 if n == 0 else -(n - 1)
@@ -77,9 +78,9 @@ def entry_decomposition_check(table, r, t, n, tol=1e-6):
         inner = sum(c * z ** (lo + i) for i, c in enumerate(row) if c)
         acc += cmath.exp(-2j * cmath.pi * r * j / t) * inner
     approx = acc / t
-    scale = max(1.0, float(abs(exact)))
-    return (abs(approx.real - exact) <= tol * scale
-            and abs(approx.imag) <= tol * scale)
+    allowance = 1e-6 * max(1.0, float(abs(exact)))
+    return (abs(approx.real - exact) <= allowance
+            and abs(approx.imag) <= allowance)
 
 
 def entry_half_row(p, n):
@@ -825,28 +826,25 @@ class TestDecomposition:
     @pytest.mark.parametrize("t", [2, 3, 5, 7])
     @pytest.mark.parametrize("n", [12, 60, 150])
     def test_one_wrong_count_fails_every_residue(self, t, n):
-        # A table stores half rows, so raising half[i] by 1 raises
+        # A table stores half rows, so raising half[i] by d raises
         # N(i, n) and N(-i, n) together.  That moves the average for r
-        # by [i = r] + [-i = r] - 2/t (congruences mod t), or by
-        # [r = 0] - 1/t when i = 0, at least 1/t in size for every r, so
-        # every r must see it once the allowance is well below 1/t in
-        # absolute terms.
+        # by d ([i = r] + [-i = r] - 2/t) (congruences mod t), or by
+        # d ([r = 0] - 1/t) when i = 0, at least d/t in size for every
+        # r.  With d = 2t (1 + floor(1e-6 p(n))), d/t exceeds the
+        # allowance 1e-6 max(1, N(r, t; n)) <= 1e-6 max(1, p(n)), so
+        # every r must see it.
         sound = build_rank_table(n)
         halves = [sound._row(k) for k in range(n + 1)]
-
-        def tol(r):
-            return 1 / (4 * t * residue_count(sound, r, t, n))
-
+        d = 2 * t * (1 + int(1e-6 * partition_number(n)))
         for r in range(t):
-            assert decomposition_check(sound, r, t, n, tol(r)), r
+            assert decomposition_check(sound, r, t, n), r
         for i in range(t):  # half[i] holds N(i, n) = N(-i, n)
             bumped = [list(half) for half in halves]
-            bumped[n][i] += 1
+            bumped[n][i] += d
             wrong = RankTable(n, bumped)
             for r in range(t):
-                assert not decomposition_check(wrong, r, t, n, tol(r)), (i, r)
-                assert not entry_decomposition_check(wrong, r, t, n,
-                                                     tol(r)), (i, r)
+                assert not decomposition_check(wrong, r, t, n), (i, r)
+                assert not entry_decomposition_check(wrong, r, t, n), (i, r)
 
 
 class TestTableObject:

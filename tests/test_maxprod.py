@@ -136,7 +136,10 @@ def prefix_collect_optima(V: list[list], f: list[int], n: int,
                           cap: int | None
                           ) -> tuple[list[tuple[int, ...]], bool]:
     """All partitions attaining V[n][n], each found exactly once (a
-    partition is reconstructed only at its own largest part)."""
+    partition is reconstructed only at its own largest part), taking
+    the larger part first, so in reverse lexicographic order.  Capped,
+    the first cap of that order are kept, sorted, and truncated is
+    whether more exist."""
     limit = None if cap is None else cap + 1
     found: list[tuple[int, ...]] = []
     stack: list[tuple[int, int, tuple[int, ...]]] = [(n, n, ())]
@@ -162,10 +165,8 @@ def prefix_collect_optima(V: list[list], f: list[int], n: int,
                 break
         if limit is not None and len(found) >= limit:
             break
-    found.sort()
-    if cap is not None and len(found) > cap:
-        return found[:cap], True
-    return found, False
+    truncated = cap is not None and len(found) > cap
+    return sorted(found[:cap]), truncated
 
 
 def _closure_mod2(start: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -223,17 +224,15 @@ def listing_conjecture_max_mod2(table, r: int, n_hi: int
     return checked, mismatches
 
 
-def per_n_verify_closed_forms(table, r: int, n_hi: int,
-                              n_lo: int | None = None):
+def per_n_verify_closed_forms(table, r: int, n_hi: int):
     """verify_closed_forms with closed_form called, and f multiplied
     over its parts, at every n."""
     if r not in CLOSED_FORM_START:
         raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
-    lo = CLOSED_FORM_START[r] if n_lo is None else n_lo
     f = _count_row(table, r, 3, n_hi)
     best, cnt, _, _ = _best_and_count(f, n_hi)
     checked, mismatches = 0, []
-    for n in range(lo, n_hi + 1):
+    for n in range(CLOSED_FORM_START[r], n_hi + 1):
         value, parts = maxprod.closed_form(r, n)
         product = math.prod(f[part] for part in parts)
         if best[n] != value or product != value or cnt[n] != 1:
@@ -380,37 +379,30 @@ class TestClosedForm:
         assert report.mismatches == [(33, 9583, (33,), 9583, 1)]
 
     def test_carry_equals_closed_form_to_2000(self):
+        # From the threshold, and from starts that seed the residue
+        # classes in another order, as maxn's ranges do.
         table = RankTable(2000)
         for r in (0, 1, 2):
             f = _count_row(table, r, 3, 2000)
-            start = CLOSED_FORM_START[r]
-            carried = list(_carried_closed_forms(r, f, start, 2000))
-            assert [n for n, _, _ in carried] == list(range(start, 2001))
-            for n, value, product in carried:
-                cf_value, parts = closed_form(r, n)
-                assert value == cf_value, (r, n)
-                assert product == math.prod(f[part] for part in parts), (r, n)
+            start, base = CLOSED_FORM_START[r], _BASE_PART[r]
+            for lo in (start, start + 1, start + base + 5):
+                carried = list(_carried_closed_forms(r, f, lo, 2000))
+                assert [n for n, _, _ in carried] == list(range(lo, 2001))
+                for n, value, product in carried:
+                    cf_value, parts = closed_form(r, n)
+                    assert value == cf_value, (r, lo, n)
+                    assert product == math.prod(f[part] for part in parts), \
+                        (r, lo, n)
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_carried_sweep_equals_per_n_sweep(self, r):
         # Every n_hi across the seeds and the first carries of each
-        # residue class, then long ranges; starts other than the default.
+        # residue class, then long ranges.
         base, start = _BASE_PART[r], CLOSED_FORM_START[r]
         table = RankTable(2000)
         for n_hi in [*range(base - 1, start + 3 * base + 1), 240, 1000, 2000]:
-            for n_lo in (None, start + 1, start + base, start + base + 5,
-                         n_hi):
-                if n_hi == 2000 and n_lo not in (None, start + base + 5):
-                    continue
-                if n_lo is not None and n_lo < start and n_lo <= n_hi:
-                    for sweep in (verify_closed_forms,
-                                  per_n_verify_closed_forms):
-                        with pytest.raises(ValueError, match="applies from"):
-                            sweep(table, r, n_hi, n_lo)
-                    continue
-                assert verify_closed_forms(table, r, n_hi, n_lo) == \
-                    per_n_verify_closed_forms(table, r, n_hi, n_lo), (
-                        n_hi, n_lo)
+            assert verify_closed_forms(table, r, n_hi) == \
+                per_n_verify_closed_forms(table, r, n_hi), n_hi
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_carried_mismatches_equal_per_n_mismatches(self, r, monkeypatch):
@@ -422,10 +414,9 @@ class TestClosedForm:
         monkeypatch.setattr(maxprod, "counts_column", lambda r: {
             **frozen, part: frozen[part] + 1})
         table = RankTable(240)
-        for n_lo in (None, CLOSED_FORM_START[r] + 5):
-            report = verify_closed_forms(table, r, 240, n_lo)
-            assert report.mismatches
-            assert report == per_n_verify_closed_forms(table, r, 240, n_lo)
+        report = verify_closed_forms(table, r, 240)
+        assert report.mismatches
+        assert report == per_n_verify_closed_forms(table, r, 240)
         monkeypatch.undo()
 
         def bumped(r, t, n_max):
@@ -587,6 +578,25 @@ class TestOptimaWalk:
                 optima, truncated = prefix_collect_optima(V, f, n, cap)
                 want = MaxProductEntry(n, V[n][n], tuple(optima), truncated)
                 assert entries[n] == want, (r, t, cap, n)
+
+    def test_truncated_set_is_the_first_in_reverse_lex_order(self, table):
+        # 91 optima at n = 60 for (1, 2); the 64 stored are the first
+        # 64 in reverse lexicographic order, (6,)*10 first, so the 64
+        # greatest of the whole set.
+        whole = max_table(table, 1, 2, 60, optima_cap=None)[60]
+        capped = max_table(table, 1, 2, 60)[60]
+        assert len(whole.optima) == 91 and not whole.truncated
+        assert capped.truncated
+        assert capped.optima == whole.optima[-64:]
+        assert capped.optima[-1] == (6,) * 10
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 4, 64])
+    def test_brute_force_keeps_the_same_capped_set(self, table, cap):
+        # best = 0 at n <= 12 for (50, 100), so every partition is
+        # optimal, 77 of them at n = 12; (1, 2) has many optima too.
+        for r, t, n in ((50, 100, 12), (50, 100, 7), (1, 2, 22), (0, 3, 16)):
+            assert brute_max(table, r, t, n, cap) == \
+                max_table(table, r, t, n, cap)[n], (r, t, n)
 
 
 def _assert_matches_full(f: list[int], n_max: int, label) -> None:
