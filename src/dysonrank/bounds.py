@@ -19,22 +19,29 @@ A call pays only for the terms that depend on n.  Each bound's and each
 ratio's n-independent prefix, such as 0.12 e^(2 pi + pi/24) / sqrt 3, is
 folded once into a module constant, keeping the left-to-right order of
 the literal expression, so every result rounds to the same double.  The
-six error bounds come from one pass that shares sqrt(24n - 1), isqrt(n)
-and isqrt(n) // 3.  The k-sums inside bounds 2, 3, 4 and 6 do not depend
-on n, so each is kept as a list of running sums, extended on demand and
-added left to right in the order a literal loop would use; the first
-bound's factors sqrt(k) and pi/(18k) are kept in running lists too, and
-only its O(sqrt n) sinh terms are evaluated per call, summed by the
-builtin sum() as the literal generator was.  The first error_budget(n)
-in a process therefore costs O(n) once (the sixth bound's double sum);
-later calls cost O(sqrt n), the first bound's n-dependent sum.
+six error bounds come from one pass that shares sqrt(24n - 1), which
+error_budget computes once for the bounds, the main term and the
+envelope, and isqrt(n) and isqrt(n) // 3.  The k-sums inside bounds 2,
+3, 4 and 6 do not depend on n, so each is kept as a list of running
+sums, added left to right in the order a literal loop would use; the
+first bound's factors sqrt(k) and pi/(18k) are kept in running lists
+too, and only its O(sqrt n) sinh terms are evaluated per call, summed by
+the builtin sum() as the literal generator was.  All six lists grow at
+one point, _grow, and only when isqrt(n) outgrows them; every other
+call reads them by index.  The first error_budget(n) in a process, or
+the first past the largest isqrt(n) so far, therefore costs O(n) once
+(the sixth bound's double sum); a later call costs O(sqrt n / 3), the
+first bound's sinh terms, plus a fixed few dozen float operations
+(about 4 us of CPython for the whole budget at n <= 10^4 on a 2-vCPU
+host).  lehmer_bounds and lemma_threshold evaluate their expressions
+directly, with no helper call; lehmer_bounds takes the overflow-safe
+path only near the top of the double range.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable
 from itertools import repeat
 from math import isqrt
 from operator import mul
@@ -112,12 +119,18 @@ BUDGET_CAP = 0.58
 # strictly between (1 - c)/3 and (1 + c)/3 times Lehmer's envelope of
 # p(n), and the gap lemma pays for it with log((1 + c)/(1 - c)^2).
 ENVELOPE_C = 0.01
+# Its two factors in the gap lemma's loss, (1 + c) and (1 - c)^2.
+_ENVELOPE_HI = 1.0 + ENVELOPE_C
+_ENVELOPE_LO_SQ = (1.0 - ENVELOPE_C) ** 2
 
 # The largest n at which lehmer_estimate is finite: its e^mu overflows
 # a double once mu(n) = (pi/6) sqrt(24n - 1) passes log(DBL_MAX).  The
 # bound falls 0.17 above an integer, far beyond the rounding here.
 LEHMER_ESTIMATE_MAX_N = int(
     ((6.0 / math.pi * math.log(sys.float_info.max)) ** 2 + 1.0) / 24.0)
+# Exponents below this take math.exp directly: e^709 is below DBL_MAX =
+# e^709.78..., so no exp of a smaller exponent overflows.
+_EXP_SAFE = 709.0
 
 
 class BoundPair(NamedTuple):
@@ -173,9 +186,19 @@ def lehmer_bounds(n: int) -> BoundPair:
     """Strict envelope (sqrt(3)/12n)(1 -+ 1/sqrt n) e^mu around p(n).
 
     The floats overflow for very large n; lehmer_log_bounds stays finite
-    and residue_envelope_check switches to it automatically.
+    and residue_envelope_check switches to it automatically.  Both logs
+    are those of _lehmer_logs, written out, so the exps round alike; n = 1
+    and exponents from _EXP_SAFE on take the general path.
     """
-    _check_positive(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    m = _PI_6 * math.sqrt(24.0 * n - 1.0)
+    base = math.log(_SQRT3 / (12.0 * n))
+    rs = 1.0 / math.sqrt(n)
+    hi = base + math.log1p(rs) + m
+    if hi < _EXP_SAFE and rs < 1.0:
+        return BoundPair(n, math.exp(base + math.log1p(-rs) + m),
+                         math.exp(hi), m)
     lo, hi, m = _lehmer_logs(n)
     return BoundPair(n, 0.0 if lo == -math.inf else _exp_or_inf(lo),
                      _exp_or_inf(hi), m)
@@ -311,22 +334,6 @@ _sqrt_k: list[float] = []
 _pi_over_18k: list[float] = []
 
 
-def _prefix_sum(cache: list[float], hi: int,
-                term: Callable[[int], float]) -> float:
-    """term(1) + ... + term(hi), extending cache left to right as needed."""
-    for k in range(len(cache), hi + 1):
-        cache.append(cache[-1] + term(k))
-    return cache[hi]
-
-
-def _inv_sqrt(k: int) -> float:
-    return 1.0 / math.sqrt(k)
-
-
-def _inv_sqrt_not3(k: int) -> float:
-    return 1.0 / math.sqrt(k) if k % 3 else 0.0
-
-
 def _sixth_term(k: int) -> float:
     """The sixth bound's k-th term (1/k) sum_{v=1..k} 1/d_v, with d_v the
     smaller of the fractional parts {v/k - 1/(6k) + 1/3} and
@@ -347,46 +354,75 @@ def _sixth_term(k: int) -> float:
     return inner / k
 
 
-def _error_bounds(n: int) -> tuple[float, float, float, float, float, float]:
+def _grow(root: int, x: float) -> None:
+    """Extend the running lists to isqrt(n) = root, each left to right
+    from its own length: the first bound's factors and the sums of bounds
+    2 and 4 to root // 3, those of bounds 3 and 6 to root.
+
+    The first bound's largest sinh term, at k = 2, is taken before the
+    sixth bound's O(root^2) extension, so an n whose first bound
+    overflows raises OverflowError, as the pass would, without paying
+    for it.
+    """
+    third = root // 3
+    for k in range(len(_sqrt_k) + 2, third + 1):
+        _sqrt_k.append(math.sqrt(k))
+        _pi_over_18k.append(math.pi / (18.0 * k))
+    for k in range(len(_sum_inv_sqrt), third + 1):
+        _sum_inv_sqrt.append(_sum_inv_sqrt[-1] + 1.0 / math.sqrt(k))
+    for k in range(len(_sum_sqrt), third + 1):
+        _sum_sqrt.append(_sum_sqrt[-1] + math.sqrt(k))
+    for k in range(len(_sum_inv_sqrt_not3), root + 1):
+        _sum_inv_sqrt_not3.append(_sum_inv_sqrt_not3[-1] + (
+            1.0 / math.sqrt(k) if k % 3 else 0.0))
+    if third > 1:
+        math.sinh(_pi_over_18k[0] * x)
+    for k in range(len(_sum_sixth), root + 1):
+        _sum_sixth.append(_sum_sixth[-1] + _sixth_term(k))
+
+
+def _error_bounds(n: int, x: float | None = None
+                  ) -> tuple[float, float, float, float, float, float]:
     """The six error bounds at n >= 1, in one pass that shares
-    sqrt(24n - 1), isqrt(n) and isqrt(n) // 3.
+    x = sqrt(24n - 1) (computed here unless the caller has it),
+    isqrt(n) and isqrt(n) // 3.
 
     Sum limits take floors; an empty sum is 0.  The first bound's sinh
     terms depend on n, so they are summed afresh in O(sqrt n), by sum()
     over the same terms in the same order as the literal generator; the
-    fifth is closed form; the others read their k-sums from running sums
-    shared across calls, bit-identical to summing the terms left to
-    right.  The bounds are evaluated in order, so a first bound that
-    overflows raises before the sixth's running sum is extended.
+    fifth is closed form; the others read their k-sums by index from
+    running sums shared across calls, bit-identical to summing the terms
+    left to right.  The lists grow first, in _grow, only when isqrt(n)
+    outgrows the sixth's.
     """
-    x = math.sqrt(24.0 * n - 1.0)
+    if x is None:
+        x = math.sqrt(24.0 * n - 1.0)
     root = isqrt(n)
     third = root // 3
+    if root >= len(_sum_sixth):
+        _grow(root, x)
     first = third - 1 if third > 1 else 0  # terms k = 2 .. third
-    if len(_sqrt_k) < first:
-        for k in range(len(_sqrt_k) + 2, third + 1):
-            _sqrt_k.append(math.sqrt(k))
-            _pi_over_18k.append(math.pi / (18.0 * k))
     return (
-        12.0 / x * sum(map(mul, _sqrt_k[:first], map(
+        12.0 / x * sum(map(mul, _sqrt_k, map(
             math.sinh, map(mul, _pi_over_18k[:first], repeat(x))))),
-        _BOUND2 * _prefix_sum(_sum_inv_sqrt, third, _inv_sqrt),
-        _BOUND3 * _prefix_sum(_sum_inv_sqrt_not3, root, _inv_sqrt_not3),
-        _BOUND4 / math.sqrt(n) * _prefix_sum(_sum_sqrt, third, math.sqrt),
+        _BOUND2 * _sum_inv_sqrt[third],
+        _BOUND3 * _sum_inv_sqrt_not3[root],
+        _BOUND4 / math.sqrt(n) * _sum_sqrt[third],
         _BOUND5 * n ** -0.75 * (third * (third + 1) // 2),
-        _BOUND6 * n ** -0.25 * _prefix_sum(_sum_sixth, root, _sixth_term),
+        _BOUND6 * n ** -0.25 * _sum_sixth[root],
     )
 
 
 def error_budget(n: int) -> ErrorBudget:
     """All six error bounds at n, their sum, and the envelope context.
 
-    The main term and the envelope share one sqrt(24n - 1) and one
-    sinh, in the association of main_term and envelope, so every float
-    equals theirs."""
-    _check_positive(n)
-    terms = _error_bounds(n)
+    The bounds, the main term and the envelope share one sqrt(24n - 1),
+    and the last two one sinh, in the association of main_term and
+    envelope, so every float equals theirs."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     x = math.sqrt(24.0 * n - 1.0)
+    terms = _error_bounds(n, x)
     s = math.sinh(_PI_18 * x)
     upper = 8.0 * s / x
     main = -8.0 * math.sin(_PI_18 - 2.0 * n * math.pi / 3.0) * s / x
@@ -481,13 +517,22 @@ def lemma_threshold(x: float, t: int = 3) -> bool:
 
     with c = ENVELOPE_C, the residue envelope's slack.  True from
     moderate x on (in particular all x >= 500 at the default t = 3);
-    false for small x such as 10."""
+    false for small x such as 10.
+
+    S_x(1) and T_x(1) are s_ratio(x, 1.0) and t_gap(x, 1.0) written out:
+    1.0 * x == x, so x stands for lam * x and x + x for x + lam * x, and
+    each float is theirs.  The checks run in the order of those calls, so
+    x <= 0 fails in the first log and 0 < x <= 1 as s_ratio does."""
     if t < 1:
         raise ValueError("requires t >= 1")
-    rhs = math.log(4.0 * x * _SQRT3 * t * (1.0 + ENVELOPE_C)
-                   / (1.0 - ENVELOPE_C) ** 2) \
-        + math.log(s_ratio(x, 1.0))
-    return t_gap(x, 1.0) > rhs
+    loss = math.log(4.0 * x * _SQRT3 * t * _ENVELOPE_HI / _ENVELOPE_LO_SQ)
+    if x <= 1.0:
+        raise ValueError("requires x > 1 and lam*x > 1")
+    q = 1.0 - 1.0 / math.sqrt(x)
+    s = (1.0 + 1.0 / math.sqrt(x + x)) / (q * q)
+    r = math.sqrt(24.0 * x - 1.0)
+    return _PI_6 * (r + r - math.sqrt(24.0 * (x + x) - 1.0)) \
+        > loss + math.log(s)
 
 
 def hardy_ramanujan(n: int) -> float:

@@ -163,6 +163,8 @@ def theorem2(hi: int = 500, n_max: int | None = None) -> ClaimRecord:
     the replacement rules they rest on raise the product."""
     from .maxprod import (replacement_rules, verify_closed_forms,
                           verify_replacement_rules)
+    if hi < 0:
+        raise ValueError(f"--max must be >= 0 (got {hi})")
     # The replacement rules read their parts whatever hi is.
     rule_top = max(part for r in (0, 1, 2) for rule in replacement_rules(r)
                    for parts in rule for part in parts)
@@ -182,10 +184,16 @@ def theorem2(hi: int = 500, n_max: int | None = None) -> ClaimRecord:
 def bounds(hi: int = 1000) -> ClaimRecord:
     """The Lehmer sandwich for 2 <= n <= hi, the estimate's cap for
     n <= min(hi, 500) and the gap lemma at LEMMA_POINTS.  These read
-    p(n) only."""
-    from .bounds import lehmer_bounds, lehmer_estimate, lemma_threshold
+    p(n) only.  hi stops at LEHMER_ESTIMATE_MAX_N, as `bounds --n` does:
+    a little past it the envelope's floats overflow, and the sandwich
+    would fail on inf rather than on p(n)."""
+    from .bounds import (LEHMER_ESTIMATE_MAX_N, lehmer_bounds,
+                         lehmer_estimate, lemma_threshold)
     if hi < 2:
         raise ValueError("--max must be >= 2")
+    if hi > LEHMER_ESTIMATE_MAX_N:
+        raise ValueError(f"--max must be <= {LEHMER_ESTIMATE_MAX_N}, the "
+                         "largest n whose e^mu fits a double")
     exact = partition_numbers(hi)
     sandwich_bad = [n for n in range(2, hi + 1)
                     if not sandwich_holds(lehmer_bounds(n), exact[n])]
@@ -234,6 +242,8 @@ def conjectures(scan_max: int = 300, forms_hi: int = 200,
     SCAN_THRESHOLDS, and closed forms with their optima to forms_hi."""
     from .maxprod import conjecture_max_mod2
     starts = [_scan_start(r, 2, None, scan_max) for r in (0, 1)]
+    if forms_hi < 0:
+        raise ValueError(f"--to must be >= 0 (got {forms_hi})")
     table = table_for(max(2 * scan_max, forms_hi), n_max)
     rows = [{"kind": "product-scan", "r": r, "t": 2,
              **_scan(table, r, 2, starts[r], scan_max)}

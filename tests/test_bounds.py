@@ -13,6 +13,7 @@ envelope is compared with them bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
@@ -314,6 +315,25 @@ def _literal_lehmer_estimate(n: int) -> tuple[float, float]:
     return value, cap
 
 
+def _literal_lemma_threshold(x: float, t: int) -> bool:
+    """lemma_threshold as it read before S_x(1) and T_x(1) were written
+    out: the loss's log, then s_ratio and t_gap at lambda = 1."""
+    if t < 1:
+        raise ValueError("requires t >= 1")
+    c = bounds.ENVELOPE_C
+    rhs = math.log(4.0 * x * math.sqrt(3.0) * t * (1.0 + c)
+                   / (1.0 - c) ** 2) + math.log(s_ratio(x, 1.0))
+    return t_gap(x, 1.0) > rhs
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 # Spot n past the dense ranges, up to the CLI's largest --n.
 SPOT_N = (4347, 10000, 20000, 50000, 76567)
 
@@ -361,6 +381,50 @@ class TestLiteralOracles:
                 == _literal_lehmer_logs(n), n
         assert lehmer_bounds(10 ** 6).upper == math.inf
         assert lehmer_bounds(10 ** 7).upper == math.inf
+
+    def test_lehmer_bounds_where_the_floats_overflow(self):
+        # The upper float turns inf at n = 79445 and the lower at 79447,
+        # where lehmer_bounds leaves its direct exps for the guarded ones.
+        edges = []
+        for n in range(79400, 79501):
+            pair = lehmer_bounds(n)
+            assert tuple(pair) == _literal_lehmer_bounds(n), n
+            edges.append((pair.lower == math.inf, pair.upper == math.inf))
+        assert edges.index((False, True)) == 79445 - 79400
+        assert edges.index((True, True)) == 79447 - 79400
+
+    def test_lemma_threshold_against_s_ratio_and_t_gap(self):
+        points = (*range(500, 20001), 1.5, 10.25, 499.5, 500.5, 777.7,
+                  12345.678, 1e6 + 0.5, 10, 2)
+        for t in (2, 3):
+            for x in points:
+                assert lemma_threshold(x, t) is _literal_lemma_threshold(
+                    x, t), (x, t)
+        assert not lemma_threshold(10.25) and lemma_threshold(500.5)
+        # At the two adjacent doubles where the literal verdict flips, the
+        # margin is a few ulps, so any rounding the written-out form
+        # changed would flip a verdict there.
+        for t in (2, 3):
+            lo, hi = 2.0, 500.0
+            while math.nextafter(lo, hi) < hi:
+                mid = (lo + hi) / 2
+                if _literal_lemma_threshold(mid, t):
+                    hi = mid
+                else:
+                    lo = mid
+            assert (lemma_threshold(lo, t), lemma_threshold(hi, t)) \
+                == (False, True), t
+        # Invalid x or t raise the same errors as the literal form: t
+        # first, x <= 0 in the loss's log, 0 < x <= 1 in s_ratio.
+        for x, t, message in ((500, 0, "requires t >= 1"),
+                              (0, -2, "requires t >= 1"),
+                              (0, 3, "math domain error"),
+                              (-1.0, 2, "math domain error"),
+                              (0.5, 3, "requires x > 1 and lam*x > 1"),
+                              (1, 3, "requires x > 1 and lam*x > 1"),
+                              (1.0, 2, "requires x > 1 and lam*x > 1")):
+            assert _outcome(lemma_threshold, x, t) == message, (x, t)
+            assert _outcome(_literal_lemma_threshold, x, t) == message
 
     def test_lehmer_estimate_at_every_n(self):
         for n in (*range(1, 3001), *SPOT_N):
@@ -448,6 +512,17 @@ class TestDenseCertification:
             previous = ratios
             if not lemma_threshold(n):
                 failures.append(("lemma", n))
+        assert failures == []
+
+    def test_exact_gap_inside_the_budget_at_every_n(self):
+        # |A(n) - M(n)| <= total, exact on the integer side, with A(n)
+        # from the two residue columns; the largest gap / total is 0.313,
+        # at n = 4172.
+        hi = 20000
+        a_third = list(map(operator.sub, residue_column(0, 3, hi),
+                           residue_column(1, 3, hi)))
+        failures = [n for n in range(500, hi + 1) if not claims.budget_holds(
+            error_budget(n), exact_gap(a_third[n], main_term_decimal(n)))]
         assert failures == []
 
     def test_residue_envelope_at_every_n(self):

@@ -458,6 +458,30 @@ class TestVerifySuites:
         code, _, _ = run("verify", "bounds", "--max", "120")
         assert code == 0
 
+    @pytest.mark.parametrize("hi", [76568, 80000, 10 ** 8])
+    def test_bounds_past_the_double_range_fails_before_p(self, monkeypatch,
+                                                         hi):
+        # From n = 79445 the envelope's floats are inf, so the sandwich
+        # would fail on them, not on p(n); --max stops where --n does.
+        monkeypatch.setattr("dysonrank.claims.partition_numbers", None)
+        monkeypatch.setattr("dysonrank.bounds.lehmer_bounds", None)
+        assert run("verify", "bounds", "--max", str(hi)) == (
+            2, "", "error: --max must be <= 76567, the largest n whose e^mu "
+                   "fits a double\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("theorem2", "--max", "-5"), "--max must be >= 0 (got -5)"),
+        (("conjectures", "--to", "-4", "--n-max", "600"),
+         "--to must be >= 0 (got -4)"),
+    ])
+    def test_negative_range_names_its_flag(self, monkeypatch, argv, message):
+        # Refused before any table or column, naming the flag.
+        tables = []
+        monkeypatch.setattr("dysonrank.claims.table_for",
+                            lambda *args: tables.append(args))
+        assert (*run("verify", *argv), tables) == (
+            2, "", f"error: {message}\n", [])
+
     def test_budget(self):
         code, out, _ = run("verify", "budget", "--from", "500", "--to",
                            "600", "--step", "50", "--n-max", "600")
