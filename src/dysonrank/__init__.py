@@ -30,13 +30,13 @@ _EXPORTS = {
         "ConvexityReport", "check_pair", "scan_region", "sharpness_frontier",
     ),
     "core": (
-        "MAX_TABLE_ROWS", "RankTable", "a_third_exact", "brute_rank_counts", "build_rank_table",
+        "MAX_TABLE_ROWS", "RankTable", "a_third_exact", "build_rank_table",
         "decomposition_check", "enumerate_partitions", "partition_number",
-        "partition_numbers", "rank", "residue_column",
-        "residue_count", "table_for",
+        "partition_numbers", "rank", "residue_column", "residue_count",
+        "table_for",
     ),
     "maxprod": (
-        "MaxProductEntry", "VerificationReport", "brute_max", "closed_form",
+        "MaxProductEntry", "VerificationReport", "closed_form",
         "conjecture_max_mod2", "max_table", "product_over_partition",
         "replacement_rules", "verify_closed_forms",
         "verify_replacement_rules", "verify_small_tables",

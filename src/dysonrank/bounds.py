@@ -2,14 +2,16 @@
 
 Everything here is closed-form double-precision arithmetic, except
 main_term_decimal.  Exact integers meet floats in two ways only: in
-comparisons, which Python performs exactly between int and float, and
-in the gap |A(n) - M(n)| between an exact rank difference and the main
-term, which exact_gap forms as a Fraction, so no verification rounds
-the integer side.  A double M(n) carries a relative error near 1e-11
-by n = 4000, which is as large as the whole error budget there, so
-budget checks take M(n) from main_term_decimal, computed with more
-digits than |A(n)| has; the float main_term stays for display and the
-ratio functions.
+comparisons, which are exact (Python compares an int with a float
+exactly, residue_envelope_check compares counts with the integers
+floor and ceil of its float edges, and claims.estimate_holds works in
+integer ratios), and in the gap |A(n) - M(n)| between an exact rank
+difference and the main term, which exact_gap forms as a Fraction, so
+no verification rounds the integer side.  A double M(n) carries a
+relative error near 1e-11 by n = 4000, which is as large as the whole
+error budget there, so budget checks take M(n) from main_term_decimal,
+computed with more digits than |A(n)| has; the float main_term stays
+for display and the ratio functions.
 
 The six explicit error bounds, their ratio functions against the lower
 envelope, and the tabulated caps form one coherent budget: the sum of
@@ -35,7 +37,11 @@ first bound's sinh terms, plus a fixed few dozen float operations
 (about 4 us of CPython for the whole budget at n <= 10^4 on a 2-vCPU
 host).  lehmer_bounds and lemma_threshold evaluate their expressions
 directly, with no helper call; lehmer_bounds takes the overflow-safe
-path only near the top of the double range.
+path only near the top of the double range.  residue_envelope_check
+writes lehmer_bounds out in the same way, so once its three residue
+columns are stored a check costs its float arithmetic and three reads
+(1.3 us on that host, against 2.8 us with the BoundPair record, a
+generator and int-float comparisons).
 """
 
 from __future__ import annotations
@@ -122,6 +128,9 @@ ENVELOPE_C = 0.01
 # Its two factors in the gap lemma's loss, (1 + c) and (1 - c)^2.
 _ENVELOPE_HI = 1.0 + ENVELOPE_C
 _ENVELOPE_LO_SQ = (1.0 - ENVELOPE_C) ** 2
+# The envelope's factors (1 - c)/3 and (1 + c)/3 of Lehmer's bounds.
+_ENVELOPE_LO_3 = (1.0 - ENVELOPE_C) / 3.0
+_ENVELOPE_HI_3 = (1.0 + ENVELOPE_C) / 3.0
 
 # The largest n at which lehmer_estimate is finite: its e^mu overflows
 # a double once mu(n) = (pi/6) sqrt(24n - 1) passes log(DBL_MAX).  The
@@ -471,16 +480,38 @@ def ratio_bound(i: int, n: int) -> float:
 def residue_envelope_check(table: RankTable, n: int) -> bool:
     """Strict sandwich (1/3)(1-c) p_lower < N(r,3;n) < (1/3)(1+c) p_upper
     for every residue r in {0, 1, 2}, with c = ENVELOPE_C.  Falls back
-    to log-space comparison when the envelope overflows a double."""
-    pair = lehmer_bounds(n)
-    if math.isfinite(pair.upper):
-        lo = (1.0 - ENVELOPE_C) / 3.0 * pair.lower
-        hi = (1.0 + ENVELOPE_C) / 3.0 * pair.upper
-        return all(
-            lo < residue_count(table, r, 3, n) < hi for r in range(3))
+    to log-space comparison when the envelope overflows a double.
+
+    Below _EXP_SAFE Lehmer's two exps are written out as lehmer_bounds
+    writes them, and (1 -+ c)/3 are the constants _ENVELOPE_LO_3 and
+    _ENVELOPE_HI_3, so the float edges lo and hi are the doubles of the
+    literal expression.  The counts meet the integers floor(lo) and
+    ceil(hi), taken once: for an integer N and finite x, N > x iff
+    N > floor(x), and N < x iff N < ceil(x), so each verdict is the
+    exact comparison with the float edge.  An int-int comparison also
+    builds no temporary ints, as an int-float one does when both have
+    the same bit length."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    m = _PI_6 * math.sqrt(24.0 * n - 1.0)
+    base = math.log(_SQRT3 / (12.0 * n))
+    rs = 1.0 / math.sqrt(n)
+    log_upper = base + math.log1p(rs) + m
+    if log_upper < _EXP_SAFE and rs < 1.0:
+        lower = math.exp(base + math.log1p(-rs) + m)
+        upper = math.exp(log_upper)
+    else:
+        pair = lehmer_bounds(n)
+        lower, upper = pair.lower, pair.upper
+    if math.isfinite(upper):
+        lo = math.floor(_ENVELOPE_LO_3 * lower)
+        hi = math.ceil(_ENVELOPE_HI_3 * upper)
+        return (lo < residue_count(table, 0, 3, n) < hi
+                and lo < residue_count(table, 1, 3, n) < hi
+                and lo < residue_count(table, 2, 3, n) < hi)
     log_lo, log_hi = lehmer_log_bounds(n)
-    log_lo += math.log((1.0 - ENVELOPE_C) / 3.0)
-    log_hi += math.log((1.0 + ENVELOPE_C) / 3.0)
+    log_lo += math.log(_ENVELOPE_LO_3)
+    log_hi += math.log(_ENVELOPE_HI_3)
     for r in range(3):
         c = residue_count(table, r, 3, n)
         if c <= 0:

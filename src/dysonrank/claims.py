@@ -64,9 +64,20 @@ def sandwich_holds(pair: BoundPair, p: int) -> bool:
 
 
 def estimate_holds(estimate: tuple[float, float], p: int) -> bool:
-    """The Lehmer estimate (value, cap) lies within its cap of p(n)."""
+    """The Lehmer estimate (value, cap) lies within its cap of p(n).
+
+    value - p would round p to a double once p(n) >= 2^53 (n >= 300), so
+    the comparison is made in integers: with value = a/b and cap = c/d
+    from float.as_integer_ratio (b, d > 0), |value - p| <= cap iff
+    |a - p b| d <= c b.  An infinite or NaN float has no ratio and
+    nothing to round; it keeps the float comparison."""
     value, cap = estimate
-    return abs(value - p) <= cap
+    try:
+        a, b = value.as_integer_ratio()
+        c, d = cap.as_integer_ratio()
+    except (OverflowError, ValueError):
+        return abs(value - p) <= cap
+    return abs(a - p * b) * d <= c * b
 
 
 def budget_holds(budget: ErrorBudget, gap: Fraction | None = None) -> bool:

@@ -2,11 +2,12 @@
 
 For fixed residue r and modulus t, each partition (l_1, ..., l_k) of n
 gets the score prod_i N(r, t; l_i).  This module computes the maximum
-score and the complete set of maximizing partitions three independent
-ways: a knapsack over the parts, brute force over all partitions, and
-(for t = 3 above the stabilization thresholds) periodic closed forms.
-It also machine-checks the local replacement rules the closed forms
-rest on, and the analogous t = 2 conjectures.
+score and the complete set of maximizing partitions by a knapsack
+over the parts, and checks them against periodic closed forms (for
+t = 3 above the stabilization thresholds); the tests hold a
+brute-force oracle over all partitions.  It also machine-checks the
+local replacement rules the closed forms rest on, and the analogous
+t = 2 conjectures.
 
 The knapsack keeps, for every s, the best product, the number of
 partitions of s that attain it and the smallest largest part among
@@ -45,7 +46,6 @@ from .reference import counts_column, max_column
 __all__ = [
     "MaxProductEntry",
     "VerificationReport",
-    "brute_max",
     "closed_form",
     "conjecture_max_mod2",
     "max_table",
@@ -193,7 +193,7 @@ def max_table(table: RankTable, r: int, t: int, n_max: int,
     stored set per n (None means unbounded); overflow is flagged, never
     silent.  The walk yields the optima in reverse lexicographic order
     and stops once optima_cap + 1 are found, so a truncated set is the
-    first optima_cap of that order, the set brute_max keeps."""
+    first optima_cap of that order."""
     _validate_rt(r, t)
     f = _count_row(table, r, t, n_max)
     best, _, top, below = _best_and_count(f, n_max)
@@ -249,28 +249,6 @@ def _maxn_rows(table: RankTable, r: int, t: int, lo: int, hi: int,
              _entry(best, top, below, f, n, DEFAULT_OPTIMA_CAP)
              if walk else None)
             for n in range(lo, hi + 1)]
-
-
-def brute_max(table: RankTable, r: int, t: int, n: int,
-              optima_cap: int | None = DEFAULT_OPTIMA_CAP) -> MaxProductEntry:
-    """Same entry by scoring every partition of n.  The oracle for
-    max_table; exponential, keep n modest.  Partitions come in reverse
-    lexicographic order, so the optima list keeps that order and is
-    capped by the rule max_table uses."""
-    _validate_rt(r, t)
-    f = _count_row(table, r, t, n)
-    best = -1
-    optima: list[tuple[int, ...]] = []
-    for parts in enumerate_partitions(n):
-        v = 1
-        for part in parts:
-            v *= f[part]
-        if v > best:
-            best = v
-            optima = [parts]
-        elif v == best:
-            optima.append(parts)
-    return MaxProductEntry(n, best, *_capped(optima, optima_cap))
 
 
 # Periodic closed forms above the stabilization threshold.  Heads are

@@ -11,8 +11,6 @@ a line says it is included.
 from __future__ import annotations
 
 from dysonrank import (
-    brute_max,
-    brute_rank_counts,
     build_rank_table,
     check_pair,
     lemma_threshold,
@@ -23,6 +21,8 @@ from dysonrank import (
     residue_count,
 )
 from dysonrank import claims
+from test_core import brute_rank_counts
+from test_maxprod import brute_max
 
 
 def test_criterion_01_small_table_reproduction(criterion):

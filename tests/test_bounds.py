@@ -616,12 +616,128 @@ class TestResidueEnvelope:
         counts = [lambda r, n: column[r][n], scaled(-1, 0.999),
                   scaled(-1, 1.001), scaled(1, 0.999), scaled(1, 1.001)]
         floats = [verdicts(count) for count in counts]
+        # Below _EXP_SAFE the check writes Lehmer's exps out and never
+        # calls lehmer_bounds, so the patched bounds need both.
+        monkeypatch.setattr(bounds, "_EXP_SAFE", -math.inf)
         monkeypatch.setattr(bounds, "lehmer_bounds", lambda n: lehmer_bounds(
             n)._replace(upper=math.inf))
         for count, want in zip(counts, floats):
             assert verdicts(count) == want
         assert [set(v) for v in floats] == [{True}, {False}, {True}, {True},
                                             {False}]
+
+
+class _MathRecorder:
+    """Stands in for the bounds module's math: records what exp returns
+    and what floor and ceil are given, in call order."""
+
+    def __init__(self):
+        self.seen: list[float] = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.seen.append(math.exp(x))
+        return self.seen[-1]
+
+    def floor(self, x):
+        self.seen.append(x)
+        return math.floor(x)
+
+    def ceil(self, x):
+        self.seen.append(x)
+        return math.ceil(x)
+
+
+class TestEnvelopeIntegerEdges:
+    """residue_envelope_check compares each count with floor(lo) and
+    ceil(hi) of the float edges lo = (1 - c)/3 L and hi = (1 + c)/3 U,
+    L and U Lehmer's bounds; its verdict must be that of the exact
+    comparison with the float edges themselves."""
+
+    LO_C = (1 - bounds.ENVELOPE_C) / 3
+    HI_C = (1 + bounds.ENVELOPE_C) / 3
+
+    def edges(self, n):
+        pair = lehmer_bounds(n)
+        return self.LO_C * pair.lower, self.HI_C * pair.upper
+
+    def test_written_out_edges_are_lehmer_bounds(self, monkeypatch):
+        # Every n below the double range takes the written-out exps.
+        top = bounds.LEHMER_ESTIMATE_MAX_N
+        want = []
+        for n in range(2, top + 1):
+            pair = lehmer_bounds(n)
+            want += (pair.lower, pair.upper,
+                     self.LO_C * pair.lower, self.HI_C * pair.upper)
+        recorder = _MathRecorder()
+        monkeypatch.setattr(bounds, "math", recorder)
+        monkeypatch.setattr(bounds, "lehmer_bounds", None)  # never called
+        monkeypatch.setattr(bounds, "residue_count",
+                            lambda table, r, t, n: -1)  # fails class 0
+        table = RankTable(top)
+        assert not any(residue_envelope_check(table, n)
+                       for n in range(2, top + 1))
+        assert recorder.seen == want
+
+    @pytest.mark.parametrize("ns, integral", [
+        (range(2, 254), False), ((307, 500, 2000, 4347, 5000), True)])
+    def test_counts_at_the_integer_edges(self, ns, integral, monkeypatch):
+        # Below n = 254 no edge is an integer, so floor and ceil move it;
+        # from n = 307 on both edges are integer-valued floats (above
+        # 2^52), and floor and ceil return them unchanged.
+        top = max(ns)
+        table = RankTable(top)
+        column = {r: residue_column(r, 3, top) for r in range(3)}
+        for n in ns:
+            lo, hi = self.edges(n)
+            assert lo.is_integer() is hi.is_integer() is integral, n
+            for target in range(3):
+                for count in (math.floor(lo), math.floor(lo) + 1,
+                              math.ceil(hi) - 1, math.ceil(hi)):
+                    counts = [count if r == target else column[r][n]
+                              for r in range(3)]
+                    monkeypatch.setattr(bounds, "residue_count",
+                                        lambda table, r, t, n: counts[r])
+                    want = all(Fraction(lo) < c < Fraction(hi)
+                               for c in counts)
+                    assert residue_envelope_check(table, n) is want, \
+                        (n, target, count)
+
+    def test_refusals_are_unchanged(self):
+        table = RankTable(100)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            residue_envelope_check(table, 0)
+        with pytest.raises(ValueError, match="table holds 100"):
+            residue_envelope_check(table, 101)
+        with pytest.raises(TypeError, match="n must be an int"):
+            residue_envelope_check(table, 50.0)
+
+
+class TestEstimateHolds:
+    def test_compares_p_exactly(self):
+        # value - p would round 2^60 + 1 to 2^60.
+        assert not claims.estimate_holds((2.0 ** 60, 0.5), 2 ** 60 + 1)
+        assert claims.estimate_holds((2.0 ** 60, 1.0), 2 ** 60 + 1)
+        assert claims.estimate_holds((2.0 ** 60 + 2048.0, 2047.0),
+                                     2 ** 60 + 1)
+        assert not claims.estimate_holds((2.0 ** 60 + 2048.0, 2046.5),
+                                         2 ** 60 + 1)
+        assert not claims.estimate_holds((math.inf, 1.0), 5)
+        assert not claims.estimate_holds((math.nan, 1.0), 5)
+        assert claims.estimate_holds((5.5, math.inf), 5)
+
+    def test_equals_a_fraction_oracle_at_every_n(self):
+        # Every n <= 500 keeps at least 94% of its cap, so no verdict
+        # that bounds --n or verify bounds prints moves.
+        p = partition_numbers(500)
+        for n in range(1, 501):
+            value, cap = lehmer_estimate(n)
+            gap = abs(Fraction(value) - p[n])
+            assert claims.estimate_holds((value, cap), p[n]) is (
+                gap <= Fraction(cap)), n
+            assert gap <= Fraction(cap) * Fraction(6, 100), n
 
 
 class TestLemmaThreshold:

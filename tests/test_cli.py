@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output formats, golden strings,
 JSON as a standard reader sees it, exit codes, and the table cache,
-which only the row-printing commands read."""
+which only the row-printing commands read; and every CLI call in the CI
+workflow parses."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +24,7 @@ from dysonrank.core import _half_row, table_for
 from dysonrank.cli import (
     MAX_TABLE_ROWS,
     OutputRecord,
+    build_parser,
     main,
     record_to_json,
     render,
@@ -856,3 +860,110 @@ class TestParserBasics:
         code, out, _ = run("--version")
         assert code == 0
         assert "dysonrank" in out
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml"
+# How a workflow line may run the CLI: dysonrank, timeout N dysonrank or
+# time timeout N dysonrank, at the start of the line.
+CLI_LINE = re.compile(r"(time +)?(timeout +\d+ +)?dysonrank( |$)")
+# A CLI call anywhere in a line, so a call in any other form is found
+# and refused rather than skipped.
+CLI_CALL = re.compile(r"\bdysonrank +(--version|count|rank-table|maxn|"
+                      r"convexity|bounds|verify)\b")
+
+
+def workflow_cli_lines() -> list[tuple[int, str]]:
+    """(line number, stripped line) of every workflow line that calls
+    the CLI."""
+    return [(number, line.strip()) for number, line
+            in enumerate(WORKFLOW.read_text().splitlines(), start=1)
+            if CLI_LINE.match(line.strip()) or CLI_CALL.search(line)]
+
+
+def cli_argv(line: str) -> list[str]:
+    """The arguments a workflow line passes to dysonrank: the words after
+    it, up to a pipe or `||`, without redirections.  A line this cannot
+    split raises ValueError."""
+    if not CLI_LINE.match(line):
+        raise ValueError("the line does not start with the command")
+    words = shlex.split(line)  # unbalanced quotes raise ValueError
+    argv: list[str] = []
+    target = False  # the next word is a redirection's target
+    for word in words[words.index("dysonrank") + 1:]:
+        if word in ("|", "||"):
+            break
+        if target:
+            target = False
+        elif re.fullmatch(r"\d*>>?", word):
+            target = True
+        elif not re.fullmatch(r"\d*>>?\S+", word):
+            if set(word) & set("|&;<>`"):
+                raise ValueError(f"cannot split the word {word!r}")
+            argv.append(word)
+    if target:
+        raise ValueError("a redirection without a target")
+    return argv
+
+
+def parse_exit(argv: list[str]) -> int | None:
+    """None if build_parser() accepts argv, else argparse's exit code
+    (0 for --version); no handler runs."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+    return None
+
+
+class TestWorkflowCommandLines:
+    def test_every_cli_line_in_ci_parses(self):
+        lines = workflow_cli_lines()
+        refused = []
+        for number, line in lines:
+            try:
+                argv = cli_argv(line)
+            except ValueError as exc:
+                refused.append((number, line, str(exc)))
+                continue
+            code = parse_exit(argv)
+            if code != (0 if argv == ["--version"] else None):
+                refused.append((number, line, f"exit {code}"))
+        assert refused == []
+        # Each accepted form occurs, the time case at least once.
+        assert len(lines) >= 20
+        for form in ("dysonrank ", "timeout ", "time timeout "):
+            assert any(line.startswith(form) for _, line in lines), form
+
+    @pytest.mark.parametrize("line, argv", [
+        ("dysonrank count --r 0 --t 3 --n 13 | grep -qx 'result.count = 37'",
+         ["count", "--r", "0", "--t", "3", "--n", "13"]),
+        ("time timeout 60 dysonrank verify bounds --max 9 > out.txt",
+         ["verify", "bounds", "--max", "9"]),
+        ("timeout 20 dysonrank bounds --n 9 > /dev/null 2>err.txt "
+         "|| code=$?", ["bounds", "--n", "9"]),
+        ('dysonrank rank-table --n-max 9 --table-cache "$RUNNER_TEMP/t.bin"',
+         ["rank-table", "--n-max", "9", "--table-cache",
+          "$RUNNER_TEMP/t.bin"]),
+    ])
+    def test_reader_drops_prefixes_pipes_and_redirections(self, line, argv):
+        assert cli_argv(line) == argv
+
+    @pytest.mark.parametrize("line", [
+        "dysonrank count --r '0",
+        "dysonrank count --r 0|head",
+        "dysonrank bounds --n 9 >",
+        "dysonrank bounds --n 9; dysonrank bounds --n 8",
+        "x=$(dysonrank bounds --n 9)",
+        "nice dysonrank bounds --n 9",
+    ])
+    def test_reader_refuses_what_it_cannot_split(self, line):
+        with pytest.raises(ValueError):
+            cli_argv(line)
+
+    def test_a_flag_the_cli_lacks_fails_to_parse(self):
+        assert parse_exit(["count", "--r", "0", "--t", "3", "--n", "1"]) \
+            is None
+        assert parse_exit(["verify", "bounds", "--bogus", "9"]) == 2
+        assert parse_exit(["--version"]) == 0

@@ -25,9 +25,11 @@ A(n) = N(0,3;n) - N(1,3;n).
 from __future__ import annotations
 
 import cmath
+import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from math import isqrt
 from operator import itemgetter, sub
 from pathlib import Path
@@ -40,7 +42,6 @@ from dysonrank import (
     MAX_TABLE_ROWS,
     RankTable,
     a_third_exact,
-    brute_rank_counts,
     build_rank_table,
     decomposition_check,
     enumerate_partitions,
@@ -63,6 +64,31 @@ def row_residue_count(table, r, t, n):
     row = table.row(n)
     # row index i holds m = i - (n-1), so i runs over (r + n - 1) mod t steps
     return sum(row[(r + n - 1) % t::t])
+
+
+def brute_rank_counts(n):
+    """Rank counts of n by exhaustive enumeration: every partition built
+    and its rank measured.  The oracle for the table's rows."""
+    counts = Counter()
+    for parts in enumerate_partitions(n):
+        counts[rank(parts)] += 1
+    return dict(counts)
+
+
+def checked_residue_count(table, r, t, n):
+    """residue_count as it read with RankTable._check_n on every read:
+    the column first, to the table's n_max, then n's check."""
+    column = core._column(r, t, table.n_max)
+    table._check_n(n)
+    return column[n]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def entry_decomposition_check(table, r, t, n):
@@ -577,6 +603,42 @@ class TestResidueCounts:
             residue_count(table, 0, 0, 10)
         with pytest.raises(ValueError):
             residue_count(table, 0, 3, table.n_max + 1)
+
+
+    def test_refusals_keep_their_type_message_and_order(self, monkeypatch):
+        # The inline range check calls RankTable._check_n only to raise,
+        # so every outcome equals the check-on-every-read oracle's, on a
+        # fresh key and on a column one short of n_max.
+        table = RankTable(40)
+        keys = ((0, 3), (1, 3), (2, 5), (3, 3), (-1, 3), (0, 0), (0, -2))
+        ns = (-1, 0, 7, 40, 41, 10 ** 30, -10 ** 30, 2.0, "3", None, True,
+              False)
+        for short in (False, True):
+            for (r, t), n in itertools.product(keys, ns):
+                outcomes = []
+                for count in (residue_count, checked_residue_count):
+                    monkeypatch.setattr("dysonrank.core._columns", {})
+                    if short and 0 <= r < t:
+                        residue_column(r, t, table.n_max - 1)
+                    outcomes.append((_outcome(count, table, r, t, n),
+                                     len(core._columns.get((r, t), ()))))
+                assert outcomes[0] == outcomes[1], (short, r, t, n)
+                if 0 <= r < t:  # the column reached n_max before n's check
+                    assert outcomes[0][1] == table.n_max + 1, (r, t, n)
+        # A bool is an int to _check_n, as before: True reads n = 1.
+        assert residue_count(table, 0, 3, True) == 1
+        assert residue_count(table, 0, 3, False) == 1
+        assert residue_count(table, 1, 3, True) == 0
+        with pytest.raises(ValueError, match="table holds 40"):
+            residue_count(table, 0, 3, 41)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            residue_count(table, 0, 3, -1)
+        with pytest.raises(TypeError, match="n must be an int"):
+            residue_count(table, 0, 3, 2.0)
+        with pytest.raises(ValueError, match="residue r must satisfy"):
+            residue_count(table, 3, 3, 41)
+        with pytest.raises(ValueError, match="modulus t must be positive"):
+            residue_count(table, 0, 0, 2.0)
 
 
 class TestResidueColumn:

@@ -13,7 +13,6 @@ import pytest
 
 from dysonrank import (
     MaxProductEntry,
-    brute_max,
     closed_form,
     conjecture_max_mod2,
     max_table,
@@ -34,20 +33,45 @@ from dysonrank.maxprod import (
     _count_row,
     _walk_optima,
 )
-from dysonrank.core import RankTable, residue_column
+from dysonrank.core import (RankTable, enumerate_partitions, residue_column,
+                            residue_count)
 from dysonrank.reference import SMALL_TABLE, counts_column, max_column
 
 
-# The Counter closure, the (n+1)^2 value table and the tuple-prefix
-# optima walk over it below are production algorithms that were
-# replaced, kept unchanged as oracles for the part-count closure and the
-# knapsack's optima walk.  The part-count closure and the listing
-# conjecture check after them are in turn what the counting knapsack
-# replaced, kept as its oracles.  The knapsack with a pass for every
-# part and the walk that tries every part are what the skipping
-# knapsack and walk replaced, kept as their oracles.  The closed-form
-# sweep that builds and multiplies out every closed form is what the
-# carried sweep replaced, kept as its oracle.
+# brute_max, which scores every partition, is the oracle for max_table's
+# values and optima sets, capped or not.  The Counter closure, the
+# (n+1)^2 value table and the tuple-prefix optima walk over it below are
+# production algorithms that were replaced, kept unchanged as oracles
+# for the part-count closure and the knapsack's optima walk.  The
+# part-count closure and the listing conjecture check after them are in
+# turn what the counting knapsack replaced, kept as its oracles.  The
+# knapsack with a pass for every part and the walk that tries every part
+# are what the skipping knapsack and walk replaced, kept as their
+# oracles.  The closed-form sweep that builds and multiplies out every
+# closed form is what the carried sweep replaced, kept as its oracle.
+
+def brute_max(table: RankTable, r: int, t: int, n: int,
+              optima_cap: int | None = maxprod.DEFAULT_OPTIMA_CAP
+              ) -> MaxProductEntry:
+    """max_table's entry for n by scoring every partition of n;
+    exponential, so keep n modest.  Partitions come in reverse
+    lexicographic order, (n) first.  A set of more than optima_cap
+    optima keeps the first optima_cap of that order and is marked
+    truncated; the set kept is stored sorted ascending."""
+    f = [residue_count(table, r, t, j) for j in range(n + 1)]
+    best = -1
+    optima: list[tuple[int, ...]] = []
+    for parts in enumerate_partitions(n):
+        v = math.prod(f[part] for part in parts)
+        if v > best:
+            best = v
+            optima = [parts]
+        elif v == best:
+            optima.append(parts)
+    truncated = optima_cap is not None and len(optima) > optima_cap
+    kept = optima[:optima_cap] if truncated else optima
+    return MaxProductEntry(n, best, tuple(sorted(kept)), truncated)
+
 
 def full_best_and_count(f: list[int], n_max: int
                         ) -> tuple[list[int], list[int], list[int]]:
