@@ -19,11 +19,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": (
         "BUDGET_CAP", "ENVELOPE_C", "RATIO_CAP_2_DERIVED", "RATIO_CAPS",
-        "BoundPair", "ErrorBudget", "envelope", "error_budget", "exact_gap",
+        "BoundPair", "ErrorBudget", "error_budget", "exact_gap",
         "hardy_ramanujan", "lehmer_bounds", "lehmer_estimate",
-        "lehmer_log_bounds", "lemma_threshold", "main_term",
-        "main_term_decimal", "mu", "ratio_bound", "residue_envelope_check",
-        "s_ratio", "t_gap",
+        "lemma_threshold", "main_term", "main_term_decimal", "mu",
+        "ratio_bound", "residue_envelope_check", "s_ratio", "t_gap",
     ),
     "cache": ("CacheFormatError", "load_table", "save_table"),
     "convexity": (

@@ -22,8 +22,8 @@ ratio's n-independent prefix, such as 0.12 e^(2 pi + pi/24) / sqrt 3, is
 folded once into a module constant, keeping the left-to-right order of
 the literal expression, so every result rounds to the same double.  The
 six error bounds come from one pass that shares sqrt(24n - 1), which
-error_budget computes once for the bounds, the main term and the
-envelope, and isqrt(n) and isqrt(n) // 3.  The k-sums inside bounds 2,
+error_budget computes once for the bounds and the envelope L(n), U(n),
+and isqrt(n) and isqrt(n) // 3.  The k-sums inside bounds 2,
 3, 4 and 6 do not depend on n, so each is kept as a list of running
 sums, added left to right in the order a literal loop would use; the
 first bound's factors sqrt(k) and pi/(18k) are kept in running lists
@@ -35,13 +35,14 @@ the first past the largest isqrt(n) so far, therefore costs O(n) once
 (the sixth bound's double sum); a later call costs O(sqrt n / 3), the
 first bound's sinh terms, plus a fixed few dozen float operations
 (about 4 us of CPython for the whole budget at n <= 10^4 on a 2-vCPU
-host).  lehmer_bounds and lemma_threshold evaluate their expressions
-directly, with no helper call; lehmer_bounds takes the overflow-safe
-path only near the top of the double range.  residue_envelope_check
-writes lehmer_bounds out in the same way, so once its three residue
-columns are stored a check costs its float arithmetic and three reads
-(1.3 us on that host, against 2.8 us with the BoundPair record, a
-generator and int-float comparisons).
+host).  lemma_threshold evaluates its expression directly.
+
+Each quantity has one formula: Lehmer's envelope is _lehmer, which
+lehmer_bounds wraps in a BoundPair and residue_envelope_check reads as a
+bare tuple; L(n) and U(n) come from error_budget, the float M(n) from
+main_term.  Past the double range each raises OverflowError: Lehmer's
+bounds from n = 79445, the estimate past LEHMER_ESTIMATE_MAX_N = 76567,
+and U(n) from n = 690451.
 """
 
 from __future__ import annotations
@@ -67,13 +68,11 @@ __all__ = [
     "RATIO_CAP_2_DERIVED",
     "BUDGET_CAP",
     "ENVELOPE_C",
-    "envelope",
     "error_budget",
     "exact_gap",
     "hardy_ramanujan",
     "lehmer_bounds",
     "lehmer_estimate",
-    "lehmer_log_bounds",
     "lemma_threshold",
     "main_term",
     "main_term_decimal",
@@ -137,9 +136,6 @@ _ENVELOPE_HI_3 = (1.0 + ENVELOPE_C) / 3.0
 # bound falls 0.17 above an integer, far beyond the rounding here.
 LEHMER_ESTIMATE_MAX_N = int(
     ((6.0 / math.pi * math.log(sys.float_info.max)) ** 2 + 1.0) / 24.0)
-# Exponents below this take math.exp directly: e^709 is below DBL_MAX =
-# e^709.78..., so no exp of a smaller exponent overflows.
-_EXP_SAFE = 709.0
 
 
 class BoundPair(NamedTuple):
@@ -151,11 +147,13 @@ class BoundPair(NamedTuple):
 
 
 class ErrorBudget(NamedTuple):
-    """The six error bounds at one n, with the envelope they live under."""
+    """The six error bounds at one n, their sum, and the envelope
+    L(n) = U(n) sin(pi/18) of the main term that they live under:
+    U(n) = 8 sinh((pi/18) sqrt(24n - 1)) / sqrt(24n - 1) drops the main
+    term's sine factor, and L keeps its least magnitude sin(pi/18)."""
     n: int
     terms: tuple[float, float, float, float, float, float]
     total: float
-    main: float
     lower: float
     upper: float
 
@@ -175,49 +173,27 @@ def mu(n: int) -> float:
     return _mu(n)
 
 
-def _lehmer_logs(n: int) -> tuple[float, float, float]:
-    """(log lower, log upper, mu) at n >= 1."""
-    m = _mu(n)
-    base = math.log(_SQRT3 / (12.0 * n))
-    rs = 1.0 / math.sqrt(n)
-    lo = -math.inf if rs >= 1.0 else base + math.log1p(-rs) + m
-    return lo, base + math.log1p(rs) + m, m
-
-
-def lehmer_log_bounds(n: int) -> tuple[float, float]:
-    """Natural logs of the strict envelope; finite far past double range."""
-    _check_positive(n)
-    lo, hi, _ = _lehmer_logs(n)
-    return lo, hi
-
-
-def lehmer_bounds(n: int) -> BoundPair:
-    """Strict envelope (sqrt(3)/12n)(1 -+ 1/sqrt n) e^mu around p(n).
-
-    The floats overflow for very large n; lehmer_log_bounds stays finite
-    and residue_envelope_check switches to it automatically.  Both logs
-    are those of _lehmer_logs, written out, so the exps round alike; n = 1
-    and exponents from _EXP_SAFE on take the general path.
-    """
+def _lehmer(n: int) -> tuple[float, float, float]:
+    """(lower, upper, mu) of Lehmer's envelope at n >= 1: the exp of
+    log(sqrt(3)/12n) + log1p(-+ 1/sqrt n) + mu, lower first.  lower is 0.0
+    at n = 1, where 1 - 1/sqrt n is 0.  From n = 79445 the upper exp
+    overflows a double and raises OverflowError."""
     if n < 1:
         raise ValueError("n must be >= 1")
     m = _PI_6 * math.sqrt(24.0 * n - 1.0)
     base = math.log(_SQRT3 / (12.0 * n))
     rs = 1.0 / math.sqrt(n)
-    hi = base + math.log1p(rs) + m
-    if hi < _EXP_SAFE and rs < 1.0:
-        return BoundPair(n, math.exp(base + math.log1p(-rs) + m),
-                         math.exp(hi), m)
-    lo, hi, m = _lehmer_logs(n)
-    return BoundPair(n, 0.0 if lo == -math.inf else _exp_or_inf(lo),
-                     _exp_or_inf(hi), m)
+    return (math.exp(base + math.log1p(-rs) + m) if rs < 1.0 else 0.0,
+            math.exp(base + math.log1p(rs) + m), m)
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+def lehmer_bounds(n: int) -> BoundPair:
+    """Strict envelope (sqrt(3)/12n)(1 -+ 1/sqrt n) e^mu around p(n).
+
+    The floats are those of _lehmer, which residue_envelope_check shares:
+    lower is 0.0 at n = 1, and from n = 79445, a little past
+    LEHMER_ESTIMATE_MAX_N, OverflowError is raised."""
+    return BoundPair(n, *_lehmer(n))
 
 
 def lehmer_estimate(n: int) -> tuple[float, float]:
@@ -320,18 +296,6 @@ def main_term_decimal(n: int) -> Decimal:
         return -8 * sines[n % 3] * ((e - 1 / e) / 2) / x
 
 
-def envelope(n: int) -> tuple[float, float]:
-    """(L(n), U(n)): smallest and largest magnitude the main term can take.
-
-    U drops the sine factor entirely; L keeps its minimum |sin(pi/18)|,
-    so L == U * sin(pi/18) holds by construction.
-    """
-    _check_positive(n)
-    x = math.sqrt(24.0 * n - 1.0)
-    upper = 8.0 * math.sinh(_PI_18 * x) / x
-    return upper * SIN_PI_18, upper
-
-
 # Running sums over k, n-independent: entry k is the sum of terms 1..k.
 _sum_inv_sqrt = [0.0]          # 1/sqrt(k), bound 2
 _sum_inv_sqrt_not3 = [0.0]     # 1/sqrt(k) for 3 not dividing k, bound 3
@@ -423,20 +387,17 @@ def _error_bounds(n: int, x: float | None = None
 
 
 def error_budget(n: int) -> ErrorBudget:
-    """All six error bounds at n, their sum, and the envelope context.
+    """All six error bounds at n, their sum, and the envelope L(n), U(n)
+    of the main term (see ErrorBudget); the one formula for L and U.
 
-    The bounds, the main term and the envelope share one sqrt(24n - 1),
-    and the last two one sinh, in the association of main_term and
-    envelope, so every float equals theirs."""
+    The bounds and the envelope share one sqrt(24n - 1).  From n = 690451
+    U's sinh overflows a double and OverflowError is raised."""
     if n < 1:
         raise ValueError("n must be >= 1")
     x = math.sqrt(24.0 * n - 1.0)
     terms = _error_bounds(n, x)
-    s = math.sinh(_PI_18 * x)
-    upper = 8.0 * s / x
-    main = -8.0 * math.sin(_PI_18 - 2.0 * n * math.pi / 3.0) * s / x
-    return ErrorBudget(n, terms, math.fsum(terms), main, upper * SIN_PI_18,
-                       upper)
+    upper = 8.0 * math.sinh(_PI_18 * x) / x
+    return ErrorBudget(n, terms, math.fsum(terms), upper * SIN_PI_18, upper)
 
 
 def exact_gap(a: int, m: float | Decimal) -> Fraction:
@@ -479,47 +440,23 @@ def ratio_bound(i: int, n: int) -> float:
 
 def residue_envelope_check(table: RankTable, n: int) -> bool:
     """Strict sandwich (1/3)(1-c) p_lower < N(r,3;n) < (1/3)(1+c) p_upper
-    for every residue r in {0, 1, 2}, with c = ENVELOPE_C.  Falls back
-    to log-space comparison when the envelope overflows a double.
+    for every residue r in {0, 1, 2}, with c = ENVELOPE_C and Lehmer's
+    bounds from _lehmer, so from n = 79445 OverflowError is raised
+    before any count is read.
 
-    Below _EXP_SAFE Lehmer's two exps are written out as lehmer_bounds
-    writes them, and (1 -+ c)/3 are the constants _ENVELOPE_LO_3 and
-    _ENVELOPE_HI_3, so the float edges lo and hi are the doubles of the
-    literal expression.  The counts meet the integers floor(lo) and
-    ceil(hi), taken once: for an integer N and finite x, N > x iff
-    N > floor(x), and N < x iff N < ceil(x), so each verdict is the
-    exact comparison with the float edge.  An int-int comparison also
-    builds no temporary ints, as an int-float one does when both have
-    the same bit length."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = _PI_6 * math.sqrt(24.0 * n - 1.0)
-    base = math.log(_SQRT3 / (12.0 * n))
-    rs = 1.0 / math.sqrt(n)
-    log_upper = base + math.log1p(rs) + m
-    if log_upper < _EXP_SAFE and rs < 1.0:
-        lower = math.exp(base + math.log1p(-rs) + m)
-        upper = math.exp(log_upper)
-    else:
-        pair = lehmer_bounds(n)
-        lower, upper = pair.lower, pair.upper
-    if math.isfinite(upper):
-        lo = math.floor(_ENVELOPE_LO_3 * lower)
-        hi = math.ceil(_ENVELOPE_HI_3 * upper)
-        return (lo < residue_count(table, 0, 3, n) < hi
-                and lo < residue_count(table, 1, 3, n) < hi
-                and lo < residue_count(table, 2, 3, n) < hi)
-    log_lo, log_hi = lehmer_log_bounds(n)
-    log_lo += math.log(_ENVELOPE_LO_3)
-    log_hi += math.log(_ENVELOPE_HI_3)
-    for r in range(3):
-        c = residue_count(table, r, 3, n)
-        if c <= 0:
-            return False
-        lc = math.log(c)
-        if not log_lo < lc < log_hi:
-            return False
-    return True
+    (1 -+ c)/3 are the constants _ENVELOPE_LO_3 and _ENVELOPE_HI_3, so
+    the float edges lo and hi are the doubles of the literal expression.
+    The counts meet the integers floor(lo) and ceil(hi), taken once: for
+    an integer N and finite x, N > x iff N > floor(x), and N < x iff
+    N < ceil(x), so each verdict is the exact comparison with the float
+    edge.  An int-int comparison also builds no temporary ints, as an
+    int-float one does when both have the same bit length."""
+    lower, upper, _ = _lehmer(n)
+    lo = math.floor(_ENVELOPE_LO_3 * lower)
+    hi = math.ceil(_ENVELOPE_HI_3 * upper)
+    return (lo < residue_count(table, 0, 3, n) < hi
+            and lo < residue_count(table, 1, 3, n) < hi
+            and lo < residue_count(table, 2, 3, n) < hi)
 
 
 def s_ratio(x: float, lam: float) -> float:

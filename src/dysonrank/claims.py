@@ -195,9 +195,9 @@ def theorem2(hi: int = 500, n_max: int | None = None) -> ClaimRecord:
 def bounds(hi: int = 1000) -> ClaimRecord:
     """The Lehmer sandwich for 2 <= n <= hi, the estimate's cap for
     n <= min(hi, 500) and the gap lemma at LEMMA_POINTS.  These read
-    p(n) only.  hi stops at LEHMER_ESTIMATE_MAX_N, as `bounds --n` does:
-    a little past it the envelope's floats overflow, and the sandwich
-    would fail on inf rather than on p(n)."""
+    p(n) only.  hi stops at LEHMER_ESTIMATE_MAX_N, as `bounds --n` does,
+    before any p(n) is computed: a little past it, from n = 79445,
+    lehmer_bounds overflows a double and raises OverflowError."""
     from .bounds import (LEHMER_ESTIMATE_MAX_N, lehmer_bounds,
                          lehmer_estimate, lemma_threshold)
     if hi < 2:

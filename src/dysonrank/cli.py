@@ -300,7 +300,6 @@ def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
         LEHMER_ESTIMATE_MAX_N,
         RATIO_CAP_2_DERIVED,
         RATIO_CAPS,
-        envelope,
         error_budget,
         hardy_ramanujan,
         lehmer_bounds,
@@ -317,7 +316,6 @@ def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
     p = partition_number(n)
     pair = lehmer_bounds(n)
     est, cap = lehmer_estimate(n)
-    lower, upper = envelope(n)
     budget = error_budget(n)
     results: dict[str, Any] = {
         "p": p,
@@ -330,8 +328,8 @@ def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
         "estimate_ok": claims.estimate_holds((est, cap), p),
         "hardy_ramanujan": hardy_ramanujan(n),
         "main_term": main_term(n),
-        "envelope_lower": lower,
-        "envelope_upper": upper,
+        "envelope_lower": budget.lower,
+        "envelope_upper": budget.upper,
         "error_terms": list(budget.terms),
         "error_total": budget.total,
     }
@@ -392,7 +390,9 @@ def _cmd_verify(args: argparse.Namespace) -> OutputRecord:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # No parser reads a prefix as the flag it starts: `verify bounds --n 9`
+    # is refused, not run as --n-max 9.
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--format", choices=("text", "csv", "json"),
                         default="text", help="output format")
     common.add_argument("--n-max", dest="n_max", type=int, default=1024,
@@ -408,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "(rank-table --from/--to, count --show-row)")
 
     parser = argparse.ArgumentParser(
-        prog="dysonrank",
+        prog="dysonrank", allow_abbrev=False,
         description="Exact rank counts for integer partitions, their "
                     "analytic envelopes, and maximum products over parts.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[common], allow_abbrev=False,
                        help="residue count N(r,t;n)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
@@ -424,13 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the full rank row at n")
     p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("rank-table", parents=[common],
+    p = sub.add_parser("rank-table", parents=[common], allow_abbrev=False,
                        help="build the rank table, optionally printing rows")
     p.add_argument("--from", dest="lo", type=int)
     p.add_argument("--to", dest="hi", type=int)
     p.set_defaults(handler=_cmd_rank_table)
 
-    p = sub.add_parser("maxn", parents=[common],
+    p = sub.add_parser("maxn", parents=[common], allow_abbrev=False,
                        help="maximum product of residue counts over "
                             "partitions of n")
     p.add_argument("--r", type=int, required=True)
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include every optimal partition")
     p.set_defaults(handler=_cmd_maxn)
 
-    p = sub.add_parser("convexity", parents=[common],
+    p = sub.add_parser("convexity", parents=[common], allow_abbrev=False,
                        help="scan the product inequality over a region")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, default=3)
@@ -450,12 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int)
     p.set_defaults(handler=_cmd_convexity)
 
-    p = sub.add_parser("bounds", parents=[common],
+    p = sub.add_parser("bounds", parents=[common], allow_abbrev=False,
                        help="analytic bound diagnostics at one n")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common], allow_abbrev=False,
                        help="run a verification suite")
     p.add_argument("suite", choices=sorted(_VERIFY))
     for dest, flag in _RANGE_FLAGS.items():

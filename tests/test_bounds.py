@@ -21,20 +21,18 @@ from math import isqrt
 
 import pytest
 
-from dysonrank import bounds, claims
+from dysonrank import bounds, claims, core
 from dysonrank import (
     a_third_exact,
     BUDGET_CAP,
     RankTable,
     RATIO_CAP_2_DERIVED,
     RATIO_CAPS,
-    envelope,
     error_budget,
     exact_gap,
     hardy_ramanujan,
     lehmer_bounds,
     lehmer_estimate,
-    lehmer_log_bounds,
     lemma_threshold,
     main_term,
     main_term_decimal,
@@ -78,18 +76,6 @@ class TestLehmerBounds:
         assert pair.lower == 0.0
         assert pair.lower < 1 < pair.upper
 
-    def test_log_form_consistent(self):
-        for n in (2, 10, 100, 900):
-            lo, hi = lehmer_log_bounds(n)
-            pair = lehmer_bounds(n)
-            assert math.exp(lo) == pytest.approx(pair.lower, rel=1e-12)
-            assert math.exp(hi) == pytest.approx(pair.upper, rel=1e-12)
-
-    def test_log_form_survives_huge_n(self):
-        lo, hi = lehmer_log_bounds(10 ** 8)
-        assert math.isfinite(lo) and math.isfinite(hi) and lo < hi
-        assert lehmer_bounds(10 ** 6).upper == math.inf
-
     def test_estimate_frozen_at_100(self):
         value, cap = lehmer_estimate(100)
         assert value == pytest.approx(190568944.783338, rel=1e-9)
@@ -104,29 +90,32 @@ class TestLehmerBounds:
 
 
 class TestMainTermAndEnvelope:
+    """The envelope L(n), U(n) of the main term is error_budget's
+    lower and upper."""
+
     def test_frozen_values(self):
         assert main_term(500) == pytest.approx(-5619860.2724294, rel=1e-9)
         assert main_term(600) == pytest.approx(-7212578.96733153, rel=1e-9)
         assert main_term(1000) == pytest.approx(13408697250.3147, rel=1e-9)
-        lower, upper = envelope(500)
-        assert lower == pytest.approx(1273918.90094107, rel=1e-9)
-        assert upper == pytest.approx(7336206.56465822, rel=1e-9)
+        budget = error_budget(500)
+        assert budget.lower == pytest.approx(1273918.90094107, rel=1e-9)
+        assert budget.upper == pytest.approx(7336206.56465822, rel=1e-9)
 
     def test_envelope_ratio_is_structural(self):
         for n in (1, 77, 500, 4000):
-            lower, upper = envelope(n)
-            assert lower == upper * SIN_PI_18
+            budget = error_budget(n)
+            assert budget.lower == budget.upper * SIN_PI_18
 
     def test_main_term_inside_envelope(self):
         for n in range(500, 560):
-            lower, upper = envelope(n)
+            budget = error_budget(n)
             m = abs(main_term(n))
-            assert lower * (1 - 1e-12) <= m <= upper
+            assert budget.lower * (1 - 1e-12) <= m <= budget.upper
 
     def test_main_term_touches_floor_at_multiples_of_3(self):
         for n in (501, 600, 999):
-            assert abs(main_term(n)) == pytest.approx(envelope(n)[0],
-                                                      rel=1e-9)
+            assert abs(main_term(n)) == pytest.approx(
+                error_budget(n).lower, rel=1e-9)
 
     def test_sign_pattern(self):
         for n in (500, 501, 502, 503):
@@ -281,27 +270,22 @@ def _literal_ratio_bound(i: int, n: int) -> float:
     raise ValueError(i)
 
 
-def _literal_lehmer_logs(n: int) -> tuple[float, float, float]:
-    """(log lower, log upper, mu) of the Lehmer envelope as literal
-    expressions."""
+def _literal_lehmer_bounds(n: int) -> tuple[int, float, float, float]:
+    """(n, lower, upper, mu) of the Lehmer envelope as literal
+    expressions: each bound the exp of its log, lower 0.0 at n = 1."""
     m = math.pi / 6.0 * math.sqrt(24.0 * n - 1.0)
     base = math.log(math.sqrt(3.0) / (12.0 * n))
     rs = 1.0 / math.sqrt(n)
-    lo = -math.inf if rs >= 1.0 else base + math.log1p(-rs) + m
-    return lo, base + math.log1p(rs) + m, m
+    lo = 0.0 if rs >= 1.0 else math.exp(base + math.log1p(-rs) + m)
+    return n, lo, math.exp(base + math.log1p(rs) + m), m
 
 
-def _literal_lehmer_bounds(n: int) -> tuple[int, float, float, float]:
-    """(n, lower, upper, mu) of the Lehmer envelope as literal expressions."""
-    lo, hi, m = _literal_lehmer_logs(n)
-
-    def exp_or_inf(v: float) -> float:
-        try:
-            return math.exp(v)
-        except OverflowError:
-            return math.inf
-
-    return n, 0.0 if lo == -math.inf else exp_or_inf(lo), exp_or_inf(hi), m
+def _literal_envelope(n: int) -> tuple[float, float]:
+    """(L(n), U(n)), the main term's envelope, as literal expressions:
+    U drops the sine factor, and L keeps its least magnitude sin(pi/18)."""
+    x = math.sqrt(24.0 * n - 1.0)
+    upper = 8.0 * math.sinh(math.pi / 18.0 * x) / x
+    return upper * SIN_PI_18, upper
 
 
 def _literal_lehmer_estimate(n: int) -> tuple[float, float]:
@@ -348,11 +332,11 @@ class TestLiteralOracles:
             assert error_budget(n).terms == want, n
 
     def test_budget_main_term_and_envelope(self):
-        # error_budget shares one sqrt and one sinh between the two.
-        for n in (*range(1, 3001), *SPOT_N):
+        # error_budget is the one formula for L(n) and U(n); this is every
+        # n that bounds --n prints them at.
+        for n in range(1, bounds.LEHMER_ESTIMATE_MAX_N + 1):
             budget = error_budget(n)
-            assert budget.main == main_term(n), n
-            assert (budget.lower, budget.upper) == envelope(n), n
+            assert (budget.lower, budget.upper) == _literal_envelope(n), n
 
     def test_bounds_past_the_envelope(self):
         # L(n) overflows a double here, so error_budget raises, but the
@@ -375,23 +359,21 @@ class TestLiteralOracles:
                 assert ratio_bound(i, n) == _literal_ratio_bound(i, n), (i, n)
 
     def test_lehmer_bounds_at_every_n(self):
-        for n in (*range(1, 3001), *SPOT_N, 10 ** 6, 10 ** 7):
-            assert tuple(lehmer_bounds(n)) == _literal_lehmer_bounds(n), n
-            assert (*lehmer_log_bounds(n), mu(n)) \
-                == _literal_lehmer_logs(n), n
-        assert lehmer_bounds(10 ** 6).upper == math.inf
-        assert lehmer_bounds(10 ** 7).upper == math.inf
-
-    def test_lehmer_bounds_where_the_floats_overflow(self):
-        # The upper float turns inf at n = 79445 and the lower at 79447,
-        # where lehmer_bounds leaves its direct exps for the guarded ones.
-        edges = []
-        for n in range(79400, 79501):
+        # Every n whose floats fit a double.
+        for n in range(1, 79445):
             pair = lehmer_bounds(n)
             assert tuple(pair) == _literal_lehmer_bounds(n), n
-            edges.append((pair.lower == math.inf, pair.upper == math.inf))
-        assert edges.index((False, True)) == 79445 - 79400
-        assert edges.index((True, True)) == 79447 - 79400
+            assert pair.mu == mu(n), n
+
+    def test_lehmer_bounds_where_the_floats_overflow(self):
+        # The upper exp overflows from n = 79445, a little past
+        # LEHMER_ESTIMATE_MAX_N, and raises as the literal exp does.
+        assert math.isfinite(lehmer_bounds(79444).upper)
+        for n in (79445, 79447, 10 ** 6):
+            with pytest.raises(OverflowError):
+                _literal_lehmer_bounds(n)
+            with pytest.raises(OverflowError):
+                lehmer_bounds(n)
 
     def test_lemma_threshold_against_s_ratio_and_t_gap(self):
         points = (*range(500, 20001), 1.5, 10.25, 499.5, 500.5, 777.7,
@@ -589,42 +571,14 @@ class TestResidueEnvelope:
         for n in (60, 100, 200, 240):
             assert residue_envelope_check(table, n)
 
-    def test_log_space_branch_equals_float_branch(self, monkeypatch):
-        # The log-space comparison runs only once Lehmer's upper bound
-        # overflows, near n = 79000; an infinite upper forces it here.
-        # Counts scaled to just inside and just outside the envelope
-        # must get the same verdicts from both branches.
-        table = RankTable(3000)
-        lo_c, hi_c = (1 - bounds.ENVELOPE_C) / 3, (1 + bounds.ENVELOPE_C) / 3
-        column = {r: residue_column(r, 3, 3000) for r in range(3)}
-
-        def verdicts(count):
-            monkeypatch.setattr(bounds, "residue_count",
-                                lambda table, r, t, n: count(r, n))
-            return [residue_envelope_check(table, n)
-                    for n in range(500, 3001)]
-
-        def scaled(side, factor):
-            def count(r, n):
-                if r != n % 3:
-                    return column[r][n]
-                pair = lehmer_bounds(n)
-                edge = lo_c * pair.lower if side < 0 else hi_c * pair.upper
-                return int(edge * factor)
-            return count
-
-        counts = [lambda r, n: column[r][n], scaled(-1, 0.999),
-                  scaled(-1, 1.001), scaled(1, 0.999), scaled(1, 1.001)]
-        floats = [verdicts(count) for count in counts]
-        # Below _EXP_SAFE the check writes Lehmer's exps out and never
-        # calls lehmer_bounds, so the patched bounds need both.
-        monkeypatch.setattr(bounds, "_EXP_SAFE", -math.inf)
-        monkeypatch.setattr(bounds, "lehmer_bounds", lambda n: lehmer_bounds(
-            n)._replace(upper=math.inf))
-        for count, want in zip(counts, floats):
-            assert verdicts(count) == want
-        assert [set(v) for v in floats] == [{True}, {False}, {True}, {True},
-                                            {False}]
+    def test_raises_past_the_double_range_before_any_column(
+            self, monkeypatch):
+        # From n = 79445 Lehmer's upper exp overflows, and the check
+        # raises before it reads a count, so no column is computed.
+        monkeypatch.setattr(core, "_columns", {})
+        with pytest.raises(OverflowError):
+            residue_envelope_check(RankTable(79445), 79445)
+        assert core._columns == {}
 
 
 class _MathRecorder:
@@ -664,7 +618,7 @@ class TestEnvelopeIntegerEdges:
         return self.LO_C * pair.lower, self.HI_C * pair.upper
 
     def test_written_out_edges_are_lehmer_bounds(self, monkeypatch):
-        # Every n below the double range takes the written-out exps.
+        # Every n up to LEHMER_ESTIMATE_MAX_N takes _lehmer's two exps.
         top = bounds.LEHMER_ESTIMATE_MAX_N
         want = []
         for n in range(2, top + 1):

@@ -41,6 +41,12 @@ VERIFY_READS = {"tables": {},
                 "budget": {"--from": "lo", "--to": "hi", "--step": "step"},
                 "conjectures": {"--max": "scan_max", "--to": "forms_hi"}}
 RANGE_FLAGS = ("--r", "--t", "--min", "--max", "--from", "--to", "--step")
+# Calls whose flags abbreviate ones the subcommand has: --n-max, --n-max
+# and --format.  argparse refuses each, and the workflow checks that it
+# does, so these are the workflow lines that must not parse.
+ABBREVIATED = (("verify", "bounds", "--n", "9"),
+               ("count", "--r", "0", "--t", "3", "--n", "13", "--n-m", "12"),
+               ("bounds", "--n", "5", "--form", "json"))
 
 
 def run(*argv):
@@ -465,8 +471,8 @@ class TestVerifySuites:
     @pytest.mark.parametrize("hi", [76568, 80000, 10 ** 8])
     def test_bounds_past_the_double_range_fails_before_p(self, monkeypatch,
                                                          hi):
-        # From n = 79445 the envelope's floats are inf, so the sandwich
-        # would fail on them, not on p(n); --max stops where --n does.
+        # From n = 79445 lehmer_bounds raises OverflowError, so --max
+        # stops where --n does, before p(n) is computed.
         monkeypatch.setattr("dysonrank.claims.partition_numbers", None)
         monkeypatch.setattr("dysonrank.bounds.lehmer_bounds", None)
         assert run("verify", "bounds", "--max", str(hi)) == (
@@ -861,6 +867,14 @@ class TestParserBasics:
         assert code == 0
         assert "dysonrank" in out
 
+    @pytest.mark.parametrize("argv", ABBREVIATED)
+    def test_abbreviated_flags_are_refused(self, argv):
+        # A prefix is not read as the flag it starts: argparse refuses it.
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("dysonrank: error: unrecognized arguments: "
+                            f"{' '.join(argv[-2:])}\n")
+
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml"
 # How a workflow line may run the CLI: dysonrank, timeout N dysonrank or
@@ -928,9 +942,14 @@ class TestWorkflowCommandLines:
                 refused.append((number, line, str(exc)))
                 continue
             code = parse_exit(argv)
-            if code != (0 if argv == ["--version"] else None):
+            want = (0 if argv == ["--version"]
+                    else 2 if tuple(argv) in ABBREVIATED else None)
+            if code != want:
                 refused.append((number, line, f"exit {code}"))
         assert refused == []
+        # The workflow checks every refusal of an abbreviation.
+        assert {tuple(cli_argv(line)) for _, line in lines} \
+            >= set(ABBREVIATED)
         # Each accepted form occurs, the time case at least once.
         assert len(lines) >= 20
         for form in ("dysonrank ", "timeout ", "time timeout "):
