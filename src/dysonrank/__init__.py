@@ -21,8 +21,8 @@ _EXPORTS = {
         "BUDGET_CAP", "ENVELOPE_C", "RATIO_CAP_2_DERIVED", "RATIO_CAPS",
         "BoundPair", "ErrorBudget", "error_budget", "exact_gap",
         "hardy_ramanujan", "lehmer_bounds", "lehmer_estimate",
-        "lemma_threshold", "main_term", "main_term_decimal", "mu",
-        "ratio_bound", "residue_envelope_check", "s_ratio", "t_gap",
+        "lemma_threshold", "main_term", "main_term_decimal", "ratio_bound",
+        "residue_envelope_check", "s_ratio", "t_gap",
     ),
     "cache": ("CacheFormatError", "load_table", "save_table"),
     "convexity": (
@@ -31,8 +31,7 @@ _EXPORTS = {
     "core": (
         "MAX_TABLE_ROWS", "RankTable", "a_third_exact", "build_rank_table",
         "decomposition_check", "enumerate_partitions", "partition_number",
-        "partition_numbers", "rank", "residue_column", "residue_count",
-        "table_for",
+        "partition_numbers", "residue_column", "residue_count", "table_for",
     ),
     "maxprod": (
         "MaxProductEntry", "VerificationReport", "closed_form",
@@ -49,8 +48,8 @@ __all__ = [*sorted(_HOME), "__version__"]
 def __getattr__(name: str):
     """Import a public name's home submodule on first access and keep
     the name here, so later lookups skip this hook.  The home
-    submodules resolve too, so `dysonrank.core.rank` works after a bare
-    `import dysonrank`."""
+    submodules resolve too, so `dysonrank.core.table_for` works after a
+    bare `import dysonrank`."""
     if name in _EXPORTS:
         return import_module(f".{name}", __name__)
     try:

@@ -76,7 +76,6 @@ __all__ = [
     "lemma_threshold",
     "main_term",
     "main_term_decimal",
-    "mu",
     "ratio_bound",
     "residue_envelope_check",
     "s_ratio",
@@ -163,16 +162,6 @@ def _check_positive(n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
-def _mu(n: int) -> float:
-    return _PI_6 * math.sqrt(24.0 * n - 1.0)
-
-
-def mu(n: int) -> float:
-    """The exponent (pi/6) sqrt(24n - 1) that drives partition growth."""
-    _check_positive(n)
-    return _mu(n)
-
-
 def _lehmer(n: int) -> tuple[float, float, float]:
     """(lower, upper, mu) of Lehmer's envelope at n >= 1: the exp of
     log(sqrt(3)/12n) + log1p(-+ 1/sqrt n) + mu, lower first.  lower is 0.0
@@ -204,7 +193,7 @@ def lehmer_estimate(n: int) -> tuple[float, float]:
       cap   = (pi^2/sqrt 3) (sinh(mu)/mu^3 + 1/6 - 1/mu^2).
     """
     _check_positive(n)
-    m = _mu(n)
+    m = _PI_6 * math.sqrt(24.0 * n - 1.0)
     em = math.exp(m)
     value = _SQRT12 / (24.0 * n - 1.0) * (
         (1.0 - 1.0 / m) * em + (1.0 + 1.0 / m) / em)
@@ -354,11 +343,10 @@ def _grow(root: int, x: float) -> None:
         _sum_sixth.append(_sum_sixth[-1] + _sixth_term(k))
 
 
-def _error_bounds(n: int, x: float | None = None
+def _error_bounds(n: int, x: float
                   ) -> tuple[float, float, float, float, float, float]:
-    """The six error bounds at n >= 1, in one pass that shares
-    x = sqrt(24n - 1) (computed here unless the caller has it),
-    isqrt(n) and isqrt(n) // 3.
+    """The six error bounds at n >= 1, in one pass that shares the
+    caller's x = sqrt(24n - 1), isqrt(n) and isqrt(n) // 3.
 
     Sum limits take floors; an empty sum is 0.  The first bound's sinh
     terms depend on n, so they are summed afresh in O(sqrt n), by sum()
@@ -368,8 +356,6 @@ def _error_bounds(n: int, x: float | None = None
     left to right.  The lists grow first, in _grow, only when isqrt(n)
     outgrows the sixth's.
     """
-    if x is None:
-        x = math.sqrt(24.0 * n - 1.0)
     root = isqrt(n)
     third = root // 3
     if root >= len(_sum_sixth):

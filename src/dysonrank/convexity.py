@@ -51,25 +51,20 @@ __all__ = ["ConvexityReport", "check_pair", "scan_region", "sharpness_frontier"]
 
 
 class ConvexityReport(NamedTuple):
-    """Result of one region scan a_min <= a <= b <= b_max, so a_range
-    and b_range are both (a_min, b_max).  Violations are (a, b, lhs,
-    rhs) with a <= b, sorted; empty means the inequality held
-    everywhere."""
-    r: int
-    t: int
-    a_range: tuple[int, int]
-    b_range: tuple[int, int]
+    """Result of one region scan a_min <= a <= b <= b_max.  Violations
+    are (a, b, lhs, rhs) with a <= b, sorted; empty means the inequality
+    held everywhere."""
     pairs_checked: int
     violations: list[tuple[int, int, int, int]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def check_pair(table: RankTable, r: int, t: int, a: int,
                b: int) -> tuple[bool, int, int]:
-    """(holds, lhs, rhs) for one pair; holds means strict product gap."""
+    """(holds, lhs, rhs) for one pair; holds means strict product gap.
+
+    No claim or command calls it; it stays because perfbench's boundary
+    ops call it, on the counterexample just below each t = 3 threshold.
+    ROADMAP item 4 decides whether it moves to perfbench/oracle.py."""
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive")
     lhs = residue_count(table, r, t, a) * residue_count(table, r, t, b)
@@ -131,9 +126,7 @@ def scan_region(table: RankTable, r: int, t: int, a_min: int,
             if lhs > rhs:  # and so does every later pair of the row
                 break
             bad.append((a, b, lhs, rhs))
-    return ConvexityReport(r=r, t=t, a_range=(a_min, b_max),
-                           b_range=(a_min, b_max), pairs_checked=checked,
-                           violations=bad)
+    return ConvexityReport(checked, bad)
 
 
 def sharpness_frontier(table: RankTable, r: int, t: int,

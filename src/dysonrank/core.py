@@ -35,8 +35,7 @@ above, against 0.19 us with RankTable._check_n called on every read.
 
 from __future__ import annotations
 
-import cmath
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from itertools import islice, repeat
 from math import isqrt
 from operator import add, and_, getitem, itemgetter, rshift, sub
@@ -50,7 +49,6 @@ __all__ = [
     "enumerate_partitions",
     "partition_number",
     "partition_numbers",
-    "rank",
     "residue_column",
     "residue_count",
     "table_for",
@@ -149,13 +147,6 @@ def partition_numbers(n_max: int) -> list[int]:
     if n_max >= len(_pcache):
         _extend_pcache(n_max)
     return _pcache[: n_max + 1]
-
-
-def rank(parts: Sequence[int]) -> int:
-    """Rank of a partition given as a nonincreasing sequence of parts."""
-    if not parts:
-        return 0
-    return parts[0] - len(parts)
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -559,7 +550,13 @@ def decomposition_check(table: RankTable, r: int, t: int, n: int) -> bool:
     its first t entries, m = i, i + t, ..., adds to class i and, for the
     mirrored ranks -m, to class -i mod t; N(0, n) is its own mirror and
     counts once.
+
+    No claim or command calls it, so it imports cmath itself and a CLI
+    call never loads it; it stays because perfbench's root-of-unity ops
+    call it.  ROADMAP item 4 decides whether it moves to
+    perfbench/oracle.py.
     """
+    import cmath
     exact = residue_count(table, r, t, n)
     half = table._row(n)
     sums = [0] * t  # sums[c] = sum of N(m, n) over m = c (mod t)

@@ -72,14 +72,10 @@ class MaxProductEntry(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    """Outcome of one verification sweep."""
-    name: str
+    """Outcome of one verification sweep: how many values it checked,
+    and each one that failed; empty means every check held."""
     checked: int
     mismatches: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
 
 
 def product_over_partition(table: RankTable, r: int, t: int,
@@ -334,7 +330,7 @@ def verify_closed_forms(table: RankTable, r: int,
             mismatches.append(
                 (n, value, closed_form(r, n)[1], best[n], cnt[n]))
         checked += 1
-    return VerificationReport(f"closed-forms r={r}", checked, mismatches)
+    return VerificationReport(checked, mismatches)
 
 
 # Local replacement rules from the stabilization arguments: replacing
@@ -401,7 +397,7 @@ def verify_replacement_rules(table: RankTable, r: int) -> VerificationReport:
         if sum(before) != sum(after) or pa <= pb:
             mismatches.append((before, after, pb, pa))
         checked += 1
-    return VerificationReport(f"replacement-rules r={r}", checked, mismatches)
+    return VerificationReport(checked, mismatches)
 
 
 def verify_small_tables(table: RankTable, r: int) -> VerificationReport:
@@ -416,7 +412,7 @@ def verify_small_tables(table: RankTable, r: int) -> VerificationReport:
         if entry.value != value or entry.optima != optima or entry.truncated:
             mismatches.append((n, value, optima, entry.value, entry.optima))
         checked += 1
-    return VerificationReport(f"small-table r={r}", checked, mismatches)
+    return VerificationReport(checked, mismatches)
 
 
 def _closure_size_mod2(h: int) -> int:
@@ -477,4 +473,4 @@ def conjecture_max_mod2(table: RankTable, r: int,
             mismatches.append(
                 (n, expected_value, best[n], expected_count, cnt[n]))
         checked += 1
-    return VerificationReport(f"max-mod2 r={r}", checked, mismatches)
+    return VerificationReport(checked, mismatches)

@@ -36,7 +36,6 @@ from dysonrank import (
     lemma_threshold,
     main_term,
     main_term_decimal,
-    mu,
     partition_number,
     partition_numbers,
     ratio_bound,
@@ -50,18 +49,22 @@ SIN_PI_18 = math.sin(math.pi / 18.0)
 
 
 class TestMu:
+    """The exponent mu(n) = (pi/6) sqrt(24n - 1), as lehmer_bounds
+    reports it."""
+
     def test_frozen_values(self):
-        assert mu(1) == pytest.approx(2.51109151358, rel=1e-10)
-        assert mu(2) == pytest.approx(3.58961235469, rel=1e-10)
-        assert mu(500) == pytest.approx(57.3549821552, rel=1e-10)
+        assert lehmer_bounds(1).mu == pytest.approx(2.51109151358, rel=1e-10)
+        assert lehmer_bounds(2).mu == pytest.approx(3.58961235469, rel=1e-10)
+        assert lehmer_bounds(500).mu == pytest.approx(57.3549821552,
+                                                      rel=1e-10)
 
     def test_monotone(self):
-        values = [mu(n) for n in range(1, 200)]
+        values = [lehmer_bounds(n).mu for n in range(1, 200)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            mu(0)
+            lehmer_bounds(0)
 
 
 class TestLehmerBounds:
@@ -270,6 +273,12 @@ def _literal_ratio_bound(i: int, n: int) -> float:
     raise ValueError(i)
 
 
+def _error_bounds(n: int) -> tuple[float, ...]:
+    """bounds._error_bounds with the x = sqrt(24n - 1) that error_budget
+    passes it."""
+    return bounds._error_bounds(n, math.sqrt(24.0 * n - 1.0))
+
+
 def _literal_lehmer_bounds(n: int) -> tuple[int, float, float, float]:
     """(n, lower, upper, mu) of the Lehmer envelope as literal
     expressions: each bound the exp of its log, lower 0.0 at n = 1."""
@@ -344,14 +353,14 @@ class TestLiteralOracles:
         n = 10 ** 6
         with pytest.raises(OverflowError):
             error_budget(n)
-        assert bounds._error_bounds(n) == tuple(
+        assert _error_bounds(n) == tuple(
             _literal_error_bound(i, n) for i in range(1, 7))
         # The first bound's sinh overflows by n = 10^7, as the literal
         # one does; every bound comes from the same pass, so it raises.
         with pytest.raises(OverflowError):
             _literal_error_bound(1, 10 ** 7)
         with pytest.raises(OverflowError):
-            bounds._error_bounds(10 ** 7)
+            _error_bounds(10 ** 7)
 
     def test_ratio_functions_at_every_n(self):
         for n in (*range(500, 10001), *SPOT_N):
@@ -363,7 +372,6 @@ class TestLiteralOracles:
         for n in range(1, 79445):
             pair = lehmer_bounds(n)
             assert tuple(pair) == _literal_lehmer_bounds(n), n
-            assert pair.mu == mu(n), n
 
     def test_lehmer_bounds_where_the_floats_overflow(self):
         # The upper exp overflows from n = 79445, a little past
@@ -427,13 +435,13 @@ class TestRunningSums:
         for name in ("_sqrt_k", "_pi_over_18k"):
             monkeypatch.setattr(bounds, name, [])
         for n in order:
-            assert bounds._error_bounds(n) == tuple(
+            assert _error_bounds(n) == tuple(
                 _literal_error_bound(i, n) for i in range(1, 7)), n
 
     def test_cache_length_is_root_plus_one(self, monkeypatch):
         monkeypatch.setattr(bounds, "_sum_sixth", [0.0])
-        bounds._error_bounds(10000)
-        bounds._error_bounds(500)
+        _error_bounds(10000)
+        _error_bounds(500)
         assert len(bounds._sum_sixth) == 101
 
 

@@ -795,6 +795,43 @@ class TestRankTableCommand:
         assert code == 2
         assert "range" in err
 
+    @pytest.mark.parametrize("lo, hi, counts", [
+        (0, 1025, 1050626), (1, 1025, 1050625), (46, 1025, 1048600),
+        (1024, 3000, 7953471), (0, 5000, 25000001)])
+    def test_wide_range_is_refused_before_any_row(self, monkeypatch,
+                                                   tmp_path, lo, hi, counts):
+        # Row n prints max(2n - 1, 1) counts; rows 0..1024 print
+        # 1 + 1024^2, and a range that prints more computes nothing.
+        def refuse(*args):
+            raise RuntimeError(f"computed {args}")
+
+        monkeypatch.setattr("dysonrank.core.RankTable.row", refuse)
+        monkeypatch.setattr("dysonrank.cli.build_rank_table", refuse)
+        monkeypatch.setattr("dysonrank.cli.partition_number", refuse)
+        path = tmp_path / "t.rnkt"
+        for cache in ((), ("--table-cache", str(path))):
+            code, out, err = run("rank-table", "--from", str(lo), "--to",
+                                 str(hi), "--n-max", "5000", *cache)
+            assert (code, out) == (2, "")
+            assert err == (f"error: --from {lo} --to {hi} would print "
+                           f"{counts} rank counts, more than the 1048577 "
+                           "of rows 0..1024; narrow --from/--to\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1024), (47, 1025), (5000, 5000)])
+    def test_ranges_up_to_rows_0_to_1024_print(self, monkeypatch, lo, hi):
+        read = []
+
+        def reading(table, n):
+            read.append(n)
+            return []
+
+        monkeypatch.setattr("dysonrank.core.RankTable.row", reading)
+        code, _, _ = run("rank-table", "--from", str(lo), "--to", str(hi),
+                         "--n-max", str(hi))
+        assert code == 0
+        assert read == list(range(lo, hi + 1))
+
 
 class TestBrokenPipe:
     def test_reader_closing_early_is_not_a_failure(self):
@@ -842,9 +879,20 @@ class TestSerialization:
         assert code == 0
         assert json.loads(out)["results"]["cache"] == "123"
 
-    def test_tuples_normalize_to_lists(self):
-        record = OutputRecord("probe", {}, {"optima": ((7, 7), (14,))})
-        assert record.results["optima"] == [[7, 7], [14]]
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_tuples_render_as_lists(self, fmt):
+        # A record keeps the values its handler built, so a tuple reaches
+        # the renderers; each must write it as it writes the list.
+        def results(seq):
+            return {"partition": seq((7, 7)),
+                    "optima": seq((seq((7, 7)), seq((14,)))),
+                    "empty": seq(()),
+                    "big": seq((2 ** 77, -(2 ** 60), 5)),
+                    "rows": seq(({"n": 1, "counts": seq((seq((0, 1)),))},)),
+                    "mixed": seq((1, "a", seq((2, 3))))}
+        as_tuples = OutputRecord("probe", {"pair": (1, 2)}, results(tuple))
+        as_lists = OutputRecord("probe", {"pair": [1, 2]}, results(list))
+        assert render(as_tuples, fmt) == render(as_lists, fmt)
 
     def test_render_dispatch(self):
         record = OutputRecord("probe", {"a": 1}, {"b": True})

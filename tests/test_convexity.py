@@ -107,18 +107,17 @@ class TestCheckPair:
 class TestScanRegion:
     def test_clean_region_r0(self, table):
         report = scan_region(table, 0, 3, 12, 120)
-        assert report.ok
         assert report.violations == []
         assert report.pairs_checked == 109 * 110 // 2
 
     def test_clean_regions_r1_r2(self, table):
         for r in (1, 2):
             report = scan_region(table, r, 3, 11, 120)
-            assert report.ok, r
+            assert not report.violations, r
 
     def test_violations_below_threshold(self, table):
         report = scan_region(table, 0, 3, 10, 20)
-        assert not report.ok
+        assert report.violations
         assert (11, 11, 256, 340) in report.violations
         assert report.violations == sorted(report.violations)
 
@@ -137,7 +136,6 @@ class TestScanRegion:
         for r in range(t):
             for a_min, b_max in regions:
                 report = scan_region(table, r, t, a_min, b_max)
-                assert report.a_range == report.b_range == (a_min, b_max)
                 assert (report.pairs_checked, report.violations) == \
                     pairwise_scan(r, t, a_min, b_max), (r, a_min, b_max)
 

@@ -47,7 +47,6 @@ from dysonrank import (
     enumerate_partitions,
     partition_number,
     partition_numbers,
-    rank,
     residue_column,
     residue_count,
     table_for,
@@ -64,6 +63,14 @@ def row_residue_count(table, r, t, n):
     row = table.row(n)
     # row index i holds m = i - (n-1), so i runs over (r + n - 1) mod t steps
     return sum(row[(r + n - 1) % t::t])
+
+
+def rank(parts):
+    """Rank of a partition given as a nonincreasing sequence of parts:
+    its largest part minus its number of parts, 0 for the empty one."""
+    if not parts:
+        return 0
+    return parts[0] - len(parts)
 
 
 def brute_rank_counts(n):

@@ -262,8 +262,7 @@ def per_n_verify_closed_forms(table, r: int, n_hi: int):
         if best[n] != value or product != value or cnt[n] != 1:
             mismatches.append((n, value, parts, best[n], cnt[n]))
         checked += 1
-    return maxprod.VerificationReport(f"closed-forms r={r}", checked,
-                                      mismatches)
+    return maxprod.VerificationReport(checked, mismatches)
 
 
 def _canonical_mod2(n: int) -> tuple[int, ...]:
@@ -305,7 +304,7 @@ class TestDynamicProgram:
     def test_matches_golden_column(self, table):
         for r in (0, 1, 2):
             report = verify_small_tables(table, r)
-            assert report.ok, report.mismatches
+            assert not report.mismatches, report.mismatches
             assert report.checked == len(max_column(r))
 
     def test_multi_optima_rows(self, table):
@@ -375,13 +374,13 @@ class TestClosedForm:
     def test_agrees_with_dynamic_program(self, table):
         for r in (0, 1, 2):
             report = verify_closed_forms(table, r, 240)
-            assert report.ok, report.mismatches
+            assert not report.mismatches, report.mismatches
             assert report.checked == 240 - CLOSED_FORM_START[r] + 1
 
     def test_unique_optima_to_2000(self, big_table):
         for r in (0, 1, 2):
             report = verify_closed_forms(big_table.table, r, 2000)
-            assert report.ok, report.mismatches[:3]
+            assert not report.mismatches, report.mismatches[:3]
             assert report.checked == 2001 - CLOSED_FORM_START[r]
 
     def test_verify_rejects_other_residues_and_ranges(self, table):
@@ -460,7 +459,7 @@ class TestClosedForm:
             for n_hi in (_BASE_PART[r] - 1, start - 1, start):
                 report = verify_closed_forms(RankTable(n_hi), r, n_hi)
                 assert report.checked == max(0, n_hi - start + 1)
-                assert report.ok
+                assert not report.mismatches
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -475,7 +474,7 @@ class TestReplacementRules:
     def test_rules_preserve_sums_and_improve(self, table):
         for r in (0, 1, 2):
             report = verify_replacement_rules(table, r)
-            assert report.ok, report.mismatches
+            assert not report.mismatches, report.mismatches
 
     def test_rule_lists_are_nonempty_and_deduplicated(self):
         for r in (0, 1, 2):
@@ -510,7 +509,7 @@ class TestConjectureMod2:
     def test_forms_agree_to_120(self, table):
         for r in (0, 1):
             report = conjecture_max_mod2(table, r, 120)
-            assert report.ok, report.mismatches
+            assert not report.mismatches, report.mismatches
 
     def test_example_at_8(self, table):
         entry = max_table(table, 1, 2, 8, optima_cap=None)[8]
