@@ -8,8 +8,8 @@ strings.
 Residue counts come from residue columns, so a command that reports
 counts gets a table without rows from `core.table_for`, which holds the
 --n-max policy; the claims behind `convexity` and `verify` take --n-max
-and call it themselves.  Only `rank-table --from/--to` and `count
---show-row` print rank rows, and only they touch --table-cache.
+and call it themselves.  Only `rank-table --from/--to` prints rank
+rows, and only `rank-table` touches --table-cache.
 
 Exit codes: 0 success (including conjecture mismatches, which are
 reported but never gate), 1 a verified claim failed, 2 usage error,
@@ -27,7 +27,7 @@ subcommand needs:
 - bounds: `bounds` and `claims`;
 - convexity: also `convexity`;
 - verify: `claims` and the modules its suite runs;
-- rank-table and count --show-row given --table-cache: also `cache`;
+- rank-table given --table-cache: also `cache`;
 - --format json or csv: also `json` or `csv`.
 """
 
@@ -40,8 +40,8 @@ import sys
 from typing import TYPE_CHECKING, Any, Iterator
 
 from . import __version__
-from .core import (MAX_TABLE_ROWS, RankTable, build_rank_table,
-                   partition_number, residue_count, table_for)
+from .core import (MAX_TABLE_ROWS, build_rank_table, partition_number,
+                   residue_count, table_for)
 
 if TYPE_CHECKING:
     from .claims import ClaimRecord
@@ -59,6 +59,9 @@ _EXIT_BY_STATUS = {"ok": 0, "violation-found": 1, "conjecture-mismatch": 0}
 # grows as the square of --to: on a 2-vCPU host with Python 3.11, rows
 # 0..1024 take about 3 s of CPU and a 217 MiB peak at --format text, and
 # 7-8 s and 632 MiB at --format json, so rows 0..5000 would need ~15 GB.
+# `maxn --show-partitions` prints at most as many parts of optima, up to
+# 64 partitions of each n in its range, so its output grows the same way;
+# one --n prints at most 64 * MAX_TABLE_ROWS parts and is never refused.
 _MAX_PRINTED_COUNTS = 1 + 1024 ** 2
 
 
@@ -156,49 +159,16 @@ def render(record: OutputRecord, fmt: str) -> str:
     return render_text(record)
 
 
-# ---------------------------------------------------------------- table
-
-
-def _row_table(args: argparse.Namespace, need: int) -> RankTable:
-    """The table for a command that prints rank rows, holding counts up
-    to at least `need`.  With --table-cache the cached table serves when
-    it is big enough; otherwise one is built at --n-max and saved, since
-    filling the cache is the point of naming one.  A cache path that
-    cannot be read or written is a usage error."""
-    if not args.table_cache:
-        return table_for(need, args.n_max)
-    # Refuse before touching the cache, at the size a cache is built at.
-    table_for(max(need, args.n_max), args.n_max)
-    from .cache import CacheFormatError, load_table, save_table
-    path = args.table_cache
-    try:
-        if os.path.exists(path):
-            cached = load_table(path)
-            if cached.n_max >= need:
-                return cached
-        table = build_rank_table(args.n_max)
-        save_table(table, path)
-    except (OSError, CacheFormatError) as exc:
-        raise UsageError(f"unusable table cache: {exc}") from exc
-    return table
-
-
 # ------------------------------------------------------------- commands
 
 
 def _cmd_count(args: argparse.Namespace) -> OutputRecord:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
-    table = (_row_table(args, args.n) if args.show_row
-             else table_for(args.n, args.n_max))
-    value = residue_count(table, args.r, args.t, args.n)
+    value = residue_count(table_for(args.n, args.n_max), args.r, args.t,
+                          args.n)
     params = {"r": args.r, "t": args.t, "n": args.n, "n_max": args.n_max}
-    results: dict[str, Any] = {"count": value}
-    if args.show_row:
-        row = table.row(args.n)
-        lo = 0 if args.n == 0 else 1 - args.n
-        results["row"] = [[lo + i, c] for i, c in enumerate(row)]
-    return OutputRecord("count", params, results)
+    return OutputRecord("count", params, {"count": value})
 
 
 def _cmd_rank_table(args: argparse.Namespace) -> OutputRecord:
@@ -215,9 +185,27 @@ def _cmd_rank_table(args: argparse.Namespace) -> OutputRecord:
                 f"--from {lo} --to {hi} would print {counts} rank counts, "
                 f"more than the {_MAX_PRINTED_COUNTS} of rows 0..1024; "
                 "narrow --from/--to")
+    # table_for refuses a --to past --n-max, and --n-max past the
+    # ceiling, before the cache is touched.  With --table-cache the
+    # cached table serves when it holds --n-max rows; otherwise one is
+    # built at --n-max and saved, since filling the cache is the point of
+    # naming one.  A cache path that cannot be read or written is a
+    # usage error.
+    table = table_for(max(args.n_max, 0 if hi is None else hi), args.n_max)
+    if args.table_cache:
+        from .cache import CacheFormatError, load_table, save_table
+        path = args.table_cache
+        try:
+            cached = load_table(path) if os.path.exists(path) else None
+            if cached is not None and cached.n_max >= args.n_max:
+                table = cached
+            else:
+                table = build_rank_table(args.n_max)
+                save_table(table, path)
+        except (OSError, CacheFormatError) as exc:
+            raise UsageError(f"unusable table cache: {exc}") from exc
     # The summary reports --n-max and p(--n-max), not the size of the
     # table, since a cached table may hold more rows than the call asks.
-    table = _row_table(args, max(args.n_max, 0 if hi is None else hi))
     params: dict[str, Any] = {"n_max": args.n_max}
     results: dict[str, Any] = {"n_max": args.n_max,
                                "partitions_of_n_max": partition_number(
@@ -252,7 +240,7 @@ def _cmd_maxn(args: argparse.Namespace) -> OutputRecord:
     from .maxprod import _maxn_rows
     table = table_for(hi, args.n_max)
     rows = []
-    disagreements = 0
+    disagreements = parts = 0
     for n, value, closed, entry in _maxn_rows(table, args.r, args.t, lo, hi,
                                               args.show_partitions):
         row: dict[str, Any] = {"n": n, "value": value}
@@ -261,6 +249,12 @@ def _cmd_maxn(args: argparse.Namespace) -> OutputRecord:
             if not closed[1]:
                 disagreements += 1
         if entry is not None:
+            parts += sum(map(len, entry.optima))
+            if parts > _MAX_PRINTED_COUNTS:
+                raise UsageError(
+                    f"--from {lo} --to {hi} --show-partitions would print "
+                    f"more than {_MAX_PRINTED_COUNTS} parts of optima; "
+                    "narrow --from/--to or drop --show-partitions")
             row["optima"] = [list(p) for p in entry.optima]
             if entry.truncated:
                 row["optima_truncated"] = True
@@ -397,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                              f"{MAX_TABLE_ROWS} rows is refused")
     common.add_argument("--table-cache", dest="table_cache", metavar="PATH",
                         help="load/save the rank table from this file; "
-                             "read only by commands that print rank rows "
-                             "(rank-table --from/--to, count --show-row)")
+                             "read only by rank-table, the command that "
+                             "prints rank rows")
 
     parser = argparse.ArgumentParser(
         prog="dysonrank", allow_abbrev=False,
@@ -413,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--show-row", action="store_true",
-                   help="also print the full rank row at n")
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("rank-table", parents=[common], allow_abbrev=False,

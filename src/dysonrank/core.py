@@ -537,26 +537,27 @@ def a_third_exact(table: RankTable, n: int) -> int:
 
 
 def decomposition_check(table: RankTable, r: int, t: int, n: int) -> bool:
-    """Cross-check N(r, t; n) against the root-of-unity average.
+    """Cross-check N(r, t; n) against the rank row at n.
 
-    Evaluates (1/t) [p(n) + sum_{j=1..t-1} z^(-rj) sum_m N(m,n) z^(jm)]
-    with z = e^(2 pi i / t) in complex floats and compares to the exact
-    count within relative tolerance 1e-6.  This ties the residue column
-    to the full rank row through an identity neither is built from.
+    Sums row n exactly by rank class mod t and compares: the sum for
+    class r must equal the count, and all t sums must add up to p(n).
+    That is the root-of-unity average
+    (1/t) [p(n) + sum_{j=1..t-1} z^(-rj) sum_m N(m,n) z^(jm)],
+    z = e^(2 pi i / t), written without floats: in exact arithmetic it
+    equals sums[r] + (p(n) - sum(sums)) / t.  This ties the residue
+    column to the full rank row through an identity neither is built
+    from, and p(n) is the independent datum, so one wrong count in the
+    row fails every residue.
 
-    z^(jm) depends on m only through m mod t, so the row is first
-    summed exactly by class, and only those t sums meet a float.  The
-    stored half row is read as it is: the stride-t slice from each of
-    its first t entries, m = i, i + t, ..., adds to class i and, for the
-    mirrored ranks -m, to class -i mod t; N(0, n) is its own mirror and
-    counts once.
+    The stored half row is read as it is: the stride-t slice from each
+    of its first t entries, m = i, i + t, ..., adds to class i and, for
+    the mirrored ranks -m, to class -i mod t; N(0, n) is its own mirror
+    and counts once.
 
-    No claim or command calls it, so it imports cmath itself and a CLI
-    call never loads it; it stays because perfbench's root-of-unity ops
-    call it.  ROADMAP item 4 decides whether it moves to
-    perfbench/oracle.py.
+    No claim or command calls it; it stays because perfbench's
+    root-of-unity ops call it.  ROADMAP item 4 decides whether it moves
+    to perfbench/oracle.py.
     """
-    import cmath
     exact = residue_count(table, r, t, n)
     half = table._row(n)
     sums = [0] * t  # sums[c] = sum of N(m, n) over m = c (mod t)
@@ -565,12 +566,4 @@ def decomposition_check(table: RankTable, r: int, t: int, n: int) -> bool:
         sums[i] += s
         sums[-i % t] += s
     sums[0] -= half[0]
-    acc = complex(partition_number(n))
-    for j in range(1, t):
-        z = cmath.exp(2j * cmath.pi * j / t)
-        inner = sum(s * z ** c for c, s in enumerate(sums))
-        acc += cmath.exp(-2j * cmath.pi * r * j / t) * inner
-    approx = acc / t
-    allowance = 1e-6 * max(1.0, float(abs(exact)))
-    return (abs(approx.real - exact) <= allowance
-            and abs(approx.imag) <= allowance)
+    return sums[r] == exact and sum(sums) == partition_number(n)

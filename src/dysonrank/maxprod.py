@@ -200,8 +200,6 @@ def max_table(table: RankTable, r: int, t: int, n_max: int,
 def _entry(best: list[int], top: list[int], below: list[int], f: list[int],
            n: int, optima_cap: int | None) -> MaxProductEntry:
     """max_table's entry for n, from the knapsack's lists."""
-    if n == 0:
-        return MaxProductEntry(0, 1, ((),))
     # When best[n] == 0 every partition of n is optimal.
     walk = (enumerate_partitions(n) if best[n] == 0
             else _walk_optima(best, top, below, f, n))
@@ -221,17 +219,20 @@ def _capped(optima: Iterable[tuple[int, ...]], optima_cap: int | None
 
 
 def _maxn_rows(table: RankTable, r: int, t: int, lo: int, hi: int,
-               walk: bool) -> list[tuple[int, int, tuple[int, bool] | None,
-                                         MaxProductEntry | None]]:
+               walk: bool) -> Iterator[tuple[int, int,
+                                             tuple[int, bool] | None,
+                                             MaxProductEntry | None]]:
     """(n, value, closed, entry) for n = lo .. hi, the rows of the CLI's
-    maxn.  value is the best product.  closed is (closed_form(r, n)'s
-    value, whether it is the unique optimum) for t = 3 from
-    CLOSED_FORM_START[r] on, else None; it is the unique optimum iff
-    best = value = the product over its parts and exactly one
-    partition attains it, verify_closed_forms' verdict, with the values
-    and products carried (see _carried_closed_forms).  entry is
+    maxn, in order.  value is the best product.  closed is
+    (closed_form(r, n)'s value, whether it is the unique optimum) for
+    t = 3 from CLOSED_FORM_START[r] on, else None; it is the unique
+    optimum iff best = value = the product over its parts and exactly
+    one partition attains it, verify_closed_forms' verdict, with the
+    values and products carried (see _carried_closed_forms).  entry is
     max_table's entry for n if walk, else None, so the optima are
-    walked only when they are printed."""
+    walked only when they are printed.  The knapsack runs before the
+    first row; each row's optima are walked only when it is read, so a
+    caller that stops early walks no further."""
     _validate_rt(r, t)
     f = _count_row(table, r, t, hi)
     best, cnt, top, below = _best_and_count(f, hi)
@@ -241,10 +242,10 @@ def _maxn_rows(table: RankTable, r: int, t: int, lo: int, hi: int,
         closed = {n: (value, best[n] == value == product and cnt[n] == 1)
                   for n, value, product
                   in _carried_closed_forms(r, f, start, hi)}
-    return [(n, best[n], closed.get(n),
+    return ((n, best[n], closed.get(n),
              _entry(best, top, below, f, n, DEFAULT_OPTIMA_CAP)
              if walk else None)
-            for n in range(lo, hi + 1)]
+            for n in range(lo, hi + 1))
 
 
 # Periodic closed forms above the stabilization threshold.  Heads are

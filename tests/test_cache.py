@@ -112,9 +112,8 @@ class TestMalformedInput:
         old.write_bytes(struct.pack("<4sII", b"RNKT", 1, 0) + b"\x01\x01")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["count", "--r", "0", "--t", "3", "--n", "0",
-                         "--n-max", "4", "--show-row", "--table-cache",
-                         str(old)])
+            code = main(["rank-table", "--from", "0", "--to", "0",
+                         "--n-max", "4", "--table-cache", str(old)])
         assert code == 2
         assert out.getvalue() == ""
         assert err.getvalue() == (

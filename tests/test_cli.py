@@ -134,11 +134,12 @@ class TestCount:
             "results": {"count": 211},
             "status": "ok"}
 
-    def test_show_row(self):
-        _, out, _ = run("count", "--r", "0", "--t", "3", "--n", "4",
-                        "--n-max", "16", "--show-row", "--format", "json")
-        assert json.loads(out)["results"]["row"] == [[-3, 1], [-2, 0], [-1, 1], [0, 1],
-                                         [1, 1], [2, 0], [3, 1]]
+    def test_refuses_show_row(self):
+        # Rows print through `rank-table --from N --to N` alone.
+        code, out, err = run("count", "--r", "0", "--t", "3", "--n", "4",
+                             "--n-max", "16", "--show-row")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --show-row\n")
 
     def test_invalid_residue_is_usage_error(self):
         code, _, err = run("count", "--r", "3", "--t", "3", "--n", "5",
@@ -190,6 +191,24 @@ class TestMaxn:
                         "json")
         rows = json.loads(out)["results"]["rows"]
         assert rows[0]["optima"] == [[4, 4, 4, 4], [16]]
+
+    def test_printed_parts_are_capped(self, monkeypatch):
+        # --show-partitions over a range prints at most as many parts of
+        # optima as rank-table prints counts; a range past that exits 2
+        # before printing anything.  Shown here at a lowered limit.
+        from dysonrank.maxprod import max_table
+        argv = ("maxn", "--r", "1", "--t", "2", "--to", "60", "--n-max",
+                "60", "--show-partitions")
+        parts = sum(len(p) for entry in max_table(table_for(60), 1, 2, 60)
+                    for p in entry.optima)
+        monkeypatch.setattr("dysonrank.cli._MAX_PRINTED_COUNTS", parts)
+        assert run(*argv)[0] == 0
+        monkeypatch.setattr("dysonrank.cli._MAX_PRINTED_COUNTS", parts - 1)
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --from 0 --to 60 --show-partitions would "
+                       f"print more than {parts - 1} parts of optima; "
+                       "narrow --from/--to or drop --show-partitions\n")
 
     def test_n_and_range_conflict(self):
         code, _, err = run("maxn", "--r", "0", "--n", "5", "--to", "9",
@@ -559,8 +578,8 @@ class TestVerifySuites:
 
 
 class TestTableCache:
-    """Only the commands that print rank rows read or write the cache:
-    `rank-table` and `count --show-row`."""
+    """Only `rank-table`, the command that prints rank rows, reads or
+    writes the cache."""
 
     def test_cache_created_and_reused(self, tmp_path):
         path = tmp_path / "t.rnkt"
@@ -569,19 +588,19 @@ class TestTableCache:
         assert code == 0
         assert load_table(path).n_max == 40
         before = path.read_bytes()
-        code, out, _ = run("count", "--r", "0", "--t", "3", "--n", "22",
-                           "--n-max", "40", "--show-row", "--table-cache",
-                           str(path))
+        _, want, _ = run("rank-table", "--from", "22", "--to", "22",
+                         "--n-max", "40")
+        code, out, _ = run("rank-table", "--from", "22", "--to", "22",
+                           "--n-max", "40", "--table-cache", str(path))
         assert code == 0
-        assert "result.count = 340" in out
+        assert out == want + f"result.cache = {path}\n"
         assert path.read_bytes() == before  # served from cache, not rebuilt
 
     def test_undersized_cache_is_rebuilt(self, tmp_path):
         path = tmp_path / "t.rnkt"
         run("rank-table", "--n-max", "30", "--table-cache", str(path))
-        code, out, _ = run("count", "--r", "0", "--t", "3", "--n", "50",
-                           "--n-max", "60", "--show-row", "--table-cache",
-                           str(path))
+        code, out, _ = run("rank-table", "--from", "50", "--to", "50",
+                           "--n-max", "60", "--table-cache", str(path))
         assert code == 0
         assert load_table(path).n_max == 60
 
@@ -610,16 +629,14 @@ class TestTableCache:
         path = tmp_path / "t.rnkt"
         run("rank-table", "--n-max", "30", "--table-cache", str(path))
         path.write_bytes(path.read_bytes()[:10])
-        code, _, err = run("count", "--r", "0", "--t", "3", "--n", "5",
-                           "--n-max", "30", "--show-row", "--table-cache",
-                           str(path))
+        code, _, err = run("rank-table", "--from", "5", "--to", "5",
+                           "--n-max", "30", "--table-cache", str(path))
         assert code == 2
         assert "cache" in err
 
     def test_unreadable_cache_path_is_usage_error(self, tmp_path):
-        code, out, err = run("count", "--r", "0", "--t", "3", "--n", "5",
-                             "--n-max", "10", "--show-row", "--table-cache",
-                             str(tmp_path))
+        code, out, err = run("rank-table", "--from", "5", "--to", "5",
+                             "--n-max", "10", "--table-cache", str(tmp_path))
         assert code == 2
         assert out == ""
         assert err.startswith("error: unusable table cache:")
@@ -693,12 +710,11 @@ class TestTablePolicy:
         return rows
 
     def test_count_builds_to_n(self, built, sized, computed_rows):
-        code, out, _ = run("count", "--r", "0", "--t", "3", "--n", "13",
-                           "--show-row")
+        code, out, _ = run("count", "--r", "0", "--t", "3", "--n", "13")
         assert code == 0
         assert "param.n_max = 1024\n" in out
         assert sized == [13]
-        assert computed_rows == [13]
+        assert computed_rows == []
         assert built == []
 
     def test_verify_tables_builds_to_32(self, built, sized, computed_rows):
@@ -726,9 +742,8 @@ class TestTablePolicy:
 
     def test_missing_cache_is_built_at_n_max(self, built, tmp_path):
         path = tmp_path / "t.rnkt"
-        code, _, _ = run("count", "--r", "0", "--t", "3", "--n", "13",
-                         "--n-max", "50", "--show-row", "--table-cache",
-                         str(path))
+        code, _, _ = run("rank-table", "--from", "13", "--to", "13",
+                         "--n-max", "50", "--table-cache", str(path))
         assert code == 0
         assert built == [50]
         assert load_table(path).n_max == 50
@@ -765,8 +780,8 @@ class TestTableCeiling:
 
     def test_cache_is_sized_by_n_max(self, tmp_path):
         path = tmp_path / "t.rnkt"
-        code, _, err = run("count", "--r", "0", "--t", "3", "--n", "13",
-                           "--n-max", str(MAX_TABLE_ROWS + 1), "--show-row",
+        code, _, err = run("rank-table", "--from", "13", "--to", "13",
+                           "--n-max", str(MAX_TABLE_ROWS + 1),
                            "--table-cache", str(path))
         assert code == 2
         assert "ceiling" in err
@@ -788,6 +803,8 @@ class TestRankTableCommand:
         assert rows[0]["n"] == 3
         assert rows[0]["counts"] == [[-2, 1], [-1, 0], [0, 1], [1, 0], [2, 1]]
         assert rows[1]["n"] == 4
+        assert rows[1]["counts"] == [[-3, 1], [-2, 0], [-1, 1], [0, 1],
+                                     [1, 1], [2, 0], [3, 1]]
 
     def test_bad_window(self):
         code, _, err = run("rank-table", "--from", "9", "--to", "2",

@@ -895,25 +895,31 @@ class TestDecomposition:
     @pytest.mark.parametrize("t", [2, 3, 5, 7])
     @pytest.mark.parametrize("n", [12, 60, 150])
     def test_one_wrong_count_fails_every_residue(self, t, n):
-        # A table stores half rows, so raising half[i] by d raises
-        # N(i, n) and N(-i, n) together.  That moves the average for r
-        # by d ([i = r] + [-i = r] - 2/t) (congruences mod t), or by
-        # d ([r = 0] - 1/t) when i = 0, at least d/t in size for every
-        # r.  With d = 2t (1 + floor(1e-6 p(n))), d/t exceeds the
-        # allowance 1e-6 max(1, N(r, t; n)) <= 1e-6 max(1, p(n)), so
-        # every r must see it.
-        sound = build_rank_table(n)
-        halves = [sound._row(k) for k in range(n + 1)]
-        d = 2 * t * (1 + int(1e-6 * partition_number(n)))
+        # A table stores half rows, so raising half[i] by 1 raises
+        # N(i, n) and N(-i, n) together (once when i = 0), and the class
+        # sums then add to more than p(n): every residue must fail.
+        # entry_decomposition_check cannot see it at n = 150, where its
+        # float average moves by less than 2 against an allowance of
+        # 1e-6 N(r, t; n), over 5000.
+        table = build_rank_table(n)
+        half = table._row(n)
         for r in range(t):
-            assert decomposition_check(sound, r, t, n), r
-        for i in range(t):  # half[i] holds N(i, n) = N(-i, n)
-            bumped = [list(half) for half in halves]
-            bumped[n][i] += d
-            wrong = RankTable(n, bumped)
+            assert decomposition_check(table, r, t, n), r
+        for i in range(n):
+            half[i] += 1
             for r in range(t):
-                assert not decomposition_check(wrong, r, t, n), (i, r)
-                assert not entry_decomposition_check(wrong, r, t, n), (i, r)
+                assert not decomposition_check(table, r, t, n), (i, r)
+            half[i] -= 1
+
+    def test_a_count_off_by_one_fails(self, table, monkeypatch):
+        # The other side of the identity: the class sum for r must equal
+        # the count the residue column holds.
+        monkeypatch.setattr("dysonrank.core.residue_count",
+                            lambda *args: residue_count(*args) + 1)
+        for t in (2, 3, 5, 7):
+            for n in (12, 60, 150):
+                for r in range(t):
+                    assert not decomposition_check(table, r, t, n), (t, n, r)
 
 
 class TestTableObject:

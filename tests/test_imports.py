@@ -92,6 +92,18 @@ class TestImportBudget:
         assert "dysonrank.claims" in modules
         assert "dysonrank.bounds" not in modules
 
+    def test_decomposition_check_loads_no_cmath(self):
+        # The check compares integer class sums; no float route is left.
+        probe = """\
+import sys
+from dysonrank import build_rank_table, decomposition_check
+table = build_rank_table(30)
+assert all(decomposition_check(table, r, 7, 30) for r in range(7))
+assert "cmath" not in sys.modules
+"""
+        subprocess.run([sys.executable, "-c", probe], env=_env(),
+                       check=True, timeout=60)
+
     def test_text_output_loads_no_serializer(self):
         modules = loaded_modules("count", "--r", "0", "--t", "3", "--n", "13")
         assert not modules & {"json", "csv"}

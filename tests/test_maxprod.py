@@ -290,8 +290,11 @@ class TestProductOverPartition:
 
 class TestDynamicProgram:
     def test_zero_row(self, table):
-        entries = max_table(table, 0, 3, 0)
-        assert entries[0] == MaxProductEntry(0, 1, ((),))
+        # The walk yields the empty partition, the one partition of 0.
+        for t in (1, 2, 3, 4, 5, 7, 11):
+            for r in range(t):
+                entries = max_table(table, r, t, 0)
+                assert entries[0] == MaxProductEntry(0, 1, ((),)), (r, t)
 
     def test_matches_brute_force(self, table):
         # (3, 7) has best = 0 at n <= 3, where every partition is optimal.
@@ -617,7 +620,8 @@ class TestOptimaWalk:
     def test_brute_force_keeps_the_same_capped_set(self, table, cap):
         # best = 0 at n <= 12 for (50, 100), so every partition is
         # optimal, 77 of them at n = 12; (1, 2) has many optima too.
-        for r, t, n in ((50, 100, 12), (50, 100, 7), (1, 2, 22), (0, 3, 16)):
+        for r, t, n in ((50, 100, 12), (50, 100, 7), (1, 2, 22), (0, 3, 16),
+                        (0, 3, 0)):
             assert brute_max(table, r, t, n, cap) == \
                 max_table(table, r, t, n, cap)[n], (r, t, n)
 
