@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them.
 _EXPORTS = {
     "bounds": (
-        "BUDGET_CAP", "ENVELOPE_C", "RATIO_CAP_2_DERIVED", "RATIO_CAPS",
-        "BoundPair", "ErrorBudget", "error_budget", "exact_gap",
-        "hardy_ramanujan", "lehmer_bounds", "lehmer_estimate",
+        "BUDGET_CAP", "ENVELOPE_C", "LEHMER_ESTIMATE_MAX_N", "RATIO_CAPS",
+        "RATIO_CAP_2_DERIVED", "BoundPair", "ErrorBudget", "error_budget",
+        "exact_gap", "hardy_ramanujan", "lehmer_bounds", "lehmer_estimate",
         "lemma_threshold", "main_term", "main_term_decimal", "ratio_bound",
         "residue_envelope_check", "s_ratio", "t_gap",
     ),

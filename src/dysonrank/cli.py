@@ -241,8 +241,8 @@ def _cmd_maxn(args: argparse.Namespace) -> OutputRecord:
     table = table_for(hi, args.n_max)
     rows = []
     disagreements = parts = 0
-    for n, value, closed, entry in _maxn_rows(table, args.r, args.t, lo, hi,
-                                              args.show_partitions):
+    for n, value, _, closed, entry in _maxn_rows(table, args.r, args.t, lo,
+                                                 hi, args.show_partitions):
         row: dict[str, Any] = {"n": n, "value": value}
         if closed is not None:
             row["closed_form"], row["closed_form_agrees"] = closed

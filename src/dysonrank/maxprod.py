@@ -30,6 +30,10 @@ The closed-form sweep adds two products per n, since each closed form
 is that of n - base with one more base part, and the optima are walked
 only for the n a caller asks for (max_table's 0 .. n_max, or a CLI
 range with --show-partitions), so neither is quadratic in n.
+
+_maxn_rows, one stream over the knapsack (_knapsack), is the one
+closed-form verdict and the one optima walk; max_table,
+verify_closed_forms and the CLI's maxn read it.
 """
 
 from __future__ import annotations
@@ -88,13 +92,6 @@ def product_over_partition(table: RankTable, r: int, t: int,
             raise ValueError("parts must be positive")
         out *= residue_count(table, r, t, part)
     return out
-
-
-def _count_row(table: RankTable, r: int, t: int, n_max: int) -> list[int]:
-    """f[j] = N(r, t; j) for 1 <= j <= n_max, the score of a part j;
-    f[0] = 0, since no part is 0."""
-    table._check_n(n_max, "n_max")
-    return [0, *residue_column(r, t, n_max)[1:]]
 
 
 def _walk_optima(best: list[int], top: list[int], below: list[int],
@@ -182,28 +179,27 @@ def _best_and_count(f: list[int], n_max: int
     return best, cnt, top, below
 
 
+def _knapsack(table: RankTable, r: int, t: int,
+              n: int) -> tuple[list[int], ...]:
+    """(f, best, cnt, top, below) for the parts 1 .. n: f[j] =
+    N(r, t; j), the score of a part j, with f[0] = 0 since no part is 0,
+    and _best_and_count's lists over f."""
+    _validate_rt(r, t)
+    table._check_n(n, "n_max")
+    f = [0, *residue_column(r, t, n)[1:]]
+    return (f, *_best_and_count(f, n))
+
+
 def max_table(table: RankTable, r: int, t: int, n_max: int,
               optima_cap: int | None = DEFAULT_OPTIMA_CAP) -> list[MaxProductEntry]:
     """Entries for n = 0 .. n_max: values from the knapsack, optima
-    walked over its best, top and below lists.  optima_cap bounds the
-    stored set per n (None means unbounded); overflow is flagged, never
-    silent.  The walk yields the optima in reverse lexicographic order
-    and stops once optima_cap + 1 are found, so a truncated set is the
-    first optima_cap of that order."""
-    _validate_rt(r, t)
-    f = _count_row(table, r, t, n_max)
-    best, _, top, below = _best_and_count(f, n_max)
-    return [_entry(best, top, below, f, n, optima_cap)
-            for n in range(n_max + 1)]
-
-
-def _entry(best: list[int], top: list[int], below: list[int], f: list[int],
-           n: int, optima_cap: int | None) -> MaxProductEntry:
-    """max_table's entry for n, from the knapsack's lists."""
-    # When best[n] == 0 every partition of n is optimal.
-    walk = (enumerate_partitions(n) if best[n] == 0
-            else _walk_optima(best, top, below, f, n))
-    return MaxProductEntry(n, best[n], *_capped(walk, optima_cap))
+    walked over its best, top and below lists (see _maxn_rows).
+    optima_cap bounds the stored set per n (None means unbounded);
+    overflow is flagged, never silent.  The walk yields the optima in
+    reverse lexicographic order and stops once optima_cap + 1 are found,
+    so a truncated set is the first optima_cap of that order."""
+    return [entry for *_, entry
+            in _maxn_rows(table, r, t, 0, n_max, True, optima_cap)]
 
 
 def _capped(optima: Iterable[tuple[int, ...]], optima_cap: int | None
@@ -219,33 +215,35 @@ def _capped(optima: Iterable[tuple[int, ...]], optima_cap: int | None
 
 
 def _maxn_rows(table: RankTable, r: int, t: int, lo: int, hi: int,
-               walk: bool) -> Iterator[tuple[int, int,
-                                             tuple[int, bool] | None,
-                                             MaxProductEntry | None]]:
-    """(n, value, closed, entry) for n = lo .. hi, the rows of the CLI's
-    maxn, in order.  value is the best product.  closed is
-    (closed_form(r, n)'s value, whether it is the unique optimum) for
-    t = 3 from CLOSED_FORM_START[r] on, else None; it is the unique
-    optimum iff best = value = the product over its parts and exactly
-    one partition attains it, verify_closed_forms' verdict, with the
-    values and products carried (see _carried_closed_forms).  entry is
-    max_table's entry for n if walk, else None, so the optima are
-    walked only when they are printed.  The knapsack runs before the
-    first row; each row's optima are walked only when it is read, so a
-    caller that stops early walks no further."""
-    _validate_rt(r, t)
-    f = _count_row(table, r, t, hi)
-    best, cnt, top, below = _best_and_count(f, hi)
+               walk: bool, optima_cap: int | None = DEFAULT_OPTIMA_CAP
+               ) -> Iterator[tuple[int, int, int, tuple[int, bool] | None,
+                                   MaxProductEntry | None]]:
+    """(n, best, cnt, closed, entry) for n = lo .. hi, in order: the one
+    closed-form verdict and the one optima walk, read by max_table,
+    verify_closed_forms and the CLI's maxn.  best is the best product,
+    attained by cnt partitions.  closed is (closed_form(r, n)'s value,
+    whether it is the unique optimum: best = value = the product over
+    its parts and cnt = 1) for t = 3 from CLOSED_FORM_START[r] on, else
+    None; values and products are carried (see _carried_closed_forms).
+    entry is max_table's entry for n, optima capped at optima_cap (see
+    _capped), if walk, else None.  The knapsack and the closed forms run
+    before the first row; a row's optima are walked only when it is
+    read, so a caller that stops early walks no further."""
+    f, best, cnt, top, below = _knapsack(table, r, t, hi)
     closed = {}
     if t == 3 and r in CLOSED_FORM_START:
         start = max(lo, CLOSED_FORM_START[r])
         closed = {n: (value, best[n] == value == product and cnt[n] == 1)
                   for n, value, product
                   in _carried_closed_forms(r, f, start, hi)}
-    return ((n, best[n], closed.get(n),
-             _entry(best, top, below, f, n, DEFAULT_OPTIMA_CAP)
-             if walk else None)
-            for n in range(lo, hi + 1))
+    for n in range(lo, hi + 1):
+        entry = None
+        if walk:
+            # When best[n] == 0 every partition of n is optimal.
+            optima = (enumerate_partitions(n) if best[n] == 0
+                      else _walk_optima(best, top, below, f, n))
+            entry = MaxProductEntry(n, best[n], *_capped(optima, optima_cap))
+        yield n, best[n], cnt[n], closed.get(n), entry
 
 
 # Periodic closed forms above the stabilization threshold.  Heads are
@@ -315,21 +313,18 @@ def verify_closed_forms(table: RankTable, r: int,
     At each n the best product over partitions of n must equal the
     closed-form value, the table's counts over the closed-form parts
     must multiply to that value, and exactly one partition may attain
-    it: together, the closed form is the unique optimum.  A mismatch is
-    recorded as (n, value, parts, best, count).  The values and products
-    are carried along each residue class modulo the base part (see
-    _carried_closed_forms), one multiplication per n each, so the sweep
-    costs O(n_hi) products beside the knapsack."""
+    it: together, the closed form is the unique optimum, _maxn_rows'
+    verdict.  A mismatch is recorded as (n, value, parts, best, count).
+    The values and products are carried along each residue class modulo
+    the base part (see _carried_closed_forms), one multiplication per n
+    each, so the sweep costs O(n_hi) products beside the knapsack."""
     if r not in CLOSED_FORM_START:
         raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
-    f = _count_row(table, r, 3, n_hi)
-    best, cnt, _, _ = _best_and_count(f, n_hi)
     checked, mismatches = 0, []
-    for n, value, product in _carried_closed_forms(
-            r, f, CLOSED_FORM_START[r], n_hi):
-        if best[n] != value or product != value or cnt[n] != 1:
-            mismatches.append(
-                (n, value, closed_form(r, n)[1], best[n], cnt[n]))
+    for n, best, cnt, (value, agrees), _ in _maxn_rows(
+            table, r, 3, CLOSED_FORM_START[r], n_hi, False):
+        if not agrees:
+            mismatches.append((n, value, closed_form(r, n)[1], best, cnt))
         checked += 1
     return VerificationReport(checked, mismatches)
 
@@ -446,8 +441,7 @@ def conjecture_max_mod2(table: RankTable, r: int,
     count)."""
     if r not in (0, 1):
         raise ValueError("the t = 2 conjectures cover r in {0, 1}")
-    f = _count_row(table, r, 2, n_hi)
-    best, cnt, _, _ = _best_and_count(f, n_hi)
+    f, best, cnt, _, _ = _knapsack(table, r, 2, n_hi)
     checked, mismatches = 0, []
     for n in range(CONJECTURE_MOD2_START[r], n_hi + 1):
         swaps_keep_value = True

@@ -14,13 +14,14 @@ import re
 import shlex
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import dysonrank
-from dysonrank import build_rank_table, load_table
-from dysonrank.core import _half_row, table_for
+from dysonrank import MaxProductEntry, build_rank_table, load_table
+from dysonrank.core import _half_row, enumerate_partitions, table_for
 from dysonrank.cli import (
     MAX_TABLE_ROWS,
     OutputRecord,
@@ -29,6 +30,7 @@ from dysonrank.cli import (
     record_to_json,
     render,
 )
+from test_maxprod import full_best_and_count, full_walk_optima
 
 
 # The range flags each verify suite reads, with the claims keyword each
@@ -60,14 +62,34 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def oracle_entries(r, t, n_max):
+    """max_table's entries for n = 0 .. n_max from the knapsack with a
+    pass for every part and the walk that tries every part, which share
+    no code with the stream max_table reads; a set of more than 64
+    optima keeps the first 64 in reverse lexicographic order.  The
+    counts come from maxprod's residue_column, so a test that patches
+    it changes both."""
+    from dysonrank import maxprod
+    f = [0, *maxprod.residue_column(r, t, n_max)[1:]]
+    best, _, top = full_best_and_count(f, n_max)
+    entries = []
+    for n in range(n_max + 1):
+        # When best[n] == 0 every partition of n is optimal.
+        first = list(islice(enumerate_partitions(n) if best[n] == 0
+                            else full_walk_optima(best, top, f, n), 65))
+        entries.append(MaxProductEntry(n, best[n], tuple(sorted(first[:64])),
+                                       len(first) > 64))
+    return entries
+
+
 def walking_maxn_rows(r, t, lo, hi, show_partitions):
-    """maxn's rows with every printed n's optima walked and closed_form
-    called per row: a closed form agrees when it is the one stored
-    optimum and the set is not truncated.  The oracle for the verdict
-    maxn takes from the knapsack's count."""
-    from dysonrank.maxprod import CLOSED_FORM_START, closed_form, max_table
+    """maxn's rows with every printed n's optima walked by the oracles
+    and closed_form called per row: a closed form agrees when it is the
+    one stored optimum and the set is not truncated.  The oracle for the
+    verdict maxn takes from the knapsack's count."""
+    from dysonrank.maxprod import CLOSED_FORM_START, closed_form
     rows = []
-    for entry in max_table(table_for(hi), r, t, hi)[lo:]:
+    for entry in oracle_entries(r, t, hi)[lo:]:
         row = {"n": entry.n, "value": entry.value}
         if (t == 3 and r in CLOSED_FORM_START
                 and entry.n >= CLOSED_FORM_START[r]):
@@ -227,7 +249,8 @@ class TestMaxn:
     ])
     def test_rows_equal_max_table_entries(self, r, t, argv):
         from dysonrank.maxprod import max_table
-        entries = max_table(table_for(80), r, t, 80)
+        entries = oracle_entries(r, t, 80)
+        assert max_table(table_for(80), r, t, 80) == entries
         code, out, _ = run("maxn", "--r", str(r), "--t", str(t), *argv,
                            "--n-max", "80", "--show-partitions",
                            "--format", "json")
@@ -308,6 +331,31 @@ class TestMaxn:
                 rows = json.loads(out)["results"]["rows"]
                 assert rows == walking_maxn_rows(r, 3, 20, 120, show), name
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_disagreeing_rows_are_theorem2_mismatches(self, r, monkeypatch):
+        # With the base part's column count raised by one, the n where
+        # maxn prints closed_form_agrees = False are exactly the n that
+        # verify_closed_forms reports, and maxn counts them.
+        from dysonrank import maxprod
+        from dysonrank.maxprod import _BASE_PART, verify_closed_forms
+
+        def bumped(r, t, n_max):
+            counts = list(dysonrank.residue_column(r, t, n_max))
+            counts[_BASE_PART[r]] += 1
+            return tuple(counts)
+
+        monkeypatch.setattr(maxprod, "residue_column", bumped)
+        code, out, _ = run("maxn", "--r", str(r), "--from", "20", "--to",
+                           "240", "--n-max", "240", "--format", "json")
+        assert code == 1
+        results = json.loads(out)["results"]
+        printed = [row["n"] for row in results["rows"]
+                   if row.get("closed_form_agrees") is False]
+        reported = [mismatch[0] for mismatch in verify_closed_forms(
+            table_for(240), r, 240).mismatches]
+        assert printed == reported != []
+        assert results["closed_form_disagreements"] == len(reported)
 
     def test_broken_case_table_exits_2_without_traceback(self, monkeypatch):
         # Heads of n = 1 (mod 7) that sum to 37 leave a remainder of 6.
@@ -595,14 +643,6 @@ class TestTableCache:
         assert code == 0
         assert out == want + f"result.cache = {path}\n"
         assert path.read_bytes() == before  # served from cache, not rebuilt
-
-    def test_undersized_cache_is_rebuilt(self, tmp_path):
-        path = tmp_path / "t.rnkt"
-        run("rank-table", "--n-max", "30", "--table-cache", str(path))
-        code, out, _ = run("rank-table", "--from", "50", "--to", "50",
-                           "--n-max", "60", "--table-cache", str(path))
-        assert code == 0
-        assert load_table(path).n_max == 60
 
     def test_rank_table_rebuilds_undersized_cache(self, tmp_path):
         path = tmp_path / "t.rnkt"

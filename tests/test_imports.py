@@ -133,6 +133,13 @@ assert dysonrank.bounds.main_term is dysonrank.main_term
         if callable(value):
             assert value.__module__ == home.__name__
 
+    @pytest.mark.parametrize("module", sorted(dysonrank._EXPORTS))
+    def test_submodule_all_is_its_exports_entry(self, module):
+        # A name a submodule lists as public resolves from the package.
+        home = import_module(f"dysonrank.{module}")
+        if hasattr(home, "__all__"):
+            assert sorted(home.__all__) == sorted(dysonrank._EXPORTS[module])
+
     def test_named_examples(self):
         assert dysonrank.max_table is maxprod.max_table
         assert dysonrank.build_rank_table is core.build_rank_table

@@ -30,7 +30,7 @@ from dysonrank.maxprod import (
     _best_and_count,
     _carried_closed_forms,
     _closure_size_mod2,
-    _count_row,
+    _knapsack,
     _walk_optima,
 )
 from dysonrank.core import (RankTable, enumerate_partitions, residue_column,
@@ -253,8 +253,7 @@ def per_n_verify_closed_forms(table, r: int, n_hi: int):
     over its parts, at every n."""
     if r not in CLOSED_FORM_START:
         raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
-    f = _count_row(table, r, 3, n_hi)
-    best, cnt, _, _ = _best_and_count(f, n_hi)
+    f, best, cnt, _, _ = _knapsack(table, r, 3, n_hi)
     checked, mismatches = 0, []
     for n in range(CLOSED_FORM_START[r], n_hi + 1):
         value, parts = maxprod.closed_form(r, n)
@@ -409,7 +408,7 @@ class TestClosedForm:
         # classes in another order, as maxn's ranges do.
         table = RankTable(2000)
         for r in (0, 1, 2):
-            f = _count_row(table, r, 3, 2000)
+            f = _knapsack(table, r, 3, 2000)[0]
             start, base = CLOSED_FORM_START[r], _BASE_PART[r]
             for lo in (start, start + 1, start + base + 5):
                 carried = list(_carried_closed_forms(r, f, lo, 2000))
@@ -541,12 +540,12 @@ class TestConjectureMod2:
         # four optima at n = 8 and the swap identities fail.
         from dysonrank import maxprod
 
-        def lowered_row(table, r, t, n_max):
-            f = _count_row(table, r, t, n_max)
-            f[6] -= 1
-            return f
+        def lowered(r, t, n_max):
+            counts = list(residue_column(r, t, n_max))
+            counts[6] -= 1
+            return tuple(counts)
 
-        monkeypatch.setattr(maxprod, "_count_row", lowered_row)
+        monkeypatch.setattr(maxprod, "residue_column", lowered)
         report = conjecture_max_mod2(table, 1, 8)
         assert report.mismatches == [(8, 16, 16, 4, 3)]
 
@@ -569,8 +568,7 @@ class TestBestAndCount:
                                       (0, 2), (0, 5), (1, 7), (0, 1)])
     def test_matches_listed_optima(self, table, r, t):
         entries = max_table(table, r, t, 120, optima_cap=None)
-        best, cnt, _, _ = _best_and_count(_count_row(table, r, t, 120),
-                                          120)
+        _, best, cnt, _, _ = _knapsack(table, r, t, 120)
         assert best == [e.value for e in entries]
         assert cnt == [len(e.optima) for e in entries]
 
@@ -578,8 +576,7 @@ class TestBestAndCount:
                                       (0, 2), (0, 5), (1, 7), (3, 7)])
     def test_top_is_smallest_largest_part(self, table, r, t):
         # (3, 7) has best = 0 at n <= 3, where every partition is optimal.
-        f = _count_row(table, r, t, 120)
-        _, _, top, _ = _best_and_count(f, 120)
+        f, _, _, top, _ = _knapsack(table, r, t, 120)
         V = _value_table(f, 120)
         assert top[0] == 0
         for n in range(1, 121):
@@ -598,7 +595,7 @@ class TestOptimaWalk:
             cases.append((50, 100, 60))
         for r, t, n_hi in cases:
             entries = max_table(table, r, t, n_hi, optima_cap=cap)
-            f = _count_row(table, r, t, n_hi)
+            f = _knapsack(table, r, t, n_hi)[0]
             V = _value_table(f, n_hi)
             for n in range(1, n_hi + 1):
                 optima, truncated = prefix_collect_optima(V, f, n, cap)
@@ -652,11 +649,11 @@ class TestSkippedParts:
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 7, 11, 20])
     def test_residue_columns_match_full_knapsack_and_walk(self, table, t):
         for r in range(t):
-            _assert_matches_full(_count_row(table, r, t, 120), 120, (r, t))
+            _assert_matches_full(_knapsack(table, r, t, 120)[0], 120, (r, t))
 
     def test_zero_best_everywhere_matches(self, table):
         # N(50, 100; n) = 0 for n < 50, so zero products persist.
-        _assert_matches_full(_count_row(table, 50, 100, 60), 60, (50, 100))
+        _assert_matches_full(_knapsack(table, 50, 100, 60)[0], 60, (50, 100))
 
     def test_zero_position_condition(self):
         # f[4] = 0 < best[4] = 1, from (2, 2), but best[1] = 0 and
@@ -679,7 +676,7 @@ class TestSkippedParts:
     def test_passes_that_run(self, table):
         runs = {}
         for r, t in ((0, 3), (1, 3), (2, 3), (0, 2), (1, 2)):
-            below = _best_and_count(_count_row(table, r, t, 240), 240)[3]
+            below = _knapsack(table, r, t, 240)[4]
             runs[r, t] = len(set(below) - {0})
         assert runs == {(0, 3): 9, (1, 3): 21, (2, 3): 21, (0, 2): 4,
                         (1, 2): 8}
