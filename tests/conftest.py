@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import pytest
 
 from dysonrank import RankTable, build_rank_table
-from dysonrank.core import _half_row
+from oracles import a_third
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -25,16 +25,6 @@ def table() -> RankTable:
 def a_third_from_row():
     """N(0,3;n) - N(1,3;n) from the single Atkin-Swinnerton-Dyer row n,
     for n past any table a test builds."""
-
-    def a_third(n: int) -> int:
-        by_residue = [0, 0, 0]
-        # rows are symmetric, N(-m, n) = N(m, n)
-        for m, count in enumerate(_half_row(n)):
-            by_residue[m % 3] += count
-            if m:
-                by_residue[-m % 3] += count
-        return by_residue[0] - by_residue[1]
-
     return a_third
 
 

@@ -21,8 +21,7 @@ from dysonrank import (
     residue_count,
 )
 from dysonrank import claims
-from test_core import brute_rank_counts
-from test_maxprod import brute_max
+from oracles import brute_max, brute_rank_counts
 
 
 def test_criterion_01_small_table_reproduction(criterion):

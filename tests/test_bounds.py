@@ -6,7 +6,7 @@ within the stated relative tolerance.  The six error bounds are also
 recomputed inside the tests with separately written code.  Production
 folds n-independent constants, shares one pass among the six bounds and
 reads k-sums from running lists; the literal expressions it replaces
-are kept below as oracles, and every bound, ratio function and Lehmer
+are kept in oracles.py, and every bound, ratio function and Lehmer
 envelope is compared with them bit for bit.
 """
 
@@ -16,8 +16,6 @@ import math
 import operator
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache
-from math import isqrt
 
 import pytest
 
@@ -44,8 +42,16 @@ from dysonrank import (
     s_ratio,
     t_gap,
 )
-
-SIN_PI_18 = math.sin(math.pi / 18.0)
+from oracles import (
+    SIN_PI_18,
+    _independent_error_bounds,
+    _literal_envelope,
+    _literal_error_bound,
+    _literal_lehmer_bounds,
+    _literal_lehmer_estimate,
+    _literal_lemma_threshold,
+    _literal_ratio_bound,
+)
 
 
 class TestMu:
@@ -126,35 +132,6 @@ class TestMainTermAndEnvelope:
             assert math.copysign(1.0, main_term(n)) == expected
 
 
-def _independent_error_bounds(n: int) -> list[float]:
-    """The six bounds, rewritten from scratch for cross-checking."""
-    x = math.sqrt(24 * n - 1)
-    root = isqrt(n)
-    e2pi = math.exp(2 * math.pi)
-    third = [k for k in range(2, root // 3 + 1)]
-    e1 = (12 / x) * math.fsum(
-        math.sqrt(k) * math.sinh(math.pi * x / (18 * k)) for k in third)
-    e2 = (0.12 / math.sqrt(3)) * e2pi * math.exp(math.pi / 24) * math.fsum(
-        k ** -0.5 for k in range(1, root // 3 + 1))
-    e3 = 1.412 * math.sqrt(3) * e2pi * math.fsum(
-        k ** -0.5 for k in range(1, root + 1) if k % 3 != 0)
-    e4 = 2 * math.sqrt(3) * e2pi * math.exp(math.pi / 12) / math.sqrt(n) \
-        * math.fsum(math.sqrt(k) for k in range(1, root // 3 + 1))
-    m = root // 3
-    e5 = 8 * math.pi * e2pi * math.exp(math.pi / 24) / n ** 0.75 \
-        * (m * (m + 1) / 2)
-    total6 = 0.0
-    for k in range(1, root + 1):
-        inner = 0.0
-        for v in range(1, k + 1):
-            y = (6 * v - 1) / (6 * k)
-            d = min((y + 1 / 3) % 1.0, (y - 1 / 3) % 1.0)
-            inner += 1.0 / d
-        total6 += inner / k
-    e6 = 2 ** 0.25 * (math.e + math.exp(-1)) * e2pi / n ** 0.25 * total6
-    return [e1, e2, e3, e4, e5, e6]
-
-
 class TestErrorBounds:
     def test_frozen_at_500(self):
         budget = error_budget(500)
@@ -192,131 +169,10 @@ class TestErrorBounds:
         assert error_budget(8).terms[:2] == (0.0, 0.0)
 
 
-@cache
-def _literal_sixth_sum(root: int) -> float:
-    """The sixth bound's double sum to k = root as a literal loop."""
-    total = 0.0
-    for k in range(1, root + 1):
-        mod = 6 * k
-        inner = 0.0
-        for v in range(1, k + 1):
-            a = (6 * v - 1 + 2 * k) % mod
-            b = (6 * v - 1 - 2 * k) % mod
-            inner += mod / min(a, b)
-        total += inner / k
-    return total
-
-
-def _literal_error_bound(i: int, n: int) -> float:
-    """The six bounds as literal expressions, constants unfolded.  The
-    first bound's n-dependent sum is the builtin sum() over a generator;
-    the k-sums of bounds 2, 3, 4 and 6 are loops over k summed left to
-    right with a plain += (sum() of floats is compensated from Python
-    3.12 on, so it would not reproduce the production running sums)."""
-    root = isqrt(n)
-    total = 0.0
-    if i == 1:
-        x = math.sqrt(24.0 * n - 1.0)
-        hi = isqrt(n) // 3
-        return 12.0 / x * sum(
-            math.sqrt(k) * math.sinh(math.pi / (18.0 * k) * x)
-            for k in range(2, hi + 1))
-    if i == 2:
-        for k in range(1, root // 3 + 1):
-            total += 1.0 / math.sqrt(k)
-        return 0.12 * math.exp(2.0 * math.pi + math.pi / 24.0) \
-            / math.sqrt(3.0) * total
-    if i == 3:
-        for k in range(1, root + 1):
-            if k % 3:
-                total += 1.0 / math.sqrt(k)
-        return 1.412 * math.sqrt(3.0) * math.exp(2.0 * math.pi) * total
-    if i == 4:
-        for k in range(1, root // 3 + 1):
-            total += math.sqrt(k)
-        return 2.0 * math.sqrt(3.0) \
-            * math.exp(2.0 * math.pi + math.pi / 12.0) / math.sqrt(n) * total
-    if i == 5:
-        hi = isqrt(n) // 3
-        return 8.0 * math.pi * math.exp(2.0 * math.pi + math.pi / 24.0) \
-            * n ** -0.75 * (hi * (hi + 1) // 2)
-    if i == 6:
-        return 2.0 ** 0.25 * (math.e + 1.0 / math.e) \
-            * math.exp(2.0 * math.pi) * n ** -0.25 * _literal_sixth_sum(root)
-    raise ValueError(i)
-
-
-def _literal_ratio_bound(i: int, n: int) -> float:
-    """The six ratio functions as literal expressions, constants unfolded."""
-    x = math.sqrt(24.0 * n - 1.0)
-    s = math.sinh(math.pi / 18.0 * x)
-    e2pi = math.exp(2.0 * math.pi)
-    if i == 1:
-        return math.sqrt(n) * math.sinh(math.pi / 36.0 * x) \
-            / (math.sqrt(2.0) * SIN_PI_18 * s)
-    if i == 2:
-        return 0.01 * math.exp(2.0 * math.pi + math.pi / 24.0) \
-            * n ** 0.25 * x / (SIN_PI_18 * s)
-    if i == 3:
-        return 2.824 * math.sqrt(3.0) * e2pi * n ** 0.25 * x \
-            / (8.0 * SIN_PI_18 * s)
-    if i == 4:
-        return math.sqrt(6.0) * math.exp(2.0 * math.pi + math.pi / 12.0) \
-            * n ** 0.25 * x / (24.0 * SIN_PI_18 * s)
-    if i == 5:
-        return math.pi * math.exp(2.0 * math.pi + math.pi / 24.0) \
-            * n ** 0.25 * x / (8.0 * SIN_PI_18 * s)
-    if i == 6:
-        return 2.0 ** 0.25 * (math.e + 1.0 / math.e) * e2pi \
-            * 3.0 * (n ** 0.75 + 2.0 * n ** 0.25) * x \
-            / (8.0 * SIN_PI_18 * s)
-    raise ValueError(i)
-
-
 def _error_bounds(n: int) -> tuple[float, ...]:
     """bounds._error_bounds with the x = sqrt(24n - 1) that error_budget
     passes it."""
     return bounds._error_bounds(n, math.sqrt(24.0 * n - 1.0))
-
-
-def _literal_lehmer_bounds(n: int) -> tuple[int, float, float, float]:
-    """(n, lower, upper, mu) of the Lehmer envelope as literal
-    expressions: each bound the exp of its log, lower 0.0 at n = 1."""
-    m = math.pi / 6.0 * math.sqrt(24.0 * n - 1.0)
-    base = math.log(math.sqrt(3.0) / (12.0 * n))
-    rs = 1.0 / math.sqrt(n)
-    lo = 0.0 if rs >= 1.0 else math.exp(base + math.log1p(-rs) + m)
-    return n, lo, math.exp(base + math.log1p(rs) + m), m
-
-
-def _literal_envelope(n: int) -> tuple[float, float]:
-    """(L(n), U(n)), the main term's envelope, as literal expressions:
-    U drops the sine factor, and L keeps its least magnitude sin(pi/18)."""
-    x = math.sqrt(24.0 * n - 1.0)
-    upper = 8.0 * math.sinh(math.pi / 18.0 * x) / x
-    return upper * SIN_PI_18, upper
-
-
-def _literal_lehmer_estimate(n: int) -> tuple[float, float]:
-    """lehmer_estimate as literal expressions, constants unfolded."""
-    m = math.pi / 6.0 * math.sqrt(24.0 * n - 1.0)
-    em = math.exp(m)
-    value = math.sqrt(12.0) / (24.0 * n - 1.0) * (
-        (1.0 - 1.0 / m) * em + (1.0 + 1.0 / m) / em)
-    cap = math.pi ** 2 / math.sqrt(3.0) * (
-        math.sinh(m) / m ** 3 + 1.0 / 6.0 - 1.0 / m ** 2)
-    return value, cap
-
-
-def _literal_lemma_threshold(x: float, t: int) -> bool:
-    """lemma_threshold as it read before S_x(1) and T_x(1) were written
-    out: the loss's log, then s_ratio and t_gap at lambda = 1."""
-    if t < 1:
-        raise ValueError("requires t >= 1")
-    c = bounds.ENVELOPE_C
-    rhs = math.log(4.0 * x * math.sqrt(3.0) * t * (1.0 + c)
-                   / (1.0 - c) ** 2) + math.log(s_ratio(x, 1.0))
-    return t_gap(x, 1.0) > rhs
 
 
 def _outcome(f, *args):

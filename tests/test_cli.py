@@ -14,14 +14,13 @@ import re
 import shlex
 import subprocess
 import sys
-from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import dysonrank
-from dysonrank import MaxProductEntry, build_rank_table, load_table
-from dysonrank.core import _half_row, enumerate_partitions, table_for
+from dysonrank import build_rank_table, load_table
+from dysonrank.core import _half_row, table_for
 from dysonrank.cli import (
     MAX_TABLE_ROWS,
     OutputRecord,
@@ -30,7 +29,7 @@ from dysonrank.cli import (
     record_to_json,
     render,
 )
-from test_maxprod import full_best_and_count, full_walk_optima
+from oracles import oracle_entries, walking_maxn_rows
 
 
 # The range flags each verify suite reads, with the claims keyword each
@@ -60,50 +59,6 @@ def run(*argv):
     except SystemExit as exc:  # argparse's own flag errors
         code = exc.code
     return code, out.getvalue(), err.getvalue()
-
-
-def oracle_entries(r, t, n_max):
-    """max_table's entries for n = 0 .. n_max from the knapsack with a
-    pass for every part and the walk that tries every part, which share
-    no code with the stream max_table reads; a set of more than 64
-    optima keeps the first 64 in reverse lexicographic order.  The
-    counts come from maxprod's residue_column, so a test that patches
-    it changes both."""
-    from dysonrank import maxprod
-    f = [0, *maxprod.residue_column(r, t, n_max)[1:]]
-    best, _, top = full_best_and_count(f, n_max)
-    entries = []
-    for n in range(n_max + 1):
-        # When best[n] == 0 every partition of n is optimal.
-        first = list(islice(enumerate_partitions(n) if best[n] == 0
-                            else full_walk_optima(best, top, f, n), 65))
-        entries.append(MaxProductEntry(n, best[n], tuple(sorted(first[:64])),
-                                       len(first) > 64))
-    return entries
-
-
-def walking_maxn_rows(r, t, lo, hi, show_partitions):
-    """maxn's rows with every printed n's optima walked by the oracles
-    and closed_form called per row: a closed form agrees when it is the
-    one stored optimum and the set is not truncated.  The oracle for the
-    verdict maxn takes from the knapsack's count."""
-    from dysonrank.maxprod import CLOSED_FORM_START, closed_form
-    rows = []
-    for entry in oracle_entries(r, t, hi)[lo:]:
-        row = {"n": entry.n, "value": entry.value}
-        if (t == 3 and r in CLOSED_FORM_START
-                and entry.n >= CLOSED_FORM_START[r]):
-            cf_value, cf_parts = closed_form(r, entry.n)
-            row["closed_form"] = cf_value
-            row["closed_form_agrees"] = (
-                cf_value == entry.value and not entry.truncated
-                and entry.optima == (cf_parts,))
-        if show_partitions:
-            row["optima"] = [list(p) for p in entry.optima]
-            if entry.truncated:
-                row["optima_truncated"] = True
-        rows.append(row)
-    return rows
 
 
 class TestCount:

@@ -7,9 +7,6 @@ pass per row walked pair by pair only on a violation."""
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import gt, mul
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,45 +21,7 @@ from dysonrank import (
 )
 from dysonrank import convexity
 from dysonrank.convexity import _concave_start
-
-
-def pairwise_scan(r, t, a_min, b_max, column=residue_column):
-    """(pairs_checked, violations) of scan_region, pair by pair."""
-    counts = column(r, t, 2 * b_max)
-    checked = 0
-    bad = []
-    for a in range(a_min, b_max + 1):
-        ca = counts[a]
-        for b in range(a, b_max + 1):
-            checked += 1
-            lhs = ca * counts[b]
-            rhs = counts[a + b]
-            if lhs <= rhs:
-                bad.append((a, b, lhs, rhs))
-    return checked, bad
-
-
-def row_pass_scan(r, t, a_min, b_max, column=residue_column):
-    """(pairs_checked, violations) of scan_region, each row tested in one
-    C-level pass and walked pair by pair only when it holds a
-    violation."""
-    counts = column(r, t, 2 * b_max)
-
-    checked = 0
-    bad = []
-    for a in range(a_min, b_max + 1):
-        ca = counts[a]
-        width = b_max + 1 - a
-        checked += width
-        if all(map(gt, map(mul, repeat(ca, width), counts[a:b_max + 1]),
-                   counts[2 * a:a + b_max + 1])):
-            continue
-        for b in range(a, b_max + 1):
-            lhs = ca * counts[b]
-            rhs = counts[a + b]
-            if lhs <= rhs:
-                bad.append((a, b, lhs, rhs))
-    return checked, bad
+from oracles import concave_start_by_definition, pairwise_scan, row_pass_scan
 
 
 def scan(table, *region):
@@ -166,16 +125,6 @@ class TestScanRegion:
     def test_inequality_above_threshold(self, table, a, b):
         if a + b <= 240:
             assert check_pair(table, 0, 3, a, b)[0]
-
-
-def concave_start_by_definition(counts):
-    """The least L of scan_region's lemma, as one more than the largest
-    index that a positive, log-concave tail cannot start at or below."""
-    top = len(counts) - 1
-    blocked = [i + 1 for i, c in enumerate(counts) if c <= 0]
-    blocked += [n for n in range(1, top)
-                if counts[n] ** 2 < counts[n - 1] * counts[n + 1]]
-    return max(blocked, default=0)
 
 
 class TestLogConcaveTail:

@@ -7,7 +7,7 @@ The production residue counts come from columns, a different sum of
 the same formula divided by Euler's product; row_residue_count, which
 sums every t-th entry of a table row, is their oracle.
 The brute-force enumerator literally builds every partition and
-measures its rank.  The series oracle below expands the two-variable
+measures its rank.  The series oracle expands the two-variable
 rank generating function, a different algorithm that reaches much
 larger n.  A third oracle, entry_half_row, evaluates the same formula
 one count at a time, with no telescoping and no slices, and reaches
@@ -19,18 +19,15 @@ the division behind p(n) and every residue column, and for the columns
 read off p as p minus the other classes of their modulus.
 dyson_a_third expands Dyson's rank generating function at a cube root
 of unity, which shares no formula with the columns, for
-A(n) = N(0,3;n) - N(1,3;n).
+A(n) = N(0,3;n) - N(1,3;n).  The oracles live in oracles.py.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import os
 import subprocess
 import sys
-from collections import Counter
-from math import isqrt
 from operator import itemgetter, sub
 from pathlib import Path
 
@@ -54,40 +51,18 @@ from dysonrank import (
 from dysonrank import core
 from dysonrank.cli import main as cli_main
 from dysonrank.core import _half_row
-
-
-def row_residue_count(table, r, t, n):
-    """N(r, t; n) as the sum of every t-th entry of the table's row n."""
-    if n == 0:
-        return 1 if r == 0 else 0
-    row = table.row(n)
-    # row index i holds m = i - (n-1), so i runs over (r + n - 1) mod t steps
-    return sum(row[(r + n - 1) % t::t])
-
-
-def rank(parts):
-    """Rank of a partition given as a nonincreasing sequence of parts:
-    its largest part minus its number of parts, 0 for the empty one."""
-    if not parts:
-        return 0
-    return parts[0] - len(parts)
-
-
-def brute_rank_counts(n):
-    """Rank counts of n by exhaustive enumeration: every partition built
-    and its rank measured.  The oracle for the table's rows."""
-    counts = Counter()
-    for parts in enumerate_partitions(n):
-        counts[rank(parts)] += 1
-    return dict(counts)
-
-
-def checked_residue_count(table, r, t, n):
-    """residue_count as it read with RankTable._check_n on every read:
-    the column first, to the table's n_max, then n's check."""
-    column = core._column(r, t, table.n_max)
-    table._check_n(n)
-    return column[n]
+from oracles import (
+    brute_rank_counts,
+    checked_residue_count,
+    coin_partition_numbers,
+    dyson_a_third,
+    entry_decomposition_check,
+    entry_half_row,
+    loop_divide_by_euler,
+    rank,
+    row_residue_count,
+    series_rank_rows,
+)
 
 
 def _outcome(f, *args):
@@ -96,165 +71,6 @@ def _outcome(f, *args):
         return f(*args)
     except (TypeError, ValueError) as exc:
         return type(exc), str(exc)
-
-
-def entry_decomposition_check(table, r, t, n):
-    """decomposition_check with one complex power per row entry: the
-    root-of-unity average of row n against the exact N(r, t; n), within
-    the same relative tolerance 1e-6."""
-    exact = residue_count(table, r, t, n)
-    row = table.row(n)
-    lo = 0 if n == 0 else -(n - 1)
-    acc = complex(partition_number(n))
-    for j in range(1, t):
-        z = cmath.exp(2j * cmath.pi * j / t)
-        inner = sum(c * z ** (lo + i) for i, c in enumerate(row) if c)
-        acc += cmath.exp(-2j * cmath.pi * r * j / t) * inner
-    approx = acc / t
-    allowance = 1e-6 * max(1.0, float(abs(exact)))
-    return (abs(approx.real - exact) <= allowance
-            and abs(approx.imag) <= allowance)
-
-
-def entry_half_row(p, n):
-    """N(m, n) for m = 0 .. n-1, one count at a time:
-    N(m, n) = sum_k (-1)^(k-1) (p(n - a_k) - p(n - a_k - k)) with
-    a_k = k(3k-1)/2 + mk, over the k with a_k <= n; n >= 1."""
-    half = []
-    for m in range(n):
-        total = 0
-        k = 1
-        a = m + 1
-        while a <= n:
-            term = p[n - a] - p[n - a - k] if a + k <= n else p[n - a]
-            total += term if k & 1 else -term
-            a += 3 * k + 1 + m  # a_(k+1) - a_k
-            k += 1
-        half.append(total)
-    return half
-
-
-def coin_partition_numbers(n_max):
-    """p(0 .. n_max) by the knapsack over parts, one pass per part: a
-    different algorithm from the pentagonal recurrence."""
-    p = [1] + [0] * n_max
-    for part in range(1, n_max + 1):
-        for s in range(part, n_max + 1):
-            p[s] += p[s - part]
-    return p
-
-
-def loop_divide_by_euler(series, numerator, n):
-    """The per-term loop that core._divide_by_euler replaced: c[m] =
-    a[m] + sum_k (-1)^(k-1) (c[m - g_k] + c[m - g_k - k]), one bytecode
-    step per pentagonal term."""
-    steps = []  # (g_k, g_k + k, k odd) for every g_k <= n
-    k, g = 1, 1
-    while g <= n:
-        steps.append((g, g + k, k & 1))
-        g += 3 * k + 1  # g_(k+1) - g_k
-        k += 1
-    lo = len(series)
-    for m in range(lo, n + 1):
-        total = numerator[m - lo]
-        for g, h, odd in steps:
-            if g > m:
-                break
-            v = series[m - g] + series[m - h] if h <= m else series[m - g]
-            if odd:
-                total += v
-            else:
-                total -= v
-        series.append(total)
-
-
-def dyson_a_third(n_max):
-    """A(n) = N(0,3;n) - N(1,3;n) for n = 0 .. n_max from Dyson's rank
-    generating function at z = w = e^(2 pi i / 3),
-
-        R(w; q) = sum_{k>=0} q^(k^2) / prod_{j<=k} (1 + q^j + q^(2j)),
-
-    since (1 - w q^j)(1 - w^(-1) q^j) = 1 + q^j + q^(2j).  In Horner
-    form S_K = 1 and S_(k-1) = 1 + q^(2k-1) S_k / (1 + q^k + q^(2k)) for
-    k = K .. 1 with K^2 <= n_max, and R = S_0: one shift and one
-    trinomial division per k.  It shares no formula with the residue
-    columns: no Atkin-Swinnerton-Dyer numerator, no pentagonal
-    division, no p(n)."""
-    s = [1] + [0] * n_max
-    for k in range(isqrt(n_max), 0, -1):
-        shift = 2 * k - 1
-        c = [0] * shift + s[:n_max + 1 - shift]
-        # c / (1 + q^k + q^(2k)): c[m] -= c[m - k] + c[m - 2k], ascending
-        for m in range(k, min(2 * k, n_max + 1)):
-            c[m] -= c[m - k]
-        for m in range(2 * k, n_max + 1):
-            c[m] -= c[m - k] + c[m - 2 * k]
-        c[0] += 1
-        s = c
-    return s
-
-
-def series_rank_rows(n_max: int) -> list[list[int]]:
-    """Rows N(m, n), m = -(n-1) .. n-1, for n <= n_max, by expanding
-
-        1 + sum_{k>=1} q^(k^2) / ((w q; q)_k (w^(-1) q; q)_k)
-
-    to degree n_max.  Summand k contributes only when k^2 <= n_max.
-    Each factor 1/(1 - w^(+-1) q^j) is applied as the in-place geometric
-    recurrence C[d] += w^(+-1) * C[d-j] for ascending d.
-
-    The Laurent coefficient at q-degree d is packed into one integer,
-    with the count of w^m in a fixed-width bit slot at position (m + d).
-    Every slot is a nonnegative partial count bounded by p(n_max), so
-    with slot width >= p(n_max).bit_length() additions never carry
-    across slots, and multiplication by w^(+-1) is a plain shift.
-    """
-    p = partition_numbers(n_max)
-    slot_bytes = p[n_max].bit_length() // 8 + 2  # one spare byte of headroom
-    bits = slot_bytes * 8
-
-    # G[d] packs the accumulated coefficient of q^d, slot m at bit bits*(m+d).
-    G = [0] * (n_max + 1)
-    G[0] = 1
-    k = 1
-    while k * k <= n_max:
-        span = n_max - k * k
-        R = [0] * (span + 1)
-        R[0] = 1
-        for j in range(1, k + 1):
-            # factor 1/(1 - w q^j): rebasing d-j -> d costs j slots, the
-            # w shift one more, hence bits*(j+1)
-            s = bits * (j + 1)
-            for d in range(j, span + 1):
-                v = R[d - j]
-                if v:
-                    R[d] += v << s
-            # factor 1/(1 - w^(-1) q^j): bits*(j-1), never negative
-            s = bits * (j - 1)
-            for d in range(j, span + 1):
-                v = R[d - j]
-                if v:
-                    R[d] += v << s
-        base = bits * k * k
-        off = k * k
-        for d in range(span + 1):
-            v = R[d]
-            if v:
-                G[off + d] += v << base
-        k += 1
-
-    rows: list[list[int]] = [[1]]
-    for d in range(1, n_max + 1):
-        width = 2 * d + 1
-        raw = G[d].to_bytes(slot_bytes * width, "little")
-        row = [
-            int.from_bytes(raw[slot_bytes * i: slot_bytes * (i + 1)], "little")
-            for i in range(width)
-        ]
-        # ranks of partitions of d live strictly inside (-d, d)
-        assert row[0] == 0 and row[-1] == 0, f"rank overflow in row {d}"
-        rows.append(row[1:-1])
-    return rows
 
 
 # First values of the partition function, long established.

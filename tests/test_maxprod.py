@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from itertools import islice
 
 import pytest
@@ -33,241 +32,20 @@ from dysonrank.maxprod import (
     _knapsack,
     _walk_optima,
 )
-from dysonrank.core import (RankTable, enumerate_partitions, residue_column,
-                            residue_count)
+from dysonrank.core import RankTable, residue_column, residue_count
 from dysonrank.reference import SMALL_TABLE, counts_column, max_column
-
-
-# brute_max, which scores every partition, is the oracle for max_table's
-# values and optima sets, capped or not.  The Counter closure, the
-# (n+1)^2 value table and the tuple-prefix optima walk over it below are
-# production algorithms that were replaced, kept unchanged as oracles
-# for the part-count closure and the knapsack's optima walk.  The
-# part-count closure and the listing conjecture check after them are in
-# turn what the counting knapsack replaced, kept as its oracles.  The
-# knapsack with a pass for every part and the walk that tries every part
-# are what the skipping knapsack and walk replaced, kept as their
-# oracles.  The closed-form sweep that builds and multiplies out every
-# closed form is what the carried sweep replaced, kept as its oracle.
-
-def brute_max(table: RankTable, r: int, t: int, n: int,
-              optima_cap: int | None = maxprod.DEFAULT_OPTIMA_CAP
-              ) -> MaxProductEntry:
-    """max_table's entry for n by scoring every partition of n;
-    exponential, so keep n modest.  Partitions come in reverse
-    lexicographic order, (n) first.  A set of more than optima_cap
-    optima keeps the first optima_cap of that order and is marked
-    truncated; the set kept is stored sorted ascending."""
-    f = [residue_count(table, r, t, j) for j in range(n + 1)]
-    best = -1
-    optima: list[tuple[int, ...]] = []
-    for parts in enumerate_partitions(n):
-        v = math.prod(f[part] for part in parts)
-        if v > best:
-            best = v
-            optima = [parts]
-        elif v == best:
-            optima.append(parts)
-    truncated = optima_cap is not None and len(optima) > optima_cap
-    kept = optima[:optima_cap] if truncated else optima
-    return MaxProductEntry(n, best, tuple(sorted(kept)), truncated)
-
-
-def full_best_and_count(f: list[int], n_max: int
-                        ) -> tuple[list[int], list[int], list[int]]:
-    """best, cnt and top from one knapsack pass per part 1 .. n_max."""
-    best = [1] + [-1] * n_max
-    cnt = [1] * (n_max + 1)
-    top = [0] * (n_max + 1)
-    for c in range(1, n_max + 1):
-        fc = f[c]
-        for s in range(c, n_max + 1):
-            cand = fc * best[s - c]
-            if cand > best[s]:
-                best[s] = cand
-                cnt[s] = cnt[s - c]
-                top[s] = c
-            elif cand == best[s]:
-                cnt[s] += cnt[s - c]
-    return best, cnt, top
-
-
-def full_walk_optima(best: list[int], top: list[int], f: list[int],
-                     n: int):
-    """Every optimum of n in reverse lexicographic order, trying every
-    part from n downwards."""
-    path: list[int] = []
-    stack: list[tuple[int, int, int]] = [(n, n, 0)]
-    while stack:
-        s, c, depth = stack.pop()
-        del path[depth:]
-        while s:
-            if c > s:
-                c = s
-            if f[c] * best[s - c] == best[s] and top[s - c] <= c:
-                if c > top[s]:
-                    stack.append((s, c - 1, len(path)))
-                path.append(c)
-                s -= c
-            else:
-                c -= 1
-        yield tuple(path)
-
-
-def counter_closure_mod2(start: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Closure of a partition under swapping (2,2) <-> (4) and
-    (2,2,2) <-> (6), both directions."""
-    swaps = [((2, 2), (4,)), ((4,), (2, 2)),
-             ((2, 2, 2), (6,)), ((6,), (2, 2, 2))]
-    first = tuple(sorted(start, reverse=True))
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        cur = Counter(frontier.pop())
-        for before, after in swaps:
-            need = Counter(before)
-            if all(cur[k] >= v for k, v in need.items()):
-                nxt = cur - need + Counter(after)
-                parts = tuple(sorted(nxt.elements(), reverse=True))
-                if parts not in seen:
-                    seen.add(parts)
-                    frontier.append(parts)
-    return seen
-
-
-def _value_table(f: list[int], n_max: int) -> list[list]:
-    """V[s][c] = best product over partitions of s with parts <= c,
-    or -1 when no such partition exists (s > 0, c = 0).  Zero products
-    are real values (zero factors happen), hence the separate sentinel."""
-    V = [[1] * (n_max + 1)]
-    for s in range(1, n_max + 1):
-        row = [-1] * (n_max + 1)
-        prev = -1
-        for c in range(1, n_max + 1):
-            best = prev
-            if c <= s:
-                sub = V[s - c][c]
-                if sub >= 0:
-                    cand = f[c] * sub
-                    if cand > best:
-                        best = cand
-            row[c] = prev = best
-        V.append(row)
-    return V
-
-
-def prefix_collect_optima(V: list[list], f: list[int], n: int,
-                          cap: int | None
-                          ) -> tuple[list[tuple[int, ...]], bool]:
-    """All partitions attaining V[n][n], each found exactly once (a
-    partition is reconstructed only at its own largest part), taking
-    the larger part first, so in reverse lexicographic order.  Capped,
-    the first cap of that order are kept, sorted, and truncated is
-    whether more exist."""
-    limit = None if cap is None else cap + 1
-    found: list[tuple[int, ...]] = []
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(n, n, ())]
-    while stack:
-        s, c, prefix = stack.pop()
-        while True:
-            if s == 0:
-                found.append(prefix)
-                break
-            if c > s:
-                c = s
-            target = V[s][c]
-            takes = V[s - c][c] >= 0 and f[c] * V[s - c][c] == target
-            skips = c > 1 and V[s][c - 1] == target
-            if takes and skips:
-                stack.append((s, c - 1, prefix))
-            if takes:
-                prefix = prefix + (c,)
-                s -= c
-            elif skips:
-                c -= 1
-            else:  # pragma: no cover - V guarantees one branch matches
-                break
-        if limit is not None and len(found) >= limit:
-            break
-    truncated = cap is not None and len(found) > cap
-    return sorted(found[:cap]), truncated
-
-
-def _closure_mod2(start: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Closure of a partition under swapping (2,2) <-> (4) and
-    (2,2,2) <-> (6), both directions.
-
-    The swaps touch only parts 2, 4 and 6, so the search runs over
-    their counts (a, b, c) with every other part of start held fixed:
-    the moves are (-2,+1,0), (+2,-1,0), (-3,0,+1) and (+3,0,-1), each
-    allowed while no count goes negative.  Each reached vector becomes
-    one partition in nonincreasing order at the end."""
-    rest = tuple(p for p in start if p not in (2, 4, 6))
-    first = (start.count(2), start.count(4), start.count(6))
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        a, b, c = frontier.pop()
-        moves = []
-        if a >= 2:
-            moves.append((a - 2, b + 1, c))
-        if b >= 1:
-            moves.append((a + 2, b - 1, c))
-        if a >= 3:
-            moves.append((a - 3, b, c + 1))
-        if c >= 1:
-            moves.append((a + 3, b, c - 1))
-        for vec in moves:
-            if vec not in seen:
-                seen.add(vec)
-                frontier.append(vec)
-    return {tuple(sorted(rest + (6,) * c + (4,) * b + (2,) * a,
-                         reverse=True))
-            for a, b, c in seen}
-
-
-def listing_conjecture_max_mod2(table, r: int, n_hi: int
-                                ) -> tuple[int, list]:
-    """(checked, mismatches) of the t = 2 conjecture check by listing:
-    every optimum from max_table, compared with the expected set (the
-    single period-3 form for r = 0, the literal swap closure of the
-    canonical partition for r = 1)."""
-    entries = max_table(table, r, 2, n_hi, optima_cap=None)
-    checked, mismatches = 0, []
-    for n in range(CONJECTURE_MOD2_START[r], n_hi + 1):
-        if r == 0:
-            head = {0: (), 1: (7,), 2: (5,)}[n % 3]
-            parts = head + (3,) * ((n - sum(head)) // 3)
-            expected = {parts}
-        else:
-            expected = _closure_mod2(_canonical_mod2(n))
-        value = product_over_partition(table, r, 2, next(iter(expected)))
-        if entries[n].value != value or set(entries[n].optima) != expected:
-            mismatches.append(n)
-        checked += 1
-    return checked, mismatches
-
-
-def per_n_verify_closed_forms(table, r: int, n_hi: int):
-    """verify_closed_forms with closed_form called, and f multiplied
-    over its parts, at every n."""
-    if r not in CLOSED_FORM_START:
-        raise ValueError("closed forms exist for t = 3, r in {0, 1, 2}")
-    f, best, cnt, _, _ = _knapsack(table, r, 3, n_hi)
-    checked, mismatches = 0, []
-    for n in range(CLOSED_FORM_START[r], n_hi + 1):
-        value, parts = maxprod.closed_form(r, n)
-        product = math.prod(f[part] for part in parts)
-        if best[n] != value or product != value or cnt[n] != 1:
-            mismatches.append((n, value, parts, best[n], cnt[n]))
-        checked += 1
-    return maxprod.VerificationReport(checked, mismatches)
-
-
-def _canonical_mod2(n: int) -> tuple[int, ...]:
-    if n % 2 == 0:
-        return (2,) * (n // 2)
-    return (9,) + (2,) * ((n - 9) // 2)
+from oracles import (
+    _canonical_mod2,
+    _closure_mod2,
+    _value_table,
+    brute_max,
+    counter_closure_mod2,
+    full_best_and_count,
+    full_walk_optima,
+    listing_conjecture_max_mod2,
+    per_n_verify_closed_forms,
+    prefix_collect_optima,
+)
 
 
 class TestProductOverPartition:
