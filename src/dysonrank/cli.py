@@ -18,6 +18,14 @@ arithmetic out of range, such as a float overflow, and an internal
 consistency check of the package that failed (an AssertionError, such
 as a closed-form case table that does not add up).
 
+`run()` is the process entry, behind both `python -m dysonrank` and the
+`dysonrank` script.  However the call ends, it freezes the heap
+(`gc.freeze()`) before the interpreter exits, so exit skips the garbage
+collector's final passes over every object start-up and the command
+made; reference counting still frees them.  `main(argv)` is the
+in-process API and never freezes, so a test or library caller keeps a
+heap the collector can reach.
+
 Start-up imports only `core` and the standard library; each handler
 imports what it runs, so a fresh process compiles no more than its
 subcommand needs:
@@ -34,6 +42,7 @@ subcommand needs:
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -46,7 +55,7 @@ from .core import (MAX_TABLE_ROWS, build_rank_table, partition_number,
 if TYPE_CHECKING:
     from .claims import ClaimRecord
 
-__all__ = ["OutputRecord", "main", "record_to_json", "render"]
+__all__ = ["OutputRecord", "main", "record_to_json", "render", "run"]
 
 # Integers at or beyond 2**53 lose precision in common JSON readers, so
 # they serialize as decimal strings.
@@ -388,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "needs, except with --table-cache, where a "
                              "missing or undersized cache is built at "
                              "--n-max; a table past "
-                             f"{MAX_TABLE_ROWS} rows is refused")
+                             f"{MAX_TABLE_ROWS} rows is refused; bounds "
+                             "and verify bounds read no table and ignore "
+                             "it")
     common.add_argument("--table-cache", dest="table_cache", metavar="PATH",
                         help="load/save the rank table from this file; "
                              "read only by rank-table, the command that "
@@ -471,3 +482,14 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     return _EXIT_BY_STATUS[record.status]
+
+
+def run() -> int:
+    """`main()` on sys.argv for a process about to exit.  The heap is
+    frozen however the call ends, argparse's SystemExit included; only
+    the exit-time collection is skipped, and Python does not promise to
+    finalize objects still alive at exit anyway."""
+    try:
+        return main()
+    finally:
+        gc.freeze()

@@ -395,6 +395,18 @@ class TestBounds:
             2, "", "error: --n must be <= 76567, past which the Lehmer "
                    "estimate overflows a double\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--n", "3000", "--n-max", "1"),
+        ("verify", "bounds", "--max", "2000", "--n-max", "10"),
+    ])
+    def test_n_max_is_ignored_as_its_help_says(self, argv):
+        # Both read p(n) and no table, so a --n-max below n changes
+        # nothing; the flag's help says so.
+        help_text = " ".join(run(*argv[:-4], "--help")[1].split())
+        assert "bounds and verify bounds read no table and ignore it" in \
+            help_text
+        assert run(*argv)[:2] == (0, run(*argv[:-2])[1])
+
     def test_arithmetic_error_is_a_usage_error(self, monkeypatch):
         monkeypatch.setattr("dysonrank.bounds.lehmer_estimate", math.exp)
         assert run("bounds", "--n", "1000") == (
@@ -937,9 +949,11 @@ class TestParserBasics:
 
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml"
-# How a workflow line may run the CLI: dysonrank, timeout N dysonrank or
-# time timeout N dysonrank, at the start of the line.
-CLI_LINE = re.compile(r"(time +)?(timeout +\d+ +)?dysonrank( |$)")
+# How a workflow line may run the CLI: dysonrank, python -m dysonrank,
+# timeout N dysonrank or time timeout N dysonrank, at the start of the
+# line.
+CLI_LINE = re.compile(
+    r"(time +)?(timeout +\d+ +)?(python -m +)?dysonrank( |$)")
 # A CLI call anywhere in a line, so a call in any other form is found
 # and refused rather than skipped.
 CLI_CALL = re.compile(r"\bdysonrank +(--version|count|rank-table|maxn|"
@@ -1012,7 +1026,8 @@ class TestWorkflowCommandLines:
             >= set(ABBREVIATED)
         # Each accepted form occurs, the time case at least once.
         assert len(lines) >= 20
-        for form in ("dysonrank ", "timeout ", "time timeout "):
+        for form in ("dysonrank ", "python -m dysonrank ", "timeout ",
+                     "time timeout "):
             assert any(line.startswith(form) for _, line in lines), form
 
     @pytest.mark.parametrize("line, argv", [
@@ -1025,6 +1040,8 @@ class TestWorkflowCommandLines:
         ('dysonrank rank-table --n-max 9 --table-cache "$RUNNER_TEMP/t.bin"',
          ["rank-table", "--n-max", "9", "--table-cache",
           "$RUNNER_TEMP/t.bin"]),
+        ('python -m dysonrank bounds --n 9 > "$RUNNER_TEMP/module.txt"',
+         ["bounds", "--n", "9"]),
     ])
     def test_reader_drops_prefixes_pipes_and_redirections(self, line, argv):
         assert cli_argv(line) == argv

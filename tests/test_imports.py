@@ -1,9 +1,16 @@
 """What the package imports, and when: a CLI call loads only the modules
 its subcommand runs, `import dysonrank` resolves its public names on
-first access, and the reports those names return cannot be mutated."""
+first access, and the reports those names return cannot be mutated.
+Also the process entry: `python -m dysonrank` and the `dysonrank`
+script both run `cli.run`, which ends with a frozen heap, while
+in-process `cli.main` never freezes."""
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import gc
+import io
 import os
 import subprocess
 import sys
@@ -13,12 +20,13 @@ from pathlib import Path
 import pytest
 
 import dysonrank
-from dysonrank import bounds, claims, convexity, core, maxprod
+from dysonrank import bounds, claims, cli, convexity, core, maxprod
 
 # Runs `python -m dysonrank ARGS` through runpy, the way -m does, then
-# prints the exit code and every module the process holds.
+# prints the exit code, how many objects the heap holds frozen and every
+# module the process holds.
 _PROBE = """\
-import io, runpy, sys
+import gc, io, runpy, sys
 sys.argv = ["dysonrank", *sys.argv[1:]]
 out, sys.stdout = sys.stdout, io.StringIO()
 try:
@@ -27,6 +35,7 @@ except SystemExit as exc:
     code = exc.code
 sys.stdout = out
 print(code)
+print(gc.get_freeze_count())
 print(*sorted(sys.modules))
 """
 
@@ -43,15 +52,22 @@ def _env() -> dict[str, str]:
     return env
 
 
-def loaded_modules(*argv: str) -> set[str]:
-    """The modules a fresh `python -m dysonrank ARGV` has loaded when it
-    exits; the call itself must succeed."""
+def probe(*argv: str) -> tuple[str, int, set[str]]:
+    """The exit code of a fresh `python -m dysonrank ARGV`, the number of
+    objects frozen when it exits, and the modules it has loaded."""
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv],
                           capture_output=True, text=True, env=_env(),
                           timeout=120, check=True)
-    code, modules = proc.stdout.splitlines()
-    assert code == "0", proc.stderr
-    return set(modules.split())
+    code, frozen, modules = proc.stdout.splitlines()
+    return code, int(frozen), set(modules.split())
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    """The modules a fresh `python -m dysonrank ARGV` has loaded when it
+    exits; the call itself must succeed."""
+    code, _, modules = probe(*argv)
+    assert code == "0"
+    return modules
 
 
 class TestImportBudget:
@@ -107,6 +123,69 @@ assert "cmath" not in sys.modules
     def test_text_output_loads_no_serializer(self):
         modules = loaded_modules("count", "--r", "0", "--t", "3", "--n", "13")
         assert not modules & {"json", "csv"}
+
+
+# One call for each way a process ends, with its exit code: success, a
+# UsageError, argparse's own error and --version.
+_WAYS_OUT = ((("count", "--r", "0", "--t", "3", "--n", "13"), "0"),
+             (("count", "--r", "0", "--t", "3", "--n", "-1"), "2"),
+             (("count", "--r", "x", "--t", "3", "--n", "1"), "2"),
+             (("--version",), "0"))
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv, want", _WAYS_OUT)
+    def test_every_way_out_freezes_the_heap(self, argv, want):
+        code, frozen, _ = probe(*argv)
+        assert code == want
+        assert frozen > 0
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _WAYS_OUT])
+    def test_in_process_main_never_freezes(self, argv):
+        before = gc.get_freeze_count()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.suppress(SystemExit):
+            cli.main(list(argv))
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--r", "0", "--t", "3", "--n", "13"),
+        ("rank-table", "--from", "3", "--to", "5", "--n-max", "5"),
+        ("maxn", "--r", "0", "--n", "40"),
+        ("convexity", "--r", "0", "--max", "40"),
+        ("bounds", "--n", "600", "--format", "json"),
+        ("verify", "tables"),
+    ], ids=lambda argv: argv[0])
+    def test_module_prints_the_bytes_main_prints(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "dysonrank", *argv],
+                              capture_output=True, env=_env(), timeout=120)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        assert (proc.returncode, proc.stdout) == (code,
+                                                  out.getvalue().encode())
+
+    def test_script_and_module_enter_through_one_function(self):
+        # __main__.py imports one name from .cli and exits with its value;
+        # pyproject.toml's console script must name that same function.
+        # Read line by line: Python 3.10 has no tomllib.
+        package = Path(dysonrank.__file__).resolve().parent
+        tree = ast.parse((package / "__main__.py").read_text())
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module == "cli" for alias in node.names]
+        called = [node.args[0].func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "sys.exit"]
+        assert imported == called == ["run"]
+        lines = (package.parents[1] / "pyproject.toml").read_text() \
+            .splitlines()
+        section = lines[lines.index("[project.scripts]") + 1:]
+        scripts = section[:next((i for i, line in enumerate(section)
+                                 if line.startswith("[")), len(section))]
+        assert [line for line in scripts if line.strip()] == \
+            ['dysonrank = "dysonrank.cli:run"']
 
 
 class TestLazyNamespace:

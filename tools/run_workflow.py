@@ -7,11 +7,12 @@ workflow and refuses any key or value form it does not know, so a step
 that would run differently on a runner is never run here as if it were
 plain.  Each step runs in the checkout as the runner runs it: `bash
 --noprofile --norc -eo pipefail` for `shell: bash`, `bash -e` otherwise.
-The steps share one fresh RUNNER_TEMP, and PATH starts with a
-`dysonrank` that runs `python -m dysonrank` from src/ and a `python`
-that is the interpreter running this script.  The `uses:` steps (the
-checkout and the Python set-up) and Install, which needs the network,
-are skipped and listed as skipped.  Only this interpreter's leg of the
+The steps share one fresh RUNNER_TEMP.  PYTHONPATH starts with src/,
+in place of Install's editable install, and PATH starts with a
+`dysonrank` that runs `python -m dysonrank` and a `python` that is the
+interpreter running this script.  The `uses:` steps (the checkout and
+the Python set-up) and Install, which needs the network, are skipped
+and listed as skipped.  Only this interpreter's leg of the
 Python matrix runs.
 
 The summary gives each step's exit code and seconds and the interpreter.
@@ -156,12 +157,11 @@ def run_steps(steps: list[Step]) -> int:
         runner_temp = Path(tmp, "runner-temp")
         bin_dir.mkdir()
         runner_temp.mkdir()
-        src = shlex.quote(str(ROOT / "src"))
-        _shim(bin_dir / "dysonrank",
-              f'PYTHONPATH={src}"${{PYTHONPATH:+:$PYTHONPATH}}" '
-              f'exec {python} -m dysonrank "$@"')
+        _shim(bin_dir / "dysonrank", f'exec {python} -m dysonrank "$@"')
         _shim(bin_dir / "python", f'exec {python} "$@"')
-        env = dict(os.environ, RUNNER_TEMP=str(runner_temp),
+        path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                           os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, RUNNER_TEMP=str(runner_temp), PYTHONPATH=path,
                    PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
         for number, step in enumerate(steps, start=1):
             if step.skip:
