@@ -180,13 +180,22 @@ def _cmd_count(args: argparse.Namespace) -> OutputRecord:
     return OutputRecord("count", params, {"count": value})
 
 
-def _cmd_rank_table(args: argparse.Namespace) -> OutputRecord:
+def _window(args: argparse.Namespace) -> tuple[int, int] | None:
+    """(A, B) of `[--from A] --to B`, A defaulting to 0, or None when
+    neither flag is given; `rank-table` and `maxn` read it."""
+    if args.hi is None:
+        if args.lo is not None:
+            raise UsageError("--from needs --to")
+        return None
     lo = 0 if args.lo is None else args.lo
-    hi = args.hi if args.hi is not None else (
-        args.lo if args.lo is not None else None)
+    if not 0 <= lo <= args.hi:
+        raise UsageError("range must satisfy 0 <= --from <= --to")
+    return lo, args.hi
+
+
+def _cmd_rank_table(args: argparse.Namespace) -> OutputRecord:
+    lo, hi = _window(args) or (0, None)
     if hi is not None:
-        if lo < 0 or hi < lo:
-            raise UsageError("row range must satisfy 0 <= --from <= --to")
         # Row n holds max(2n - 1, 1) counts, so rows 0..h hold 1 + h^2.
         counts = 1 + hi * hi - (1 + (lo - 1) ** 2 if lo else 0)
         if counts > _MAX_PRINTED_COUNTS:
@@ -220,8 +229,7 @@ def _cmd_rank_table(args: argparse.Namespace) -> OutputRecord:
                                "partitions_of_n_max": partition_number(
                                    args.n_max)}
     if hi is not None:
-        params["from"] = lo
-        params["to"] = hi
+        params["from"], params["to"] = lo, hi
         rows = []
         for n in range(lo, hi + 1):
             row = table.row(n)
@@ -235,17 +243,12 @@ def _cmd_rank_table(args: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_maxn(args: argparse.Namespace) -> OutputRecord:
-    if args.n is not None and (args.lo is not None or args.hi is not None):
-        raise UsageError("pass --n or --from/--to, not both")
-    if args.n is not None:
-        lo = hi = args.n
-    else:
-        if args.hi is None:
-            raise UsageError("pass --n for one value or --to for a range")
-        lo = 0 if args.lo is None else args.lo
-        hi = args.hi
-    if lo < 0 or hi < lo:
-        raise UsageError("range must satisfy 0 <= from <= to")
+    window = _window(args)
+    if (args.n is None) == (window is None):
+        raise UsageError("pass either --n N or [--from A] --to B")
+    if args.n is not None and args.n < 0:
+        raise UsageError("--n must be >= 0")
+    lo, hi = window or (args.n, args.n)
     from .maxprod import _maxn_rows
     table = table_for(hi, args.n_max)
     rows = []
@@ -268,12 +271,8 @@ def _cmd_maxn(args: argparse.Namespace) -> OutputRecord:
             if entry.truncated:
                 row["optima_truncated"] = True
         rows.append(row)
-    params = {"r": args.r, "t": args.t, "n_max": args.n_max}
-    if args.n is not None:
-        params["n"] = args.n
-    else:
-        params["from"] = lo
-        params["to"] = hi
+    params = {"r": args.r, "t": args.t, "n_max": args.n_max,
+              **({"n": lo} if window is None else {"from": lo, "to": hi})}
     status = "violation-found" if disagreements else "ok"
     return OutputRecord("maxn", params,
                         {"rows": rows, "closed_form_disagreements":
@@ -421,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("rank-table", parents=[common], allow_abbrev=False,
-                       help="build the rank table, optionally printing rows")
+                       help="print p(--n-max) and rows [--from A] --to B; "
+                            "only --table-cache builds a full table")
     p.add_argument("--from", dest="lo", type=int)
     p.add_argument("--to", dest="hi", type=int)
     p.set_defaults(handler=_cmd_rank_table)

@@ -1,17 +1,16 @@
 """End-to-end command-line behavior: output formats, golden strings,
 JSON as a standard reader sees it, exit codes, and the table cache,
-which only the row-printing commands read; and every CLI call in the CI
-workflow parses."""
+which only the row-printing commands read; and every CLI call of
+tools/ci_checks.py, the checks CI runs, parses."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
 import math
 import os
-import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -43,8 +42,8 @@ VERIFY_READS = {"tables": {},
                 "conjectures": {"--max": "scan_max", "--to": "forms_hi"}}
 RANGE_FLAGS = ("--r", "--t", "--min", "--max", "--from", "--to", "--step")
 # Calls whose flags abbreviate ones the subcommand has: --n-max, --n-max
-# and --format.  argparse refuses each, and the workflow checks that it
-# does, so these are the workflow lines that must not parse.
+# and --format.  argparse refuses each, and tools/ci_checks.py checks that
+# it does, so these are the calls there that must not parse.
 ABBREVIATED = (("verify", "bounds", "--n", "9"),
                ("count", "--r", "0", "--t", "3", "--n", "13", "--n-m", "12"),
                ("bounds", "--n", "5", "--form", "json"))
@@ -187,11 +186,19 @@ class TestMaxn:
                        f"print more than {parts - 1} parts of optima; "
                        "narrow --from/--to or drop --show-partitions\n")
 
-    def test_n_and_range_conflict(self):
-        code, _, err = run("maxn", "--r", "0", "--n", "5", "--to", "9",
-                           "--n-max", "16")
-        assert code == 2
-        assert "not both" in err
+    @pytest.mark.parametrize("argv, message", [
+        (("maxn", "--r", "0", "--n", "5", "--to", "9"),
+         "pass either --n N or [--from A] --to B"),
+        (("maxn", "--r", "0"), "pass either --n N or [--from A] --to B"),
+        (("maxn", "--r", "0", "--n", "-1"), "--n must be >= 0"),
+        (("maxn", "--r", "0", "--from", "5"), "--from needs --to"),
+        (("rank-table", "--from", "5"), "--from needs --to"),
+    ], ids=["n-and-to", "neither", "negative-n", "maxn-from-alone",
+            "rank-table-from-alone"])
+    def test_n_and_range_conflict(self, argv, message):
+        # Both commands read `[--from A] --to B`: --from alone is refused.
+        code, out, err = run(*argv, "--n-max", "16")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("r, t, argv", [
         (0, 3, ("--from", "30", "--to", "45")),
@@ -813,11 +820,15 @@ class TestRankTableCommand:
         assert rows[1]["counts"] == [[-3, 1], [-2, 0], [-1, 1], [0, 1],
                                      [1, 1], [2, 0], [3, 1]]
 
-    def test_bad_window(self):
-        code, _, err = run("rank-table", "--from", "9", "--to", "2",
-                           "--n-max", "16")
-        assert code == 2
-        assert "range" in err
+    @pytest.mark.parametrize("lo", ["9", "-1"])
+    @pytest.mark.parametrize("command", [("rank-table",),
+                                         ("maxn", "--r", "0")],
+                             ids=["rank-table", "maxn"])
+    def test_bad_window(self, command, lo):
+        code, out, err = run(*command, "--from", lo, "--to", "2",
+                             "--n-max", "16")
+        assert (code, out) == (2, "")
+        assert err == "error: range must satisfy 0 <= --from <= --to\n"
 
     @pytest.mark.parametrize("lo, hi, counts", [
         (0, 1025, 1050626), (1, 1025, 1050625), (46, 1025, 1048600),
@@ -948,49 +959,32 @@ class TestParserBasics:
                             f"{' '.join(argv[-2:])}\n")
 
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml"
-# How a workflow line may run the CLI: dysonrank, python -m dysonrank,
-# timeout N dysonrank or time timeout N dysonrank, at the start of the
-# line.
-CLI_LINE = re.compile(
-    r"(time +)?(timeout +\d+ +)?(python -m +)?dysonrank( |$)")
-# A CLI call anywhere in a line, so a call in any other form is found
-# and refused rather than skipped.
-CLI_CALL = re.compile(r"\bdysonrank +(--version|count|rank-table|maxn|"
-                      r"convexity|bounds|verify)\b")
+CI_CHECKS = Path(__file__).resolve().parents[1] / "tools" / "ci_checks.py"
 
 
-def workflow_cli_lines() -> list[tuple[int, str]]:
-    """(line number, stripped line) of every workflow line that calls
-    the CLI."""
-    return [(number, line.strip()) for number, line
-            in enumerate(WORKFLOW.read_text().splitlines(), start=1)
-            if CLI_LINE.match(line.strip()) or CLI_CALL.search(line)]
+def ci_cli_calls() -> list[tuple[str, list[str]]]:
+    """(helper, argv) of every CLI call in tools/ci_checks.py: the
+    arguments of each `dysonrank(...)` and `refused(...)` call and the
+    rest of each list that starts `sys.executable, "-m", "dysonrank"`.
+    A name stands in for the value it holds at run time, such as a cache
+    path; any other argument raises ValueError."""
+    def literal(node: ast.expr) -> str:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        if isinstance(node, ast.Name):
+            return node.id
+        raise ValueError(f"not a literal argument: {ast.unparse(node)}")
 
-
-def cli_argv(line: str) -> list[str]:
-    """The arguments a workflow line passes to dysonrank: the words after
-    it, up to a pipe or `||`, without redirections.  A line this cannot
-    split raises ValueError."""
-    if not CLI_LINE.match(line):
-        raise ValueError("the line does not start with the command")
-    words = shlex.split(line)  # unbalanced quotes raise ValueError
-    argv: list[str] = []
-    target = False  # the next word is a redirection's target
-    for word in words[words.index("dysonrank") + 1:]:
-        if word in ("|", "||"):
-            break
-        if target:
-            target = False
-        elif re.fullmatch(r"\d*>>?", word):
-            target = True
-        elif not re.fullmatch(r"\d*>>?\S+", word):
-            if set(word) & set("|&;<>`"):
-                raise ValueError(f"cannot split the word {word!r}")
-            argv.append(word)
-    if target:
-        raise ValueError("a redirection without a target")
-    return argv
+    calls = []
+    for node in ast.walk(ast.parse(CI_CHECKS.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("dysonrank", "refused"):
+            calls.append((node.func.id, [literal(a) for a in node.args]))
+        elif isinstance(node, ast.List) and [
+                ast.unparse(e) for e in node.elts[:3]] == [
+                "sys.executable", "'-m'", "'dysonrank'"]:
+            calls.append(("Popen", [literal(a) for a in node.elts[3:]]))
+    return calls
 
 
 def parse_exit(argv: list[str]) -> int | None:
@@ -1007,56 +1001,18 @@ def parse_exit(argv: list[str]) -> int | None:
 
 class TestWorkflowCommandLines:
     def test_every_cli_line_in_ci_parses(self):
-        lines = workflow_cli_lines()
-        refused = []
-        for number, line in lines:
-            try:
-                argv = cli_argv(line)
-            except ValueError as exc:
-                refused.append((number, line, str(exc)))
-                continue
-            code = parse_exit(argv)
-            want = (0 if argv == ["--version"]
-                    else 2 if tuple(argv) in ABBREVIATED else None)
-            if code != want:
-                refused.append((number, line, f"exit {code}"))
-        assert refused == []
-        # The workflow checks every refusal of an abbreviation.
-        assert {tuple(cli_argv(line)) for _, line in lines} \
+        calls = ci_cli_calls()
+        wrong = [(helper, argv, code) for helper, argv in calls
+                 if (code := parse_exit(argv))
+                 != (2 if tuple(argv) in ABBREVIATED else None)]
+        assert wrong == []
+        # CI checks every refusal of an abbreviation.
+        assert {tuple(argv) for helper, argv in calls if helper == "refused"} \
             >= set(ABBREVIATED)
-        # Each accepted form occurs, the time case at least once.
-        assert len(lines) >= 20
-        for form in ("dysonrank ", "python -m dysonrank ", "timeout ",
-                     "time timeout "):
-            assert any(line.startswith(form) for _, line in lines), form
-
-    @pytest.mark.parametrize("line, argv", [
-        ("dysonrank count --r 0 --t 3 --n 13 | grep -qx 'result.count = 37'",
-         ["count", "--r", "0", "--t", "3", "--n", "13"]),
-        ("time timeout 60 dysonrank verify bounds --max 9 > out.txt",
-         ["verify", "bounds", "--max", "9"]),
-        ("timeout 20 dysonrank bounds --n 9 > /dev/null 2>err.txt "
-         "|| code=$?", ["bounds", "--n", "9"]),
-        ('dysonrank rank-table --n-max 9 --table-cache "$RUNNER_TEMP/t.bin"',
-         ["rank-table", "--n-max", "9", "--table-cache",
-          "$RUNNER_TEMP/t.bin"]),
-        ('python -m dysonrank bounds --n 9 > "$RUNNER_TEMP/module.txt"',
-         ["bounds", "--n", "9"]),
-    ])
-    def test_reader_drops_prefixes_pipes_and_redirections(self, line, argv):
-        assert cli_argv(line) == argv
-
-    @pytest.mark.parametrize("line", [
-        "dysonrank count --r '0",
-        "dysonrank count --r 0|head",
-        "dysonrank bounds --n 9 >",
-        "dysonrank bounds --n 9; dysonrank bounds --n 8",
-        "x=$(dysonrank bounds --n 9)",
-        "nice dysonrank bounds --n 9",
-    ])
-    def test_reader_refuses_what_it_cannot_split(self, line):
-        with pytest.raises(ValueError):
-            cli_argv(line)
+        assert {helper for helper, _ in calls} == {"dysonrank", "refused",
+                                                   "Popen"}
+        # No call goes missing unnoticed: 37 in all.
+        assert len(calls) == 37
 
     def test_a_flag_the_cli_lacks_fails_to_parse(self):
         assert parse_exit(["count", "--r", "0", "--t", "3", "--n", "1"]) \
