@@ -123,7 +123,7 @@ def _scan(table: RankTable, r: int, t: int, a_min: int,
     return {"r": r, "min": a_min, "max": b_max,
             "pairs_checked": report.pairs_checked,
             "violations_found": len(report.violations),
-            "violations": [list(v) for v in report.violations[:20]]}
+            "violations": report.violations[:20]}
 
 
 def tables(n_max: int | None = None) -> ClaimRecord:

@@ -1,9 +1,9 @@
 """Command-line front end for the rank-count toolkit.
 
 Every subcommand assembles an OutputRecord (command, parameters,
-results, status) and renders it as text, CSV, or JSON.  Structured
-output is deterministic: stable key order, big integers as decimal
-strings.
+results, status); main writes it to stdout as text, CSV or JSON while
+rendering it.  Structured output is deterministic: stable key order,
+big integers as decimal strings.
 
 Residue counts come from residue columns, so a command that reports
 counts gets a table without rows from `core.table_for`, which holds the
@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import os
 import sys
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Iterator
 
 from . import __version__
@@ -66,8 +66,8 @@ _EXIT_BY_STATUS = {"ok": 0, "violation-found": 1, "conjecture-mismatch": 0}
 # The most counts `rank-table --from/--to` prints, those of rows 0..1024:
 # row n holds max(2n - 1, 1) of them, so 1 + 1024^2 in all.  The output
 # grows as the square of --to: on a 2-vCPU host with Python 3.11, rows
-# 0..1024 take about 3 s of CPU and a 217 MiB peak at --format text, and
-# 7-8 s and 632 MiB at --format json, so rows 0..5000 would need ~15 GB.
+# 0..1024 take about 2-3 s of CPU and a 211 MiB peak as text, and 5-6 s
+# and 289 MiB as JSON, so rows 0..5000 would need ~5 GB.
 # `maxn --show-partitions` prints at most as many parts of optima, up to
 # 64 partitions of each n in its range, so its output grows the same way;
 # one --n prints at most 64 * MAX_TABLE_ROWS parts and is never refused.
@@ -80,8 +80,10 @@ class UsageError(Exception):
 
 class OutputRecord:
     """One command's machine-readable outcome: the parameter and result
-    dicts its handler built, kept as they are.  Rendering reads a tuple
-    as a list."""
+    dicts its handler built, kept as they are.  JSON reads a tuple as a
+    list; text and CSV print a list of integer tuples, partitions or
+    convexity violations, as a set, and a list of integer lists, a rank
+    row's [m, N(m, n)] pairs, as JSON writes it (see _flatten)."""
 
     def __init__(self, command: str, parameters: dict[str, Any],
                  results: dict[str, Any], status: str = "ok") -> None:
@@ -108,8 +110,7 @@ def _encode(value: Any) -> Any:
 
 
 def record_to_json(record: OutputRecord) -> str:
-    import json
-    return json.dumps(_encode(record.as_dict()), indent=2)
+    return render(record, "json")
 
 
 def _is_partition(value: Any) -> bool:
@@ -118,8 +119,9 @@ def _is_partition(value: Any) -> bool:
 
 
 def _flatten(prefix: str, value: Any) -> Iterator[tuple[str, Any]]:
-    """Depth-first (path, scalar) pairs; partitions and sets of
-    partitions collapse to single readable cells."""
+    """Depth-first (path, scalar) pairs; a sequence of integers collapses
+    to one cell "(a,b)", and a sequence of those to "{(a,b) (c)}" when
+    all are tuples, else to "[[a,b],[c]]"."""
     if isinstance(value, dict):
         for k, v in value.items():
             yield from _flatten(f"{prefix}.{k}" if prefix else k, v)
@@ -127,8 +129,12 @@ def _flatten(prefix: str, value: Any) -> Iterator[tuple[str, Any]]:
         if value and _is_partition(value):
             yield prefix, "(" + ",".join(map(str, value)) + ")"
         elif value and all(_is_partition(v) for v in value):
-            yield prefix, "{" + " ".join(
-                "(" + ",".join(map(str, p)) + ")" for p in value) + "}"
+            if all(isinstance(v, tuple) for v in value):
+                yield prefix, "{" + " ".join(
+                    "(" + ",".join(map(str, p)) + ")" for p in value) + "}"
+            else:
+                yield prefix, "[" + ",".join(
+                    "[" + ",".join(map(str, p)) + "]" for p in value) + "]"
         elif not value:
             yield prefix, "[]"
         else:
@@ -138,34 +144,36 @@ def _flatten(prefix: str, value: Any) -> Iterator[tuple[str, Any]]:
         yield prefix, value
 
 
-def _pairs(record: OutputRecord) -> list[tuple[str, Any]]:
-    pairs: list[tuple[str, Any]] = [("command", record.command),
-                                    ("status", record.status)]
-    pairs.extend(_flatten("param", record.parameters))
-    pairs.extend(_flatten("result", record.results))
-    return pairs
+def _pairs(record: OutputRecord) -> Iterator[tuple[str, Any]]:
+    yield "command", record.command
+    yield "status", record.status
+    yield from _flatten("param", record.parameters)
+    yield from _flatten("result", record.results)
 
 
-def render_text(record: OutputRecord) -> str:
-    return "\n".join(f"{key} = {value}" for key, value in _pairs(record))
+class _Echo:  # a file whose write returns its line, as writerow does
+    write = staticmethod(str)
 
 
-def render_csv(record: OutputRecord) -> str:
-    import csv
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in _pairs(record):
-        writer.writerow([key, value])
-    return out.getvalue().rstrip("\n")
+def _lines(record: OutputRecord, fmt: str) -> Iterator[str]:
+    """The record rendered in pieces, as they are made; the last ends in
+    the final newline."""
+    if fmt == "json":
+        import json
+        yield from json.JSONEncoder(indent=2).iterencode(
+            _encode(record.as_dict()))
+        yield "\n"
+    elif fmt == "csv":
+        import csv
+        row = csv.writer(_Echo(), lineterminator="\n").writerow
+        yield row(("key", "value"))
+        yield from map(row, _pairs(record))
+    else:
+        yield from (f"{key} = {value}\n" for key, value in _pairs(record))
 
 
 def render(record: OutputRecord, fmt: str) -> str:
-    if fmt == "json":
-        return record_to_json(record)
-    if fmt == "csv":
-        return render_csv(record)
-    return render_text(record)
+    return "".join(_lines(record, fmt))[:-1]
 
 
 # ------------------------------------------------------------- commands
@@ -267,7 +275,7 @@ def _cmd_maxn(args: argparse.Namespace) -> OutputRecord:
                     f"--from {lo} --to {hi} --show-partitions would print "
                     f"more than {_MAX_PRINTED_COUNTS} parts of optima; "
                     "narrow --from/--to or drop --show-partitions")
-            row["optima"] = [list(p) for p in entry.optima]
+            row["optima"] = list(entry.optima)
             if entry.truncated:
                 row["optima_truncated"] = True
         rows.append(row)
@@ -473,7 +481,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 2
     try:
-        print(render(record, args.format))
+        pieces = _lines(record, args.format)
+        while batch := "".join(islice(pieces, 1024)):
+            sys.stdout.write(batch)
     except BrokenPipeError:
         # The reader closed the pipe early (`| head`).  Point stdout at
         # devnull so the flush at interpreter exit cannot raise again;

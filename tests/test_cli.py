@@ -820,6 +820,22 @@ class TestRankTableCommand:
         assert rows[1]["counts"] == [[-3, 1], [-2, 0], [-1, 1], [0, 1],
                                      [1, 1], [2, 0], [3, 1]]
 
+    @pytest.mark.parametrize("fmt, lines", [
+        ("text", ["result.rows[0].counts = [[-1,1],[0,0],[1,1]]",
+                  "result.rows[1].counts = "
+                  "[[-2,1],[-1,0],[0,1],[1,0],[2,1]]"]),
+        ("csv", ['result.rows[0].counts,"[[-1,1],[0,0],[1,1]]"',
+                 'result.rows[1].counts,"[[-2,1],[-1,0],[0,1],[1,0],[2,1]]"']),
+    ])
+    def test_rank_rows_print_as_pairs(self, fmt, lines):
+        # [m, N(m, n)] pairs, as JSON writes them: not the set of
+        # partitions that maxn's optima print as.
+        code, out, _ = run("rank-table", "--from", "2", "--to", "3",
+                           "--n-max", "3", "--format", fmt)
+        assert code == 0
+        assert [line for line in out.splitlines()
+                if ".counts" in line] == lines
+
     @pytest.mark.parametrize("lo", ["9", "-1"])
     @pytest.mark.parametrize("command", [("rank-table",),
                                          ("maxn", "--r", "0")],
@@ -917,17 +933,27 @@ class TestSerialization:
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_tuples_render_as_lists(self, fmt):
         # A record keeps the values its handler built, so a tuple reaches
-        # the renderers; each must write it as it writes the list.
+        # the renderers; each must write it as it writes the list.  Only
+        # the items of a sequence of integer sequences keep their kind:
+        # text and CSV print tuples as a set and lists as JSON writes them.
         def results(seq):
             return {"partition": seq((7, 7)),
-                    "optima": seq((seq((7, 7)), seq((14,)))),
+                    "optima": seq(((7, 7), (14,))),
                     "empty": seq(()),
                     "big": seq((2 ** 77, -(2 ** 60), 5)),
-                    "rows": seq(({"n": 1, "counts": seq((seq((0, 1)),))},)),
+                    "rows": seq(({"n": 1, "counts": seq(([0, 1],))},)),
                     "mixed": seq((1, "a", seq((2, 3))))}
         as_tuples = OutputRecord("probe", {"pair": (1, 2)}, results(tuple))
         as_lists = OutputRecord("probe", {"pair": [1, 2]}, results(list))
         assert render(as_tuples, fmt) == render(as_lists, fmt)
+        kinds = OutputRecord("probe", {}, {"sets": [(7, 7), (14,)],
+                                           "pairs": [[7, 7], [14]]})
+        if fmt == "json":
+            assert json.loads(render(kinds, fmt))["results"] == {
+                "sets": [[7, 7], [14]], "pairs": [[7, 7], [14]]}
+        else:
+            sets, pairs = render(kinds, fmt).splitlines()[-2:]
+            assert "{(7,7) (14)}" in sets and "[[7,7],[14]]" in pairs
 
     def test_render_dispatch(self):
         record = OutputRecord("probe", {"a": 1}, {"b": True})

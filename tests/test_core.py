@@ -28,6 +28,7 @@ import itertools
 import os
 import subprocess
 import sys
+from math import isqrt
 from operator import itemgetter, sub
 from pathlib import Path
 
@@ -141,15 +142,36 @@ class TestDivideByEuler:
 
     def test_extension_from_every_start(self):
         # Offsets enter at 1, 2, 5, 7, 12, 15, 22, 26, 35, 40, 51, 57, so
-        # the starts 0 .. 60 put every one of them at a call's boundary.
+        # the starts 0 .. 60 put every one of them at a call's boundary,
+        # and start a packed call at every residue mod 4.  From 161 on a
+        # call adds too few degrees to pack the stored ones.
         for numerator in ([1] + [0] * 200,
-                          core._residue_numerator(0, 3, 0, 200)):
+                          core._residue_numerator(0, 3, 0, 200),
+                          core._residue_numerator(1, 5, 0, 200)):
             whole = []
             loop_divide_by_euler(whole, numerator, 200)
-            for start in range(61):
+            for start in [*range(61), 160, 161, 197, 200]:
                 series = whole[:start]
                 core._divide_by_euler(series, numerator[start:], 200)
                 assert series == whole, start
+
+    def test_both_sides_of_the_switch(self, monkeypatch):
+        # Four slots of 3000 bits at n = 34224, of 3016 bits one later.
+        whole = [1]
+        loop_divide_by_euler(whole, [0] * 34225, 34225)
+        packed = core._divide_packed
+        calls = []
+
+        def recording(series, *rest):
+            calls.append(rest[1])
+            packed(series, *rest)
+
+        monkeypatch.setattr(core, "_divide_packed", recording)
+        for n in (34224, 34225):
+            series = [1]
+            core._divide_by_euler(series, [0] * n, n)
+            assert series == whole[:n + 1], n
+        assert calls == [34224]
 
     def test_no_getter_gathers_20_items(self, monkeypatch):
         # CPython 3.11 never reuses a freed 20-item tuple; every getter
@@ -178,6 +200,44 @@ class TestDivideByEuler:
         series = []
         core._divide_by_euler(series, [7] * 50, -1)
         assert series == []
+
+    @staticmethod
+    def numerator_of(quotient):
+        """The coefficients of quotient * (q)_inf to the degree of the
+        quotient's last, so that dividing them by (q)_inf gives it."""
+        n = len(quotient) - 1
+        euler = [1] + [0] * n  # 1 + sum (-1)^k (q^(g_k) + q^(g_k + k))
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if e <= n:
+                    euler[e] += (-1) ** k
+            k += 1
+        return [sum(quotient[j] * euler[m - j] for j in range(m + 1))
+                for m in range(n + 1)]
+
+    def test_quotient_at_the_bound_is_exact(self):
+        # At n = 200 every count is below 2^60 = 2^(4 isqrt(n) + 4), and
+        # a quotient of 2^60 - 1 in every degree has far sums of twice
+        # that, which only the slot's margin for 2K terms holds.
+        top = (1 << 4 * isqrt(200) + 4) - 1
+        series = []
+        core._divide_by_euler(series, self.numerator_of([top] * 201), 200)
+        assert series == [top] * 201
+
+    @pytest.mark.parametrize("stored, quotient", [
+        ([], [1] * 100 + [1 << 60] + [1] * 100),
+        ([], [1] * 100 + [-1] + [1] * 100),
+        ([1, 1 << 60], [1, 1 << 60] + [1] * 199),
+        ([5, -1, 5], [5, -1, 5] + [1] * 198),
+    ])
+    def test_a_quotient_past_the_width_raises(self, stored, quotient):
+        # A coefficient at or past 2^60, or below 0, new or stored, would
+        # overflow a slot or corrupt a window at n = 200.  Unchecked, the
+        # two stored ones read as the quotient and as a wrong one.
+        numerator = self.numerator_of(quotient)[len(stored):]
+        with pytest.raises(ArithmeticError, match=r"\[0, 2\^60\)"):
+            core._divide_by_euler(list(stored), numerator, 200)
 
 
 class TestEnumeration:

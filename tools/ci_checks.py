@@ -299,7 +299,7 @@ def budget_at_4347():
            "result.rows[0].a_third = -6535410516613307218660")
 
 
-# ------------------------------------------- library checks to n = 20000
+# ------------------------------------------- library checks to n = 40000
 
 DYSON_SERIES = """\
 import sys
@@ -334,6 +334,24 @@ if differ:
 """
 
 
+DIVISION = """\
+import sys
+
+from dysonrank import partition_numbers, residue_column
+from dysonrank.core import _residue_numerator
+from oracles import loop_divide_by_euler
+
+n = N_MAX
+p, column = [], []
+loop_divide_by_euler(p, [1] + [0] * n, n)
+loop_divide_by_euler(column, _residue_numerator(0, 3, 0, n), n)
+if partition_numbers(n) != p:
+    sys.exit(f"p(0 .. {n}) differs from the per-term loop")
+if list(residue_column(0, 3, n)) != column:
+    sys.exit(f"N(0, 3; 0 .. {n}) differs from the per-term loop")
+"""
+
+
 def _snippet(code: str, path: tuple[str, ...]) -> None:
     got, _, err = python("-c", code, timeout=120, path=path)
     if got != 0:
@@ -345,6 +363,14 @@ def dyson_series_to_20000():
     residue columns; in a fresh process p is not stored, so both
     columns are divided."""
     _snippet(DYSON_SERIES, ("src", "tests"))
+
+
+def division_across_the_switch():
+    """p and the (0, 3) column in a fresh process to 34224, the last n
+    whose division packs four degrees a step, and to 40000, which runs
+    one degree a step, against the per-term loop."""
+    for n in (34224, 40000):
+        _snippet(DIVISION.replace("N_MAX", str(n)), ("src", "tests"))
 
 
 def envelope_integer_edges_to_20000():
@@ -397,7 +423,8 @@ def bench_self_tests():
     _streamed("-m", "unittest", "discover", "-s", "perfbench")
 
 
-# In the order the workflow ran them as steps.
+# The CLI at scale, the library checks, the benchmark passes and the
+# tests, in the order the workflow once ran them as steps.
 CHECKS = (
     early_closed_pipe,
     theorem2_and_t2_conjectures,
@@ -417,6 +444,7 @@ CHECKS = (
     convexity_to_2500,
     budget_at_4347,
     dyson_series_to_20000,
+    division_across_the_switch,
     envelope_integer_edges_to_20000,
     bench_claims_1000,
     bench_cli_session,
