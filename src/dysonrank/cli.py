@@ -55,7 +55,7 @@ from .core import (MAX_TABLE_ROWS, build_rank_table, partition_number,
 if TYPE_CHECKING:
     from .claims import ClaimRecord
 
-__all__ = ["OutputRecord", "main", "record_to_json", "render", "run"]
+__all__ = ["OutputRecord", "main", "render", "run"]
 
 # Integers at or beyond 2**53 lose precision in common JSON readers, so
 # they serialize as decimal strings.
@@ -107,10 +107,6 @@ def _encode(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: _encode(v) for k, v in value.items()}
     return value
-
-
-def record_to_json(record: OutputRecord) -> str:
-    return render(record, "json")
 
 
 def _is_partition(value: Any) -> bool:

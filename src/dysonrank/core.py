@@ -10,10 +10,7 @@ gives p(n), and costs O(n^1.5) exact additions with no n x n storage
 (see residue_column).  Each degree's terms are gathered in C by one
 operator.itemgetter per sign and summed by sum(), so no bytecode runs
 per term, and while the counts are narrow four degrees share each
-addition, packed side by side into one integer (see _divide_by_euler):
-on a 2-vCPU x86-64 host with Python 3.11, p(10^4) takes 33-49 ms of
-CPU in a fresh process, against 54-76 ms one degree at a time and
-about 1.5 times that with a loop over the terms.
+addition, packed side by side into one integer (see _divide_by_euler).
 Conjugation negates the rank, so r and t - r share one column and one
 division.  The classes of a modulus sum to p(n), so once p and all but
 one class of t are stored, that last class is p minus the others, t - 1
@@ -31,8 +28,7 @@ passes through a float.
 
 Columns are computed once per process and extended, never recomputed.
 After that a residue count costs a dict lookup and an index, behind an
-inline range check on n (see residue_count): 0.16 us a call on the host
-above, against 0.19 us with RankTable._check_n called on every read.
+inline range check on n (see residue_count).
 """
 
 from __future__ import annotations
@@ -58,9 +54,9 @@ __all__ = [
 
 # The largest n a call may read: the length of a residue column, and the
 # size of a table that --table-cache builds.  A full table's memory
-# grows as n^2: on a 2-vCPU host with Python 3.11, in a fresh process
-# with its import, 2000 rows took 0.42-0.43 s and a 74 MiB peak RSS,
-# 3000 rows 0.71-0.84 s and 153 MiB, and 5000 rows 2.4 s and 435 MiB.
+# grows as n^2 (see build_rank_table): on a 2-vCPU host with Python
+# 3.11, in a fresh process with its import, 5000 rows took 2.4 s and a
+# 435 MiB peak RSS.
 MAX_TABLE_ROWS = 5000
 
 
@@ -572,11 +568,10 @@ def residue_column(r: int, t: int, n_max: int) -> tuple[int, ...]:
     Writing [r = 0] as (q)_inf / (q)_inf puts everything over (q)_inf.
     The numerator has O((n_max / t) log n_max) nonzero terms, each +-1,
     and dividing by (q)_inf is the pentagonal recurrence of p(n),
-    gathered in C (see _divide_by_euler).  On the host above a cold
-    column of (0, 3) takes 0.036 s to n = 10^4 and 0.12 s to 2 * 10^4
-    of CPU in a fresh process, four degrees a step, against 0.055 and
-    0.17 s one degree a step, which runs to 4 * 10^4 in 0.49-0.56 s
-    (medians of 5; 0.13, 0.32 and 0.91 s with a loop over the terms).
+    gathered in C (see _divide_by_euler).  On a 2-vCPU host with
+    Python 3.11, a cold column of (0, 3) takes 0.036 s of CPU to
+    n = 10^4, 0.12 s to 2 * 10^4 and 0.49-0.56 s to 4 * 10^4 in a fresh
+    process (medians of 5).
 
     Conjugating a partition negates its rank, so N(r, t; n) =
     N(t - r, t; n) (Dyson 1944); the numerator above is the same for r
@@ -610,9 +605,11 @@ def residue_count(table: RankTable, r: int, t: int, n: int) -> int:
     division or from p and the other classes (see residue_column).  No
     row of the table is read.  Once the column is stored, a read costs
     one dict lookup, a length test, an inline range check on n and one
-    index.  RankTable._check_n runs only when n is not a plain int in
-    0 .. n_max, to raise its error (a bool passes it, as an int), and
-    only after r and t have been validated."""
+    index: 0.16 us a call on a 2-vCPU host with Python 3.11, against
+    0.19 us with RankTable._check_n called on every read.  So _check_n
+    runs only when n is not a plain int in 0 .. n_max, to raise its
+    error (a bool passes it, as an int), and only after r and t have
+    been validated."""
     column = _columns.get((r, t))
     if column is None or len(column) <= table.n_max:
         column = _column(r, t, table.n_max)

@@ -25,7 +25,6 @@ from dysonrank.cli import (
     OutputRecord,
     build_parser,
     main,
-    record_to_json,
     render,
 )
 from oracles import oracle_entries, walking_maxn_rows
@@ -910,7 +909,7 @@ class TestSerialization:
         record = OutputRecord("probe", {"n": 1},
                               {"big": 2 ** 77, "negative": -(2 ** 77),
                                "small": 5})
-        raw = json.loads(record_to_json(record))
+        raw = json.loads(render(record, "json"))
         assert raw["results"]["big"] == str(2 ** 77)
         assert raw["results"]["negative"] == str(-(2 ** 77))
         assert raw["results"]["small"] == 5
@@ -921,7 +920,7 @@ class TestSerialization:
         results = {"cache": "123", "negative": "-7",
                    "edge": str(2 ** 53 - 1), "small": 2 ** 53 - 1}
         record = OutputRecord("rank-table", {}, results)
-        assert json.loads(record_to_json(record))["results"] == results
+        assert json.loads(render(record, "json"))["results"] == results
 
     def test_digit_cache_path_round_trips(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
