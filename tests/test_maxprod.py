@@ -12,6 +12,7 @@ import pytest
 
 from dysonrank import (
     MaxProductEntry,
+    RankTable,
     closed_form,
     conjecture_max_mod2,
     max_table,
@@ -157,9 +158,9 @@ class TestClosedForm:
             assert not report.mismatches, report.mismatches
             assert report.checked == 240 - CLOSED_FORM_START[r] + 1
 
-    def test_unique_optima_to_2000(self, big_table):
+    def test_unique_optima_to_2000(self):
         for r in (0, 1, 2):
-            report = verify_closed_forms(big_table.table, r, 2000)
+            report = verify_closed_forms(RankTable(2000), r, 2000)
             assert not report.mismatches, report.mismatches[:3]
             assert report.checked == 2001 - CLOSED_FORM_START[r]
 
