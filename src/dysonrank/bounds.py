@@ -33,9 +33,12 @@ one point, _grow, and only when isqrt(n) outgrows them; every other
 call reads them by index.  The first error_budget(n) in a process, or
 the first past the largest isqrt(n) so far, therefore costs O(n) once
 (the sixth bound's double sum); a later call costs O(sqrt n / 3), the
-first bound's sinh terms, plus a fixed few dozen float operations
-(about 4 us of CPython for the whole budget at n <= 10^4 on a 2-vCPU
-host).  lemma_threshold evaluates its expression directly.
+first bound's sinh terms, plus a fixed few dozen float operations.  On
+a 2-vCPU host with Python 3.11, a call at n <= 10^4 takes about 3.9 us
+for the whole budget and 0.9 us for lehmer_bounds.  Both build their
+named tuples without the class's Python-level __new__, which would add
+0.1-0.2 us to each.  lemma_threshold evaluates its expression
+directly.
 
 Each quantity has one formula: Lehmer's envelope is _lehmer, which
 lehmer_bounds wraps in a BoundPair and residue_envelope_check reads as a
@@ -181,8 +184,11 @@ def lehmer_bounds(n: int) -> BoundPair:
 
     The floats are those of _lehmer, which residue_envelope_check shares:
     lower is 0.0 at n = 1, and from n = 79445, a little past
-    LEHMER_ESTIMATE_MAX_N, OverflowError is raised."""
-    return BoundPair(n, *_lehmer(n))
+    LEHMER_ESTIMATE_MAX_N, OverflowError is raised.  The BoundPair is
+    built by tuple.__new__, as namedtuple's _make builds one: calling
+    the class runs a Python-level __new__, about an eighth of the call,
+    for the same BoundPair."""
+    return tuple.__new__(BoundPair, (n, *_lehmer(n)))
 
 
 def lehmer_estimate(n: int) -> tuple[float, float]:
@@ -350,7 +356,9 @@ def _error_bounds(n: int, x: float
 
     Sum limits take floors; an empty sum is 0.  The first bound's sinh
     terms depend on n, so they are summed afresh in O(sqrt n), by sum()
-    over the same terms in the same order as the literal generator; the
+    over the same terms in the same order as the literal generator,
+    with repeat(x, first) ending the map where the terms end, so no
+    prefix of the running lists is copied; the
     fifth is closed form; the others read their k-sums by index from
     running sums shared across calls, bit-identical to summing the terms
     left to right.  The lists grow first, in _grow, only when isqrt(n)
@@ -363,7 +371,7 @@ def _error_bounds(n: int, x: float
     first = third - 1 if third > 1 else 0  # terms k = 2 .. third
     return (
         12.0 / x * sum(map(mul, _sqrt_k, map(
-            math.sinh, map(mul, _pi_over_18k[:first], repeat(x))))),
+            math.sinh, map(mul, _pi_over_18k, repeat(x, first))))),
         _BOUND2 * _sum_inv_sqrt[third],
         _BOUND3 * _sum_inv_sqrt_not3[root],
         _BOUND4 / math.sqrt(n) * _sum_sqrt[third],
@@ -377,13 +385,16 @@ def error_budget(n: int) -> ErrorBudget:
     of the main term (see ErrorBudget); the one formula for L and U.
 
     The bounds and the envelope share one sqrt(24n - 1).  From n = 690451
-    U's sinh overflows a double and OverflowError is raised."""
+    U's sinh overflows a double and OverflowError is raised.  As in
+    lehmer_bounds, the ErrorBudget is built by tuple.__new__, which
+    skips the class's Python-level __new__ and gives the same result."""
     if n < 1:
         raise ValueError("n must be >= 1")
     x = math.sqrt(24.0 * n - 1.0)
     terms = _error_bounds(n, x)
     upper = 8.0 * math.sinh(_PI_18 * x) / x
-    return ErrorBudget(n, terms, math.fsum(terms), upper * SIN_PI_18, upper)
+    return tuple.__new__(ErrorBudget, (n, terms, math.fsum(terms),
+                                       upper * SIN_PI_18, upper))
 
 
 def exact_gap(a: int, m: float | Decimal) -> Fraction:

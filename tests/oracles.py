@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 from functools import cache
 from itertools import islice, repeat
 from math import isqrt
@@ -688,6 +689,23 @@ def _literal_lehmer_bounds(n: int) -> tuple[int, float, float, float]:
     rs = 1.0 / math.sqrt(n)
     lo = 0.0 if rs >= 1.0 else math.exp(base + math.log1p(-rs) + m)
     return n, lo, math.exp(base + math.log1p(rs) + m), m
+
+
+# Guards lehmer_bounds' rounding: the envelope in 60-digit decimal.
+_PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _decimal_lehmer_bounds(n: int) -> tuple[Decimal, Decimal]:
+    """(lower, upper) of Lehmer's envelope (sqrt(3)/12n)(1 -+ 1/sqrt n)
+    e^mu, mu = (pi/6) sqrt(24n - 1), in 60-digit decimal arithmetic with
+    a literal pi; each operation is correctly rounded, so both values
+    are good to about 58 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rs = 1 / Decimal(n).sqrt()
+        mu = _PI_60 / 6 * Decimal(24 * n - 1).sqrt()
+        front = Decimal(3).sqrt() / (12 * n) * mu.exp()
+        return front * (1 - rs), front * (1 + rs)
 
 
 # Guards error_budget's lower and upper, L(n) and U(n), bit for bit.

@@ -13,6 +13,8 @@ column they compute.
 from __future__ import annotations
 
 from dysonrank import (
+    RATIO_CAP_2_DERIVED,
+    RATIO_CAPS,
     RankTable,
     build_rank_table,
     check_pair,
@@ -114,19 +116,20 @@ def test_criterion_06_error_budget(criterion):
 
 
 def test_criterion_07_ratio_caps(criterion):
-    caps = {1: 0.0065, 3: 0.0098, 4: 0.0071, 5: 0.0072, 6: 0.54}
-    ok = all(ratio_bound(i, 500) <= cap for i, cap in caps.items())
+    # The tabulated caps, as verify budget's ratio_caps_ok reads them.
+    ok = claims.ratio_caps_hold([ratio_bound(i, 500) for i in range(1, 7)])
     f2 = ratio_bound(2, 500)
-    ok = ok and f2 <= 0.0019
-    within_tabulated = f2 <= 0.00019
+    ok = ok and f2 <= RATIO_CAP_2_DERIVED
+    within_tabulated = f2 <= RATIO_CAPS[1]
     grid = list(range(500, 5001, 50))
     for i in range(1, 7):
         values = [ratio_bound(i, n) for n in grid]
         ok = ok and all(a >= b for a, b in zip(values, values[1:]))
     criterion(7, "ratio caps at n=500 and nonincreasing behavior on "
                  "{500..5000 step 50}", ok,
-              f"F2(500)={f2:.3e}; tabulated cap 1.9e-04 vs stated cap "
-              f"1.9e-03 discrepancy flagged, value satisfies "
+              f"F2(500)={f2:.3e}; tabulated cap {RATIO_CAPS[1]:.1e} vs "
+              f"stated cap {RATIO_CAP_2_DERIVED:.1e} discrepancy flagged, "
+              f"value satisfies "
               f"{'both' if within_tabulated else 'only the stated cap'}")
 
 

@@ -7,7 +7,8 @@ recomputed inside the tests with separately written code.  Production
 folds n-independent constants, shares one pass among the six bounds and
 reads k-sums from running lists; the literal expressions it replaces
 are kept in oracles.py, and every bound, ratio function and Lehmer
-envelope is compared with them bit for bit.
+envelope is compared with them bit for bit.  Lehmer's envelope is also
+compared with a 60-digit decimal evaluation, which bounds its rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import pytest
 from dysonrank import bounds, claims, core
 from dysonrank import (
     a_third_exact,
+    BoundPair,
     BUDGET_CAP,
+    ErrorBudget,
     RankTable,
     RATIO_CAP_2_DERIVED,
     RATIO_CAPS,
@@ -44,6 +47,7 @@ from dysonrank import (
 )
 from oracles import (
     SIN_PI_18,
+    _decimal_lehmer_bounds,
     _independent_error_bounds,
     _literal_envelope,
     _literal_error_bound,
@@ -84,6 +88,24 @@ class TestLehmerBounds:
         pair = lehmer_bounds(1)
         assert pair.lower == 0.0
         assert pair.lower < 1 < pair.upper
+
+    def test_rounding_far_inside_the_sandwich_margin(self):
+        # The doubles' relative error against 60 digits (2.3e-13 at most)
+        # at every n to 2999 and every 37th n down from 79444, the last
+        # finite one; the sandwich's least relative margin to n = 20000
+        # (4.3e-3 below p(20000)) is ten orders of magnitude larger, so
+        # no sandwich verdict rests on rounding.
+        worst = max(
+            abs(Decimal(got) / want - 1)
+            for n in (*range(2, 3000), *range(79444, 2999, -37))
+            for got, want in zip(lehmer_bounds(n)[1:3],
+                                 _decimal_lehmer_bounds(n)))
+        assert worst < Decimal("1e-12")
+        p = partition_numbers(20000)
+        margin = min(min((p[n] - lower) / p[n], (upper - p[n]) / p[n])
+                     for n in range(2, 20001)
+                     for lower, upper in [_decimal_lehmer_bounds(n)])
+        assert margin > Decimal("1e-3")
 
     def test_estimate_frozen_at_100(self):
         value, cap = lehmer_estimate(100)
@@ -167,6 +189,26 @@ class TestErrorBounds:
     def test_empty_sums_below_thresholds(self):
         # isqrt(n)//3 is 0 for n < 9, so the first bound's sum is empty.
         assert error_budget(8).terms[:2] == (0.0, 0.0)
+
+
+class TestResultTypes:
+    """lehmer_bounds and error_budget build their named tuples with
+    tuple.__new__, not the class; the results must be the class's own.
+    n = 35 and 36 straddle the first bound's empty and one-term sums."""
+
+    @pytest.mark.parametrize("n", (1, 2, 35, 36, 500, 4347, 76567))
+    def test_built_as_the_class_builds_them(self, n):
+        for result, cls in ((lehmer_bounds(n), BoundPair),
+                            (error_budget(n), ErrorBudget)):
+            assert type(result) is cls
+            assert result == cls(*result)
+            fields = result._asdict()
+            assert list(fields) == list(cls._fields)
+            assert result == cls(**fields)
+            assert result._replace(n=0) == cls(0, *result[1:])
+
+    def test_35_and_36_straddle_the_first_sum(self):
+        assert error_budget(35).terms[0] == 0.0 < error_budget(36).terms[0]
 
 
 def _error_bounds(n: int) -> tuple[float, ...]:

@@ -24,7 +24,7 @@ GUARDS: dict[str, tuple[str, ...] | str] = {
                      "_literal_envelope"),
     "exact_gap": "a wrapper of Fraction: |a - m| with no rounding",
     "hardy_ramanujan": "one formula, checked against frozen values and p(n)",
-    "lehmer_bounds": ("_literal_lehmer_bounds",),
+    "lehmer_bounds": ("_literal_lehmer_bounds", "_decimal_lehmer_bounds"),
     "lehmer_estimate": ("_literal_lehmer_estimate",),
     "lemma_threshold": ("_literal_lemma_threshold",),
     "main_term": "one formula, checked against frozen 50-digit values",

@@ -193,7 +193,7 @@ def convexity_to_2500():
            "result.violations_found = 7533")
 
 
-# ------------------------------------------- library checks to n = 40000
+# ------------------------------------------ library checks to n = 100000
 
 DYSON_SERIES = """\
 import sys
@@ -227,6 +227,24 @@ if differ:
     sys.exit(f"verdicts differ at n = {differ[:20]}")
 """
 
+BUDGET_AND_ENVELOPE = """\
+import sys
+from operator import sub
+
+from dysonrank import (error_budget, exact_gap, main_term_decimal,
+                       partition_numbers, residue_column)
+from dysonrank.claims import budget_holds
+
+N = 100000
+p = partition_numbers(N)
+a_third = list(map(sub, residue_column(0, 3, N), residue_column(1, 3, N)))
+budget = [n for n in range(500, N + 1) if not budget_holds(
+    error_budget(n), exact_gap(a_third[n], main_term_decimal(n)))]
+envelope = [n for n in range(500, N + 1) if not 200 * abs(a_third[n]) < p[n]]
+if budget or envelope:
+    sys.exit(f"budget fails at n = {budget[:20]}, "
+             f"200 |A(n)| < p(n) fails at n = {envelope[:20]}")
+"""
 
 DIVISION = """\
 import sys
@@ -265,6 +283,15 @@ def division_across_the_switch():
     one degree a step, against the per-term loop."""
     for n in (34224, 40000):
         _snippet(DIVISION.replace("N_MAX", str(n)), ("src", "tests"))
+
+
+def budget_and_envelope_to_100000():
+    """The exact gap |A(n) - M(n)| within error_budget(n).total, and
+    200 |A(n)| < p(n), which gives the residue envelope, at every n in
+    500..10^5, past the 5000-row ceiling that refuses verify budget
+    there.  p is divided first, so the (1, 3) column comes off p and
+    the (0, 3) column: two divisions, not three."""
+    _snippet(BUDGET_AND_ENVELOPE, ("src",))
 
 
 def envelope_integer_edges_to_20000():
@@ -330,6 +357,7 @@ CHECKS = (
     convexity_to_2500,
     dyson_series_to_20000,
     division_across_the_switch,
+    budget_and_envelope_to_100000,
     envelope_integer_edges_to_20000,
     bench_claims_1000,
     bench_cli_session,
